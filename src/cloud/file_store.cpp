@@ -290,12 +290,11 @@ void FileStore::serialize(proto::Writer& w) const {
   // form is independent of how the live slot layout fragmented across
   // deletions. The durable checkpoint path relies on save(load(save(x)))
   // being byte-identical to save(x) (DESIGN.md §13).
-  std::unordered_map<std::uint64_t, std::uint64_t> canonical_slot;
-  canonical_slot.reserve(items_.size());
+  std::vector<std::uint64_t> canonical_slot(items_.slot_count());
   std::uint64_t position = 0;
   for (std::uint32_t slot = items_.first(); slot != ItemStore::kNoSlot;
        slot = items_.next_of(slot)) {
-    canonical_slot.emplace(slot, position++);
+    canonical_slot[slot] = position++;
   }
   tree_.serialize(
       w, [&](std::uint64_t slot) { return canonical_slot.at(slot); });

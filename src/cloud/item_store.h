@@ -73,6 +73,9 @@ class ItemStore {
   /// Total plaintext bytes across the file (the addressable range).
   std::uint64_t plaintext_bytes() const { return plain_bytes_; }
 
+  /// One past the highest slot ever allocated (live or free).
+  std::size_t slot_count() const { return slots_.size(); }
+
   bool valid(std::uint32_t slot) const {
     return slot < slots_.size() && slots_[slot].live;
   }

@@ -80,6 +80,17 @@ obs::Histogram& checkpoint_hist() {
       obs::Registry::instance().histogram("fgad_checkpoint_duration_ns");
   return h;
 }
+// Snapshot step only: how long a checkpoint holds the dispatch mutex.
+obs::Histogram& checkpoint_stall_hist() {
+  static obs::Histogram& h =
+      obs::Registry::instance().histogram("fgad_checkpoint_stall_ns");
+  return h;
+}
+obs::Counter& checkpoint_failures_counter() {
+  static obs::Counter& c =
+      obs::Registry::instance().counter("fgad_checkpoint_failures_total");
+  return c;
+}
 obs::Gauge& dedup_entries_gauge() {
   static obs::Gauge& g =
       obs::Registry::instance().gauge("fgad_dedup_entries");
@@ -101,6 +112,16 @@ obs::Gauge& ckpt_last_unix_gauge() {
   static obs::Gauge& g =
       obs::Registry::instance().gauge("fgad_checkpoint_last_unix_seconds");
   return g;
+}
+
+/// Counts and logs a checkpoint that did not become durable. Nothing is
+/// lost: the logs it would have superseded stay until a later one lands.
+Status checkpoint_failed(std::uint64_t epoch, Status st) {
+  checkpoint_failures_counter().inc();
+  obs::Logger::instance().log(
+      obs::Level::kError, "checkpoint_failed",
+      obs::Kv().u64("epoch", epoch).str("error", st.to_string()));
+  return st;
 }
 
 Bytes io_error_frame(const std::string& msg) {
@@ -548,7 +569,11 @@ DurableServer::DurableServer(Options opts,
       server_(std::move(server)),
       dedup_(std::move(dedup)) {}
 
-DurableServer::~DurableServer() = default;
+DurableServer::~DurableServer() {
+  if (ckpt_writer_.joinable()) {
+    ckpt_writer_.join();
+  }
+}
 
 std::string DurableServer::checkpoint_path(std::uint64_t epoch) const {
   char buf[32];
@@ -646,7 +671,9 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   Wal::ScanResult last_scan;
   std::uint64_t last_wal_epoch = 0;
   bool have_wal_file = false;
-  for (std::uint64_t e : list_numbered(opts.dir, "wal-", ".log")) {
+  const std::vector<std::uint64_t> wal_epochs =
+      list_numbered(opts.dir, "wal-", ".log");
+  for (std::uint64_t e : wal_epochs) {
     auto scan = Wal::scan(
         ds->wal_path(e), [&](const Wal::Record& rec) {
           if (rec.lsn <= base_lsn) {
@@ -679,6 +706,13 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
     have_wal_file = true;
   }
   ds->next_lsn_ = max_lsn + 1;
+  // A snapshot rotates the log before its image is durable, so a crash
+  // mid-write-out leaves a log one epoch past the newest checkpoint. The
+  // next checkpoint must take an epoch past every log on disk, or its
+  // rotation would truncate records only that log holds.
+  if (!wal_epochs.empty()) {
+    ds->epoch_ = std::max(ds->epoch_, wal_epochs.back());
+  }
 
   // 3. The recovered image must satisfy every structural invariant before
   //    we serve from it. A failure here is exactly the moment forensics
@@ -828,9 +862,11 @@ Bytes DurableServer::handle(BytesView request) {
       ++mutations_since_checkpoint_;
       if (opts_.checkpoint_every_n > 0 &&
           mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
-        // Stop-the-world image; also fsyncs and rotates the WAL, so the
-        // just-appended record is durable once this returns.
-        if (auto st = checkpoint_locked(); st) {
+        // Written out inline: this synchronous path is the one the crash
+        // matrix drives through every checkpoint crash point. The
+        // snapshot fsyncs the log, so the just-appended record is durable
+        // once this returns.
+        if (auto st = checkpoint_locked(/*background=*/false); st) {
           checkpointed = true;
         }
       }
@@ -940,9 +976,10 @@ void DurableServer::handle_async(Bytes request, Done done) {
       ++mutations_since_checkpoint_;
       if (opts_.checkpoint_every_n > 0 &&
           mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
-        // checkpoint_locked() fsyncs the log first, so the staged record
-        // is durable once this succeeds — no ticket wait needed.
-        if (auto st = checkpoint_locked(); st) {
+        // The snapshot fsyncs the log first, so the staged record is
+        // durable once this succeeds — no ticket wait needed. The image
+        // is written out on the checkpoint thread, off the dispatch lock.
+        if (auto st = checkpoint_locked(/*background=*/true); st) {
           durable_already = true;
         }
       }
@@ -991,38 +1028,95 @@ void DurableServer::handle_async(Bytes request, Done done) {
 
 Status DurableServer::checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  return checkpoint_locked();
+  return checkpoint_locked(/*background=*/false);
 }
 
-Status DurableServer::checkpoint_locked() {
+Status DurableServer::checkpoint_locked(bool background) {
+  if (auto st = snapshot_locked(); !st) {
+    return checkpoint_failed(epoch_ + 1, st);
+  }
+  if (!background) {
+    if (auto st = write_out(ckpt_); !st) {
+      return checkpoint_failed(ckpt_.epoch, st);
+    }
+    return Status::ok();
+  }
+  // The image is a private byte buffer now, so the write-out needs no
+  // lock; the next snapshot joins this thread before it touches ckpt_.
+  ckpt_writer_ = std::thread([this] {
+    try {
+      if (auto st = write_out(ckpt_); !st) {
+        (void)checkpoint_failed(ckpt_.epoch, st);
+      }
+    } catch (const CrashError&) {
+      // Simulated death mid-write-out (throw-flavor crash point): the
+      // files stay exactly as the "crash" left them.
+    }
+  });
+  return Status::ok();
+}
+
+Status DurableServer::snapshot_locked() {
+  // At most one image in flight: a trigger that finds the previous
+  // write-out still running waits for it here.
+  if (ckpt_writer_.joinable()) {
+    ckpt_writer_.join();
+  }
+  const std::uint64_t t0 = obs::now_ns();
+  const std::uint64_t new_epoch = epoch_ + 1;
+  obs::FlightRecorder::instance().record(
+      obs::FrEvent::kCheckpointBegin, obs::current_request_id(), new_epoch);
   // Everything logged so far must be durable before the image that
-  // supersedes it claims to cover it.
+  // supersedes it claims to cover it. Records appended from here on go to
+  // the new epoch's log, which is created up front so that a failed
+  // rotation leaves nothing to undo.
+  std::shared_ptr<Wal> next_wal;
   if (wal_) {
     if (auto st = wal_->sync_now(); !st) {
       return st;
     }
+    auto w = Wal::create(wal_path(new_epoch), new_epoch,
+                         Wal::Options{opts_.wal_sync_ms});
+    if (!w) {
+      return w.status();
+    }
+    next_wal = std::move(w).value();
   }
-  const std::uint64_t new_epoch = epoch_ + 1;
-  const std::uint64_t last = next_lsn_ - 1;
-  obs::ScopedTimer ckpt_timer(checkpoint_hist());
-  obs::FlightRecorder::instance().record(
-      obs::FrEvent::kCheckpointBegin, obs::current_request_id(), new_epoch);
 
-  proto::Writer w;
+  // Header, image and dedup table go straight into the recycled buffer;
+  // the image's length prefix is patched in once its size is known.
+  ckpt_.epoch = new_epoch;
+  ckpt_.last_lsn = next_lsn_ - 1;
+  ckpt_.start_ns = t0;
+  proto::Writer& w = ckpt_.w;
+  w.clear();
   w.u32(kCkptMagic);
   w.u16(kCkptVersion);
   w.u64(new_epoch);
-  w.u64(last);
+  w.u64(ckpt_.last_lsn);
   w.u64(term_);  // v2: fencing term survives restarts (DESIGN.md §18)
-  proto::Writer image;
-  server_->save(image);
-  w.bytes(image.data());
+  const std::size_t image_len_at = w.size();
+  w.u32(0);
+  server_->save(w);
+  w.patch_u32(image_len_at,
+              static_cast<std::uint32_t>(w.size() - image_len_at - 4));
   dedup_.serialize(w);
-  const std::uint32_t crc = fsio::crc32(w.data());
-  w.u32(crc);
+
+  if (next_wal) {
+    wal_ = std::move(next_wal);
+  }
+  epoch_ = new_epoch;
+  mutations_since_checkpoint_ = 0;
+  checkpoints_counter().inc();
+  checkpoint_stall_hist().observe(obs::now_ns() - t0);
+  return Status::ok();
+}
+
+Status DurableServer::write_out(CheckpointImage& img) {
+  img.w.u32(fsio::crc32(img.w.data()));
 
   // temp -> fsync -> (crash point) -> rename -> (crash point) -> fsync dir
-  const std::string path = checkpoint_path(new_epoch);
+  const std::string path = checkpoint_path(img.epoch);
   const std::string tmp = path + ".tmp";
   {
     const int fd =
@@ -1031,22 +1125,10 @@ Status DurableServer::checkpoint_locked() {
       return Status(Errc::kIoError,
                     "checkpoint open " + tmp + ": " + std::strerror(errno));
     }
-    const BytesView data = w.data();
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        const Status st(Errc::kIoError,
-                        std::string("checkpoint write: ") +
-                            std::strerror(errno));
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return st;
-      }
-      off += static_cast<std::size_t>(n);
+    if (auto st = fsio::write_all(fd, img.w.data()); !st) {
+      ::close(fd);
+      ::unlink(tmp.c_str());
+      return st;
     }
     if (::fsync(fd) != 0) {
       const Status st(Errc::kIoError,
@@ -1068,48 +1150,48 @@ Status DurableServer::checkpoint_locked() {
   if (auto st = fsio::fsync_parent_dir(path); !st) {
     return st;
   }
-
-  // Log truncation: new epoch's WAL first, then drop superseded files.
-  // If rotation fails we keep appending to the old file — recovery's
-  // LSN-skipping replay stays correct either way.
-  if (wal_) {
-    auto w2 = Wal::create(wal_path(new_epoch), new_epoch,
-                          Wal::Options{opts_.wal_sync_ms});
-    if (!w2) {
-      return w2.status();
-    }
-    wal_ = std::move(w2).value();
-  }
-  const std::uint64_t old_epoch = epoch_;
-  epoch_ = new_epoch;
-  mutations_since_checkpoint_ = 0;
-  checkpoints_counter().inc();
-  ckpt_epoch_gauge().set(static_cast<std::int64_t>(new_epoch));
-  ckpt_size_gauge().set(static_cast<std::int64_t>(w.size()));
+  checkpoint_hist().observe(obs::now_ns() - img.start_ns);
+  ckpt_epoch_gauge().set(static_cast<std::int64_t>(img.epoch));
+  ckpt_size_gauge().set(static_cast<std::int64_t>(img.w.size()));
   ckpt_last_unix_gauge().set(static_cast<std::int64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count()));
-  obs::FlightRecorder::instance().record(
-      obs::FrEvent::kCheckpointCommit, obs::current_request_id(), new_epoch,
-      w.size());
+  obs::FlightRecorder::instance().record(obs::FrEvent::kCheckpointCommit, 0,
+                                         img.epoch, img.w.size());
 
-  // Keep the previous checkpoint as a fallback; everything older goes.
-  for (std::uint64_t e : list_numbered(opts_.dir, "checkpoint-", ".ckpt")) {
-    if (e + 1 < new_epoch) {
+  // Keep this checkpoint and the newest one before it as a fallback, plus
+  // every log from the fallback's epoch on: without them the fallback
+  // would come back without the mutations ACKed after it was taken. Temp
+  // files of abandoned write-outs go too.
+  const std::vector<std::uint64_t> ckpts =
+      list_numbered(opts_.dir, "checkpoint-", ".ckpt");
+  std::uint64_t fallback = 0;
+  for (std::uint64_t e : ckpts) {
+    if (e < img.epoch) {
+      fallback = e;
+    }
+  }
+  for (std::uint64_t e : ckpts) {
+    if (e < fallback) {
       ::unlink(checkpoint_path(e).c_str());
     }
   }
   for (std::uint64_t e : list_numbered(opts_.dir, "wal-", ".log")) {
-    if (e < new_epoch) {
+    if (e < fallback) {
       ::unlink(wal_path(e).c_str());
+    }
+  }
+  for (std::uint64_t e : list_numbered(opts_.dir, "checkpoint-", ".ckpt.tmp")) {
+    if (e < img.epoch) {
+      ::unlink((checkpoint_path(e) + ".tmp").c_str());
     }
   }
   obs::Logger::instance().log(obs::Level::kInfo, "checkpoint",
                               obs::Kv()
-                                  .u64("epoch", new_epoch)
-                                  .u64("last_lsn", last)
-                                  .u64("prev_epoch", old_epoch));
+                                  .u64("epoch", img.epoch)
+                                  .u64("last_lsn", img.last_lsn)
+                                  .u64("fallback_epoch", fallback));
   return Status::ok();
 }
 

@@ -5,8 +5,9 @@
 // the paper's assured-deletion guarantee needs to survive ungraceful
 // shutdowns: a mutation is WAL-logged and fsynced before it is
 // acknowledged, the full server image is checkpointed atomically every N
-// mutations (temp -> fsync -> rename -> fsync dir), and startup recovers
-// by loading the newest valid checkpoint and replaying the WAL tail.
+// mutations (snapshot under the dispatch lock, then temp -> fsync ->
+// rename -> fsync dir off it), and startup recovers by loading the newest
+// valid checkpoint and replaying the WAL tail.
 //
 // Exactly-once: a mutating request that arrives in a tagged envelope
 // (proto::kTaggedEnvelope) is deduplicated by its request id. The dedup
@@ -19,7 +20,9 @@
 //
 // State directory layout:
 //   checkpoint-<epoch>.ckpt   atomic snapshots (newest valid one wins)
-//   wal-<epoch>.log           records logged on top of checkpoint <epoch>
+//   wal-<epoch>.log           records logged after snapshot <epoch> was
+//                             taken, kept while a checkpoint at or before
+//                             <epoch> may be needed to recover
 #pragma once
 
 #include <atomic>
@@ -37,6 +40,7 @@
 #include "cloud/replica.h"
 #include "cloud/server.h"
 #include "cloud/wal.h"
+#include "proto/wire.h"
 
 namespace fgad::cloud {
 
@@ -186,9 +190,10 @@ class DurableServer {
   /// slots, not by this function.
   void handle_async(Bytes request, Done done);
 
-  /// Writes an atomic checkpoint now and rotates the WAL. Also invoked
-  /// automatically every checkpoint_every_n mutations and by fgad_server
-  /// on SIGTERM.
+  /// Writes an atomic checkpoint now and rotates the WAL; returns once
+  /// the image is durable. Also invoked by fgad_server on SIGTERM. The
+  /// automatic trigger every checkpoint_every_n mutations writes its image
+  /// out on a background thread instead (DESIGN.md §13).
   Status checkpoint();
 
   const CloudServer& server() const { return *server_; }
@@ -223,7 +228,23 @@ class DurableServer {
   DurableServer(Options opts, std::unique_ptr<CloudServer> server,
                 RidDedup dedup);
 
-  Status checkpoint_locked();
+  /// A checkpoint image taken under mu_ that is not yet durable.
+  struct CheckpointImage {
+    std::uint64_t epoch = 0;
+    std::uint64_t last_lsn = 0;
+    std::uint64_t start_ns = 0;  // snapshot start
+    proto::Writer w;  // header | image | dedup; write_out adds the CRC
+  };
+
+  /// Snapshot now, then write the image out: inline when `background` is
+  /// false (returns once it is durable), else on the checkpoint thread.
+  Status checkpoint_locked(bool background);
+  /// Under mu_: waits for the previous write-out, fsyncs the log,
+  /// serializes into ckpt_ and rotates the WAL to the new epoch.
+  Status snapshot_locked();
+  /// Without mu_: CRC trailer, temp file, fsync, rename, directory fsync,
+  /// prune.
+  Status write_out(CheckpointImage& img);
   std::string checkpoint_path(std::uint64_t epoch) const;
   std::string wal_path(std::uint64_t epoch) const;
 
@@ -247,7 +268,9 @@ class DurableServer {
   // sync_through() on a log a concurrent checkpoint just rotated away.
   std::shared_ptr<Wal> wal_;
   RidDedup dedup_;
-  std::uint64_t epoch_ = 0;     // epoch of the newest durable checkpoint
+  // Epoch of the newest snapshot, i.e. of the current WAL; its checkpoint
+  // may still be in flight.
+  std::uint64_t epoch_ = 0;
   std::uint64_t next_lsn_ = 1;
   std::uint64_t mutations_since_checkpoint_ = 0;
   RecoveryInfo recovery_;
@@ -257,6 +280,10 @@ class DurableServer {
   std::uint64_t term_ = 0;  // fencing term, persisted in checkpoints
   std::shared_ptr<Replicator> repl_;  // primary side only
   ReplAckMode repl_mode_ = ReplAckMode::kOff;
+  // The newest image; its buffer is recycled by the next snapshot. While
+  // ckpt_writer_ runs, only that thread touches ckpt_.
+  CheckpointImage ckpt_;
+  std::thread ckpt_writer_;  // background write-out, joined under mu_
   // Declared last: its thread holds shared_ptr<Wal> copies and must be
   // stopped before the members above are torn down.
   GroupCommitter committer_;

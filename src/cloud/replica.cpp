@@ -514,7 +514,7 @@ Status DurableServer::promote() {
   // The bumped term must be durable BEFORE the first client ack: were it
   // not, a crash-restart could come back with the old term and accept
   // appends from the node this promotion is fencing off.
-  if (auto st = checkpoint_locked(); !st) {
+  if (auto st = checkpoint_locked(/*background=*/false); !st) {
     set_role_locked(ReplRole::kBackup, term_ - 1);
     return st;
   }
@@ -678,7 +678,9 @@ Bytes DurableServer::handle_repl_append(const proto::ReplAppend& req) {
   }
   if (opts_.checkpoint_every_n > 0 &&
       mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
-    (void)checkpoint_locked();  // failure keeps appending to the old log
+    // Written out on the checkpoint thread; a failure is counted and
+    // logged there, and the logs it would have superseded stay.
+    (void)checkpoint_locked(/*background=*/true);
   }
   ack.last_lsn = next_lsn_ - 1;
   ack.code = proto::ReplAck::Code::kOk;
@@ -711,7 +713,7 @@ Bytes DurableServer::handle_repl_snapshot(const proto::ReplSnapshot& req) {
   // Persist the installed image immediately: a crash after this ack must
   // recover to (at least) the shipped state, or the primary would see our
   // acked lsn regress.
-  if (auto st = checkpoint_locked(); !st) {
+  if (auto st = checkpoint_locked(/*background=*/false); !st) {
     return error_frame(st.error().code,
                        "repl snapshot checkpoint: " + st.error().message);
   }

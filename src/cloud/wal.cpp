@@ -31,23 +31,6 @@ Status errno_status(const std::string& what) {
   return Status(Errc::kIoError, what + ": " + std::strerror(errno));
 }
 
-Status write_all_fd(int fd, BytesView data) {
-  const std::uint8_t* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return errno_status("wal write");
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
-
 obs::Counter& appends_counter() {
   static obs::Counter& c =
       obs::Registry::instance().counter("fgad_wal_appends_total");
@@ -225,7 +208,7 @@ Result<std::unique_ptr<Wal>> Wal::create(const std::string& path,
   w.u32(kWalMagic);
   w.u16(kWalVersion);
   w.u64(epoch);
-  Status st = write_all_fd(fd, w.data());
+  Status st = fsio::write_all(fd, w.data());
   if (st && ::fsync(fd) != 0) {
     st = errno_status("wal fsync header");
   }
@@ -319,18 +302,22 @@ Result<std::unique_ptr<Wal>> Wal::reopen(const std::string& path,
 
 Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request,
                                   bool defer_sync) {
-  proto::Writer pw;
-  pw.u64(lsn);
-  pw.bytes(request);
+  // One buffer for the whole frame: the length and CRC words are patched
+  // in once the payload behind them is written.
   proto::Writer fw;
-  fw.u32(static_cast<std::uint32_t>(pw.size()));
-  fw.u32(fsio::crc32(pw.data()));
-  fw.raw(pw.data());
+  fw.reserve(8 + 8 + 4 + request.size());
+  fw.u32(0);  // payload_len
+  fw.u32(0);  // crc32(payload)
+  fw.u64(lsn);
+  fw.bytes(request);
+  const BytesView payload = BytesView(fw.data()).subspan(8);
+  fw.patch_u32(0, static_cast<std::uint32_t>(payload.size()));
+  fw.patch_u32(4, fsio::crc32(payload));
 
   std::unique_lock<std::mutex> lock(mu_);
   {
     obs::ScopedTimer timer(append_hist());
-    if (auto st = write_all_fd(fd_, fw.data()); !st) {
+    if (auto st = fsio::write_all(fd_, fw.data()); !st) {
       return st.error();
     }
   }

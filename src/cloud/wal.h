@@ -54,7 +54,7 @@ enum class CrashSite : int {
   kBeforeWalAppend = 0,   // mutation arrived, nothing logged yet
   kAfterWalPreAck = 1,    // record durable + applied, ACK not sent
   kMidCheckpoint = 2,     // checkpoint temp file written, not yet renamed
-  kPostRename = 3,        // checkpoint renamed, WAL not yet rotated
+  kPostRename = 3,        // checkpoint renamed, dir not fsynced, not pruned
   kBeforeGroupFsync = 4,  // commit batch staged (appended), fsync not done
   kCount = 5,
 };

@@ -13,16 +13,34 @@ namespace fgad::fsio {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: t[0] is the classic byte-at-a-time table; t[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight table lookups
+// fold eight input bytes into the register at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
   }
   return t;
+}
+
+/// Little-endian load; compiles to one unaligned load on LE hosts.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::string dir_of(const std::string& path) {
@@ -37,7 +55,8 @@ Status errno_status(const std::string& what) {
   return Status(Errc::kIoError, what + ": " + std::strerror(errno));
 }
 
-/// write(2) until done; short writes are resumed, EINTR retried.
+}  // namespace
+
 Status write_all(int fd, BytesView data) {
   const std::uint8_t* p = data.data();
   std::size_t left = data.size();
@@ -55,13 +74,20 @@ Status write_all(int fd, BytesView data) {
   return Status::ok();
 }
 
-}  // namespace
-
 std::uint32_t crc32(BytesView data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::uint8_t b : data) {
-    c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -2,22 +2,25 @@
 
 namespace fgad::proto {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+/// Appends the low `N` bytes of `v`, little-endian, with one insert.
+template <std::size_t N>
+void put_le(Bytes& buf, std::uint64_t v) {
+  std::uint8_t b[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf.insert(buf.end(), b, b + N);
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+}  // namespace
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Writer::u16(std::uint16_t v) { put_le<2>(buf_, v); }
+
+void Writer::u32(std::uint32_t v) { put_le<4>(buf_, v); }
+
+void Writer::u64(std::uint64_t v) { put_le<8>(buf_, v); }
 
 void Writer::bytes(BytesView b) {
   u32(static_cast<std::uint32_t>(b.size()));
@@ -36,6 +39,12 @@ void Writer::md(const crypto::Md& m) {
 void Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
+}
+
+void Writer::patch_u32(std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf_.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 bool Reader::need(std::size_t n) {

@@ -18,6 +18,11 @@ class Writer {
  public:
   Writer() = default;
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
+  /// Empties the buffer but keeps its capacity, so a caller that writes
+  /// the same large image repeatedly does not grow a new buffer each time.
+  void clear() { buf_.clear(); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -33,6 +38,11 @@ class Writer {
   void md(const crypto::Md& m);
 
   void str(std::string_view s);
+
+  /// Overwrites the u32 at byte offset `at` (written earlier, e.g. as a
+  /// 0 placeholder): a length prefix or checksum known only once the
+  /// bytes after it are written.
+  void patch_u32(std::size_t at, std::uint32_t v);
 
   const Bytes& data() const& { return buf_; }
   Bytes&& take() && { return std::move(buf_); }

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -186,7 +188,7 @@ struct DurableRig {
     ch = std::make_unique<net::DirectChannel>([this](BytesView req) -> Bytes {
       frames.emplace_back(req.data(), req.data() + req.size());
       try {
-        Bytes resp = ds->handle(req);
+        Bytes resp = async ? handle_async_wait(req) : ds->handle(req);
         responses.push_back(resp);
         return resp;
       } catch (const CrashError&) {
@@ -209,6 +211,16 @@ struct DurableRig {
     return DurableServer::open(opts);
   }
 
+  /// The reactor's path (handle_async), waiting for the ACK so recorded
+  /// frames stay in the order they were applied.
+  Bytes handle_async_wait(BytesView req) {
+    std::promise<Bytes> acked;
+    ds->handle_async(Bytes(req.begin(), req.end()), [&acked](Bytes resp) {
+      acked.set_value(std::move(resp));
+    });
+    return acked.get_future().get();
+  }
+
   DurableServer::Options opts;
   crypto::DeterministicRandom rnd;
   std::unique_ptr<DurableServer> ds;
@@ -217,6 +229,7 @@ struct DurableRig {
   std::vector<Bytes> frames;
   std::vector<Bytes> responses;
   bool crashed = false;
+  bool async = false;  // route the client through handle_async
 };
 
 enum class MutOp { kDelete, kInsert, kOutsource };
@@ -391,12 +404,14 @@ TEST(DurableRecovery, CheckpointTruncatesLogAndPrunes) {
   ASSERT_TRUE(rig.ds->checkpoint());
   ASSERT_TRUE(rig.ds->checkpoint());
 
-  // Keep newest + one fallback checkpoint; only the newest epoch's WAL.
+  // Keep newest + one fallback checkpoint, and every WAL from the
+  // fallback's epoch on: the fallback replays forward through them.
   EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt"));
   EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000002.ckpt"));
   EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt"));
   EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000003.log"));
-  EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000002.log"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000002.log"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000001.log"));
   EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000000.log"));
 
   const Bytes before = image_of(rig.ds->server());
@@ -985,6 +1000,253 @@ TEST(GroupCommit, PipelinedClientBatchesOverReactorTcp) {
   EXPECT_EQ(client.access(fh.value(), proto::ItemRef::id(0)).value(),
             payload_for(700));
   EXPECT_TRUE(fsck(ds.server()));
+}
+
+// ---- checkpoint write-out off the dispatch lock (DESIGN.md §13) -----------
+
+bool wait_until(const std::function<bool()>& done) {
+  for (int spin = 0; spin < 5000 && !done(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return done();
+}
+
+/// Arms `site` to throw CrashError on its first hit only; `hits` counts
+/// every hit, so a test can wait for the simulated death.
+void arm_throw_once(CrashSite site, std::atomic<int>& hits) {
+  CrashPoint::instance().set_handler(site, [&hits](CrashSite s) {
+    if (hits.fetch_add(1) == 0) {
+      throw CrashError{s};
+    }
+  });
+}
+
+bool is_error_frame(const Bytes& resp) {
+  const auto type = proto::peek_type(resp);
+  return !type || *type == proto::MsgType::kError;
+}
+
+Bytes reference_image(const DurableRig& rig) {
+  CloudServer ref;
+  for (const Bytes& frame : rig.frames) {
+    ref.handle(frame);
+  }
+  return image_of(ref);
+}
+
+/// Resends every mutation the rig's client saw ACKed: each must be a
+/// rid-dedup hit that returns the original response and changes nothing.
+void expect_resends_hit_dedup(const DurableRig& rig, DurableServer& ds) {
+  auto& hits = obs::Registry::instance().counter("fgad_dedup_hits_total");
+  const Bytes image = image_of(ds.server());
+  ASSERT_EQ(rig.frames.size(), rig.responses.size());
+  for (std::size_t i = 0; i < rig.frames.size(); ++i) {
+    const auto type = proto::peek_type(rig.frames[i]);
+    if (!type || !proto::is_mutating(*type)) {
+      continue;
+    }
+    const std::uint64_t before = hits.value();
+    EXPECT_EQ(ds.handle(rig.frames[i]), rig.responses[i]) << "frame " << i;
+    EXPECT_EQ(hits.value(), before + 1) << "frame " << i;
+  }
+  EXPECT_EQ(image_of(ds.server()), image);
+}
+
+TEST(DurableRecovery, FallbackCheckpointReplaysItsLog) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_fallback");
+  dopts.checkpoint_every_n = 0;
+  DurableRig rig(dopts);
+
+  std::vector<Bytes> items;
+  for (int i = 0; i < 12; ++i) items.push_back(payload_for(i));
+  auto fh = rig.client->outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+  ASSERT_TRUE(rig.ds->checkpoint());
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(3)));
+  ASSERT_TRUE(rig.ds->checkpoint());
+  const Bytes before = image_of(rig.ds->server());
+  rig.ds.reset();
+
+  // Bit rot in the newest checkpoint: recovery falls back to checkpoint 1
+  // and must replay the ACKed deletion logged after it, or item 3 comes
+  // back under the modulators the client already rotated away from.
+  const std::string newest = dopts.dir + "/checkpoint-000002.ckpt";
+  auto data = fsio::read_file(newest);
+  ASSERT_TRUE(data.is_ok());
+  Bytes bad = data.value();
+  bad[bad.size() / 2] ^= 0x01;
+  ASSERT_TRUE(fsio::atomic_write_file(newest, bad));
+
+  auto reopened = DurableServer::open(dopts);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  const DurableServer& ds2 = *reopened.value();
+  EXPECT_TRUE(ds2.recovery_info().checkpoint_fallback);
+  EXPECT_EQ(ds2.recovery_info().checkpoint_epoch, 1u);
+  EXPECT_EQ(ds2.recovery_info().replayed, 1u);
+  EXPECT_FALSE(ds2.server().file(1)->items().find(3).has_value());
+  EXPECT_EQ(image_of(reopened.value()->server()), before);
+}
+
+// The automatic checkpoint writes its image out on a background thread
+// while later mutations are ACKed into the new epoch's WAL. Kill that
+// thread at each write-out crash point and recover from disk alone.
+TEST(DurableRecovery, BackgroundWriteOutCrashKeepsAckedMutations) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_bg_crash");
+  dopts.checkpoint_every_n = 3;
+  DurableRig rig(dopts);
+  rig.async = true;
+  std::vector<Bytes> items;
+  for (int i = 0; i < 12; ++i) items.push_back(payload_for(i));
+
+  // 1. Die mid-write-out: temp file written, never renamed. The third
+  //    mutation takes snapshot 1; two more land in wal-000001.log.
+  std::atomic<int> mid_hits{0};
+  arm_throw_once(CrashSite::kMidCheckpoint, mid_hits);
+  auto fh = rig.client->outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(2)));
+  ASSERT_TRUE(rig.client->insert(fh.value(), payload_for(77)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return mid_hits.load() > 0; }));
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(5)));
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(7)));
+  CrashPoint::instance().reset();
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt.tmp"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000001.log"));
+
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  rig.ds = std::move(reopened).value();
+  EXPECT_EQ(rig.ds->recovery_info().checkpoint_epoch, 0u);
+  EXPECT_EQ(rig.ds->recovery_info().replayed, 5u);
+  EXPECT_EQ(image_of(rig.ds->server()), reference_image(rig));
+  EXPECT_TRUE(fsck(rig.ds->server()));
+  expect_resends_hit_dedup(rig, *rig.ds);
+
+  // 2. Die right after the rename, before the directory fsync and the
+  //    prune. The recovered server continues in wal-000001.log, so its
+  //    next snapshot is epoch 2.
+  std::atomic<int> rename_hits{0};
+  arm_throw_once(CrashSite::kPostRename, rename_hits);
+  ASSERT_TRUE(rig.client->insert(fh.value(), payload_for(88)).is_ok());
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(9)));
+  ASSERT_TRUE(rig.client->insert(fh.value(), payload_for(99)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return rename_hits.load() > 0; }));
+  ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(3)));
+  CrashPoint::instance().reset();
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000002.ckpt"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt.tmp"));
+
+  reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  rig.ds = std::move(reopened).value();
+  EXPECT_EQ(rig.ds->recovery_info().checkpoint_epoch, 2u);
+  EXPECT_EQ(rig.ds->recovery_info().replayed, 1u);
+  EXPECT_EQ(image_of(rig.ds->server()), reference_image(rig));
+  EXPECT_TRUE(fsck(rig.ds->server()));
+  expect_resends_hit_dedup(rig, *rig.ds);
+
+  // 3. The next durable checkpoint prunes the stray temp file and every
+  //    log older than its fallback (checkpoint 2).
+  ASSERT_TRUE(rig.ds->checkpoint());
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000002.ckpt"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt.tmp"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000001.log"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000002.log"));
+}
+
+TEST(DurableRecovery, FailedWriteOutIsCountedAndLosesNothing) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_ckpt_fail");
+  dopts.checkpoint_every_n = 2;
+  // A directory where checkpoint 1 must land makes its rename fail.
+  ASSERT_EQ(::mkdir((dopts.dir + "/checkpoint-000001.ckpt").c_str(), 0755), 0);
+  DurableRig rig(dopts);
+  auto& failures =
+      obs::Registry::instance().counter("fgad_checkpoint_failures_total");
+  const std::uint64_t failures_before = failures.value();
+
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    // The second put takes snapshot 1; its write-out fails off the lock.
+    const Bytes resp =
+        rig.handle_async_wait(tagged_kv_put(7000 + k, k, payload_for(k)));
+    ASSERT_FALSE(is_error_frame(resp)) << k;
+  }
+  ASSERT_TRUE(wait_until([&] { return failures.value() > failures_before; }));
+  EXPECT_EQ(failures.value(), failures_before + 1);
+
+  // Nothing was pruned, so every ACKed put survives a restart.
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_TRUE(reopened.value()->recovery_info().checkpoint_fallback);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    auto got = reopened.value()->server().kv_get(1, k);
+    ASSERT_TRUE(got.is_ok()) << k;
+    EXPECT_EQ(got.value(), payload_for(k));
+  }
+}
+
+// Reads never take the dispatch lock: they run beside snapshots taken
+// under it and write-outs running off it (a TSan target).
+TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_ckpt_reads");
+  dopts.checkpoint_every_n = 4;
+  DurableRig rig(dopts);
+  rig.async = true;
+  std::vector<Bytes> items;
+  for (int i = 0; i < 16; ++i) items.push_back(payload_for(i));
+  auto fh = rig.client->outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+  auto& stalls =
+      obs::Registry::instance().histogram("fgad_checkpoint_stall_ns");
+  const std::uint64_t stalls_before = stalls.count();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      net::DirectChannel ch(
+          [&rig](BytesView req) { return rig.ds->handle(req); });
+      crypto::DeterministicRandom rnd(100 + t);
+      Client reader(ch, rnd);
+      Client::FileHandle h;
+      h.id = 1;
+      h.key = fh.value().key.clone();
+      for (std::uint64_t i = t; !stop.load(); i = (i + 1) % items.size()) {
+        auto got = reader.access(h, proto::ItemRef::id(i));
+        if (!got.is_ok() || got.value() != items[i]) {
+          bad_reads.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  constexpr int kPuts = 64;
+  for (int k = 0; k < kPuts; ++k) {
+    const Bytes resp = rig.handle_async_wait(
+        tagged_kv_put(9000 + k, static_cast<std::uint64_t>(k), payload_for(k)));
+    ASSERT_FALSE(is_error_frame(resp)) << k;
+  }
+  ASSERT_TRUE(wait_until([&] { return reads.load() >= 64; }));
+  stop = true;
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(bad_reads.load(), 0);
+  // 1 outsource + 64 puts at one snapshot per 4 mutations.
+  EXPECT_EQ(stalls.count() - stalls_before, (1u + kPuts) / 4);
+
+  const Bytes before = image_of(rig.ds->server());
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ(image_of(reopened.value()->server()), before);
+  EXPECT_TRUE(fsck(reopened.value()->server()));
 }
 
 }  // namespace

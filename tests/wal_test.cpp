@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 
 #include "cloud/recovery.h"
@@ -45,6 +46,50 @@ TEST(Fsio, Crc32KnownVectors) {
   const Bytes a = to_bytes("1234");
   const Bytes b = to_bytes("56789");
   EXPECT_EQ(fsio::crc32(b, fsio::crc32(a)), fsio::crc32(to_bytes(check)));
+}
+
+/// Byte-at-a-time, bit-at-a-time CRC-32: the reference the table-driven
+/// fsio::crc32 must agree with.
+std::uint32_t crc32_bitwise(BytesView data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Fsio, Crc32SlicingMatchesBytewiseReference) {
+  std::mt19937_64 rng(20140630);
+  Bytes buf(4096 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 24; ++n) {
+    lengths.push_back(n);  // every tail length around one 8-byte step
+  }
+  for (int i = 0; i < 48; ++i) {
+    lengths.push_back(static_cast<std::size_t>(rng() % 4097));
+  }
+  lengths.push_back(4096);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len : lengths) {
+      for (auto& b : buf) {
+        b = static_cast<std::uint8_t>(rng());
+      }
+      const BytesView v(buf.data() + align, len);
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(fsio::crc32(v), crc32_bitwise(v, 0))
+          << "align " << align << " len " << len;
+      ASSERT_EQ(fsio::crc32(v, seed), crc32_bitwise(v, seed))
+          << "align " << align << " len " << len;
+      // Chaining at any split point equals one pass over the whole span.
+      const std::size_t cut = static_cast<std::size_t>(rng() % (len + 1));
+      ASSERT_EQ(fsio::crc32(v.subspan(cut), fsio::crc32(v.first(cut), seed)),
+                crc32_bitwise(v, seed))
+          << "align " << align << " len " << len << " cut " << cut;
+    }
+  }
 }
 
 TEST(Fsio, AtomicWriteRoundtripAndOverwrite) {
