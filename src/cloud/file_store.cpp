@@ -7,6 +7,12 @@ namespace fgad::cloud {
 
 using core::NodeId;
 
+namespace {
+// One delta patch entry besides its ciphertext: item id, plain size and
+// the ciphertext's length prefix (DeltaImage::serialize).
+constexpr std::uint64_t kPatchEntryBytes = 8 + 8 + 4;
+}  // namespace
+
 Status FileStore::ingest(core::ModulationTree tree,
                          std::vector<IngestItem> items) {
   if (!items_.empty() || !tree_.empty()) {
@@ -144,6 +150,14 @@ Status FileStore::modify(std::uint64_t item_id, Bytes ciphertext,
   if (!slot) {
     return Status(Errc::kNotFound, "file store: no such item");
   }
+  if (!structural_) {
+    if (modified_.insert(item_id).second) {
+      patch_bytes_ += kPatchEntryBytes + ciphertext.size();
+    } else {
+      patch_bytes_ =
+          patch_bytes_ - items_.at(*slot).ciphertext.size() + ciphertext.size();
+    }
+  }
   items_.set_ciphertext(*slot, std::move(ciphertext), plain_size);
   integrity_refresh_leaf(*slot);
   return Status::ok();
@@ -161,6 +175,7 @@ Result<core::DeleteInfo> FileStore::delete_begin(std::uint32_t slot) const {
 }
 
 Status FileStore::delete_commit(const core::DeleteCommit& commit) {
+  mark_structural();
   const NodeId deleted_leaf = commit.leaf;
   auto outcome = tree_.apply_delete(commit);
   if (!outcome) {
@@ -213,6 +228,7 @@ Result<core::DeleteManyInfo> FileStore::delete_many_begin(
 }
 
 Status FileStore::delete_many_commit(const core::DeleteManyCommit& commit) {
+  mark_structural();
   auto outcome = tree_.apply_delete_many(commit);
   if (!outcome) {
     return outcome.status();
@@ -249,6 +265,7 @@ Status FileStore::delete_many_commit(const core::DeleteManyCommit& commit) {
 }
 
 Status FileStore::insert_commit(const core::InsertCommit& commit) {
+  mark_structural();
   // Store the ciphertext first to obtain the slot the new leaf will point
   // to; roll back if the tree rejects the commit (e.g. duplicate modulator).
   Result<std::uint32_t> slot =
@@ -346,6 +363,28 @@ Result<FileStore> FileStore::deserialize(proto::Reader& r,
   }
   store.integrity_rebuild();
   return store;
+}
+
+std::uint64_t FileStore::serialized_size() const {
+  return tree_.serialized_size() + 8 +
+         items_.size() * (8 + 8 + 8 + 4) + items_.ciphertext_bytes();
+}
+
+// ---- change tracking -------------------------------------------------------
+
+void FileStore::mark_clean() {
+  structural_ = false;
+  modified_.clear();
+  patch_bytes_ = 0;
+}
+
+void FileStore::mark_structural() {
+  mark_clean();
+  structural_ = true;
+}
+
+std::uint64_t FileStore::delta_size() const {
+  return structural_ ? serialized_size() : patch_bytes_;
 }
 
 }  // namespace fgad::cloud

@@ -8,9 +8,9 @@
 // and whole-file persistence.
 #pragma once
 
-#include <utility>
-
 #include <optional>
+#include <unordered_set>
+#include <utility>
 
 #include "cloud/item_store.h"
 #include "common/thread_pool.h"
@@ -78,6 +78,25 @@ class FileStore {
   static Result<FileStore> deserialize(proto::Reader& r, bool track_duplicates,
                                        bool enable_integrity = true,
                                        ThreadPool* pool = nullptr);
+  /// Exact size of what serialize() writes.
+  std::uint64_t serialized_size() const;
+
+  // ---- change tracking for delta checkpoints (DESIGN.md §13) ---------------
+
+  /// Restarts change tracking: later changes are counted from now.
+  void mark_clean();
+  /// True when the tree or the item set changed since mark_clean(), or the
+  /// store is new: a delta then carries the whole file.
+  bool structurally_changed() const { return structural_; }
+  /// Ids of the items modify() replaced since mark_clean(); empty while
+  /// structurally_changed().
+  const std::unordered_set<std::uint64_t>& modified_items() const {
+    return modified_;
+  }
+  bool changed() const { return structural_ || !modified_.empty(); }
+  /// Bytes the changes since mark_clean() add to a delta image, at most:
+  /// serialized_size() when structurally changed, else the modified items.
+  std::uint64_t delta_size() const;
 
   // ---- integrity (PDP/PoR substrate) ---------------------------------------
 
@@ -91,11 +110,17 @@ class FileStore {
  private:
   void integrity_rebuild();
   void integrity_refresh_leaf(std::uint32_t slot);
+  /// Called before any change to the tree or the item set.
+  void mark_structural();
 
   core::ModulationTree tree_;
   ItemStore items_;
   std::optional<integrity::HashTree> integrity_;
   ThreadPool* pool_ = nullptr;
+
+  bool structural_ = true;
+  std::unordered_set<std::uint64_t> modified_;
+  std::uint64_t patch_bytes_ = 0;  // modified_ as delta patch entries
 };
 
 }  // namespace fgad::cloud

@@ -28,11 +28,21 @@ constexpr std::uint32_t kCkptMagic = 0x46474350;  // "FGCP"
 // v1: epoch | last_lsn | image | dedup.
 // v2: epoch | last_lsn | term | image | dedup — the replication fencing
 // term (DESIGN.md §18). v1 checkpoints still load (term 0).
-constexpr std::uint16_t kCkptVersion = 2;
+// v3: epoch | last_lsn | term | kind | base_epoch | dedup | image, both
+// length-prefixed, where a delta's image is a DeltaImage against
+// checkpoint base_epoch (DESIGN.md §13). v1 and v2 load as full images.
+constexpr std::uint16_t kCkptVersion = 3;
+constexpr std::uint8_t kKindFull = 0;
+constexpr std::uint8_t kKindDelta = 1;
 
 obs::Counter& checkpoints_counter() {
   static obs::Counter& c =
       obs::Registry::instance().counter("fgad_checkpoints_total");
+  return c;
+}
+obs::Counter& deltas_counter() {
+  static obs::Counter& c =
+      obs::Registry::instance().counter("fgad_checkpoint_deltas_total");
   return c;
 }
 obs::Counter& dedup_hits_counter() {
@@ -192,6 +202,134 @@ std::vector<std::uint64_t> list_numbered(const std::string& dir,
   }
   ::closedir(d);
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string checkpoint_file(const std::string& dir, std::uint64_t epoch) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "checkpoint-%06" PRIu64 ".ckpt", epoch);
+  return dir + "/" + buf;
+}
+
+/// A checkpoint file that passed its CRC and header checks; `image` and
+/// `dedup` point into `data`.
+struct CheckpointFile {
+  Bytes data;
+  std::uint64_t epoch = 0;
+  std::uint64_t last_lsn = 0;
+  std::uint64_t term = 0;
+  bool delta = false;
+  std::uint64_t base_epoch = 0;
+  BytesView image;
+  BytesView dedup;
+};
+
+Result<CheckpointFile> read_checkpoint(const std::string& path) {
+  auto data = fsio::read_file(path);
+  if (!data) {
+    return data.error();
+  }
+  CheckpointFile c;
+  c.data = std::move(data).value();
+  const auto bad = [&path](const char* what) {
+    return Error(Errc::kDecodeError, "checkpoint " + path + ": " + what);
+  };
+  if (c.data.size() < 4) {
+    return bad("truncated");
+  }
+  const BytesView body(c.data.data(), c.data.size() - 4);
+  proto::Reader tr(BytesView(c.data).subspan(body.size()));
+  if (fsio::crc32(body) != tr.u32()) {
+    return bad("CRC mismatch");
+  }
+  proto::Reader r(body);
+  const std::uint32_t magic = r.u32();
+  const std::uint16_t version = r.u16();
+  if (magic != kCkptMagic || version < 1 || version > kCkptVersion) {
+    return bad("bad magic/version");
+  }
+  c.epoch = r.u64();
+  c.last_lsn = r.u64();
+  // v1 checkpoints predate replication; they read as term 0, which
+  // open() bootstraps to 1 for a primary.
+  c.term = version >= 2 ? r.u64() : 0;
+  c.base_epoch = c.epoch;
+  if (version < 3) {
+    c.image = r.bytes_view();
+    c.dedup = body.subspan(body.size() - r.remaining());
+  } else {
+    const std::uint8_t kind = r.u8();
+    c.delta = kind == kKindDelta;
+    c.base_epoch = r.u64();
+    if (kind > kKindDelta ||
+        (c.delta ? c.base_epoch >= c.epoch : c.base_epoch != c.epoch)) {
+      return bad("bad kind/base epoch");
+    }
+    c.dedup = r.bytes_view();
+    c.image = r.bytes_view();
+    if (!r.at_end()) {
+      return bad("truncated or trailing bytes");
+    }
+  }
+  if (!r.ok()) {
+    return bad("truncated");
+  }
+  return c;
+}
+
+/// Server state and dedup table as of checkpoint `epoch`, read through its
+/// base when it is a delta.
+struct LoadedCheckpoint {
+  std::unique_ptr<CloudServer> server;
+  RidDedup dedup;
+  std::uint64_t last_lsn = 0;
+  std::uint64_t term = 0;
+  std::uint64_t base_epoch = 0;
+};
+
+Result<LoadedCheckpoint> load_checkpoint(const DurableServer::Options& opts,
+                                         std::uint64_t epoch) {
+  auto top = read_checkpoint(checkpoint_file(opts.dir, epoch));
+  if (!top) {
+    return top.error();
+  }
+  const CheckpointFile& c = top.value();
+  Result<CheckpointFile> base = Error(Errc::kNotFound, "no base");
+  const CheckpointFile* full = &c;
+  if (c.delta) {
+    base = read_checkpoint(checkpoint_file(opts.dir, c.base_epoch));
+    if (!base) {
+      return base.error();
+    }
+    if (base.value().delta) {
+      return Error(Errc::kDecodeError, "checkpoint: a delta's base is a delta");
+    }
+    full = &base.value();
+  }
+  proto::Reader ir(full->image);
+  auto server = CloudServer::load(ir, opts.server);
+  if (!server) {
+    return server.error();
+  }
+  if (auto st = ir.finish(); !st) {
+    return st.error();
+  }
+  if (c.delta) {
+    proto::Reader dr(c.image);
+    if (auto st = server.value()->apply_delta(dr); !st) {
+      return st.error();
+    }
+    if (auto st = dr.finish(); !st) {
+      return st.error();
+    }
+  }
+  LoadedCheckpoint out{std::move(server).value(),
+                       RidDedup(opts.dedup_capacity), c.last_lsn, c.term,
+                       c.base_epoch};
+  proto::Reader dd(c.dedup);
+  if (auto st = out.dedup.deserialize(dd); !st) {
+    return st.error();
+  }
   return out;
 }
 
@@ -576,9 +714,7 @@ DurableServer::~DurableServer() {
 }
 
 std::string DurableServer::checkpoint_path(std::uint64_t epoch) const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "checkpoint-%06" PRIu64 ".ckpt", epoch);
-  return opts_.dir + "/" + buf;
+  return checkpoint_file(opts_.dir, epoch);
 }
 
 std::string DurableServer::wal_path(std::uint64_t epoch) const {
@@ -607,56 +743,28 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
 
   // 1. Newest valid checkpoint wins; older ones are the fallback when the
   //    newest is unreadable (disk rot — a crash cannot produce a torn
-  //    checkpoint because the rename is atomic).
+  //    checkpoint because the rename is atomic). A delta is valid only
+  //    together with its base.
   std::uint64_t base_lsn = 0;
   std::vector<std::uint64_t> ckpts =
       list_numbered(opts.dir, "checkpoint-", ".ckpt");
   for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    auto data = fsio::read_file(ds->checkpoint_path(*it));
-    if (!data || data.value().size() < 4) {
+    auto loaded = load_checkpoint(opts, *it);
+    if (!loaded) {
       ds->recovery_.checkpoint_fallback = true;
       continue;
     }
-    const Bytes& buf = data.value();
-    proto::Reader tr(BytesView(buf.data() + buf.size() - 4, 4));
-    if (fsio::crc32(BytesView(buf.data(), buf.size() - 4)) != tr.u32()) {
-      ds->recovery_.checkpoint_fallback = true;
-      continue;
-    }
-    proto::Reader r(BytesView(buf.data(), buf.size() - 4));
-    const std::uint32_t magic = r.u32();
-    const std::uint16_t version = r.u16();
-    if (magic != kCkptMagic || version < 1 || version > kCkptVersion) {
-      ds->recovery_.checkpoint_fallback = true;
-      continue;
-    }
-    const std::uint64_t epoch = r.u64();
-    const std::uint64_t lsn = r.u64();
-    // v1 checkpoints predate replication; they read as term 0, which
-    // open() below bootstraps to 1 for a primary.
-    const std::uint64_t term = version >= 2 ? r.u64() : 0;
-    const Bytes image = r.bytes();
-    if (!r.ok()) {
-      ds->recovery_.checkpoint_fallback = true;
-      continue;
-    }
-    proto::Reader ir(image);
-    auto server = CloudServer::load(ir, opts.server);
-    if (!server || !ir.finish()) {
-      ds->recovery_.checkpoint_fallback = true;
-      continue;
-    }
-    RidDedup dedup(opts.dedup_capacity);
-    if (auto st = dedup.deserialize(r); !st) {
-      ds->recovery_.checkpoint_fallback = true;
-      continue;
-    }
-    ds->server_ = std::move(server).value();
-    ds->dedup_ = std::move(dedup);
-    ds->epoch_ = epoch;
-    ds->term_ = term;
-    base_lsn = lsn;
-    ds->recovery_.checkpoint_epoch = epoch;
+    LoadedCheckpoint& c = loaded.value();
+    ds->server_ = std::move(c.server);
+    ds->dedup_ = std::move(c.dedup);
+    ds->epoch_ = *it;
+    ds->term_ = c.term;
+    // The next checkpoint is a full image (delta_ok_ stays false: change
+    // tracking starts now, not at the base); this base is its fallback.
+    ds->base_epoch_ = c.base_epoch;
+    base_lsn = c.last_lsn;
+    ds->recovery_.checkpoint_epoch = *it;
+    ds->recovery_.base_epoch = c.base_epoch;
     break;
   }
 
@@ -701,6 +809,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
       continue;
     }
     ds->recovery_.torn_tail = scan.value().torn_tail;
+    ds->wal_bytes_[e] = scan.value().valid_end;
     last_scan = scan.value();
     last_wal_epoch = e;
     have_wal_file = true;
@@ -739,6 +848,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
         return w.error();
       }
       ds->wal_ = std::move(w).value();
+      ds->wal_bytes_.erase(last_wal_epoch);  // the live log counts itself
     } else {
       auto w = Wal::create(ds->wal_path(ds->epoch_), ds->epoch_, wopts);
       if (!w) {
@@ -775,6 +885,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
       obs::Level::kInfo, "recovered",
       obs::Kv()
           .u64("checkpoint_epoch", ds->recovery_.checkpoint_epoch)
+          .u64("base_epoch", ds->recovery_.base_epoch)
           .u64("replayed", ds->recovery_.replayed)
           .u64("skipped", ds->recovery_.skipped)
           .u64("torn_tail", ds->recovery_.torn_tail ? 1 : 0)
@@ -1036,7 +1147,9 @@ Status DurableServer::checkpoint_locked(bool background) {
     return checkpoint_failed(epoch_ + 1, st);
   }
   if (!background) {
-    if (auto st = write_out(ckpt_); !st) {
+    const Status st = write_out(ckpt_);
+    join_write_out_locked();
+    if (!st) {
       return checkpoint_failed(ckpt_.epoch, st);
     }
     return Status::ok();
@@ -1056,13 +1169,46 @@ Status DurableServer::checkpoint_locked(bool background) {
   return Status::ok();
 }
 
-Status DurableServer::snapshot_locked() {
-  // At most one image in flight: a trigger that finds the previous
-  // write-out still running waits for it here.
+void DurableServer::join_write_out_locked() {
   if (ckpt_writer_.joinable()) {
     ckpt_writer_.join();
   }
+  if (ckpt_.settled) {
+    return;
+  }
+  ckpt_.settled = true;
+  if (ckpt_.delta) {
+    return;  // the next delta is cumulative, so a lost one costs nothing
+  }
+  if (!ckpt_.durable) {
+    // Change tracking restarted at this image's snapshot: without it on
+    // disk there is no base to take deltas against.
+    delta_ok_ = false;
+    return;
+  }
+  prev_base_epoch_ = ckpt_.fallback_epoch;
+  base_epoch_ = ckpt_.epoch;
+  base_image_bytes_ = ckpt_.image_bytes;
+  delta_ok_ = true;
+  // The write-out pruned every log older than its fallback.
+  wal_bytes_.erase(wal_bytes_.begin(), wal_bytes_.lower_bound(prev_base_epoch_));
+}
+
+std::uint64_t DurableServer::wal_bytes_from(std::uint64_t epoch) const {
+  std::uint64_t n = wal_ ? wal_->appended_bytes() : 0;
+  for (auto it = wal_bytes_.lower_bound(epoch); it != wal_bytes_.end(); ++it) {
+    n += it->second;
+  }
+  return n;
+}
+
+Status DurableServer::snapshot_locked() {
+  // At most one image in flight: a trigger that finds the previous
+  // write-out still running waits for it here. That wait stalls the
+  // dispatch lock like the snapshot itself, so the stall clock starts
+  // before it.
   const std::uint64_t t0 = obs::now_ns();
+  join_write_out_locked();
   const std::uint64_t new_epoch = epoch_ + 1;
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kCheckpointBegin, obs::current_request_id(), new_epoch);
@@ -1083,11 +1229,28 @@ Status DurableServer::snapshot_locked() {
     next_wal = std::move(w).value();
   }
 
-  // Header, image and dedup table go straight into the recycled buffer;
-  // the image's length prefix is patched in once its size is known.
+  // A delta needs a durable base whose snapshot started change tracking.
+  // It stays under half the base, and the logs kept for its fallback (the
+  // full image before the base) stay under the base; past either bound a
+  // full image is cheaper to keep than the delta and the logs.
+  const bool delta =
+      delta_ok_ &&
+      2 * (delta_.size() + server_->pending_delta_size()) <
+          base_image_bytes_ &&
+      wal_bytes_from(prev_base_epoch_) < base_image_bytes_;
   ckpt_.epoch = new_epoch;
   ckpt_.last_lsn = next_lsn_ - 1;
   ckpt_.start_ns = t0;
+  ckpt_.delta = delta;
+  ckpt_.base_epoch = delta ? base_epoch_ : new_epoch;
+  ckpt_.fallback_epoch = delta ? prev_base_epoch_ : base_epoch_;
+  ckpt_.settled = false;
+  ckpt_.durable = false;
+
+  // Header, dedup table and (for a full image) the image go straight into
+  // the recycled buffer; each section's length prefix is patched in once
+  // its size is known. A delta only folds this interval's changes into
+  // delta_ here: write_out serializes it off the lock.
   proto::Writer& w = ckpt_.w;
   w.clear();
   w.u32(kCkptMagic);
@@ -1095,24 +1258,48 @@ Status DurableServer::snapshot_locked() {
   w.u64(new_epoch);
   w.u64(ckpt_.last_lsn);
   w.u64(term_);  // v2: fencing term survives restarts (DESIGN.md §18)
-  const std::size_t image_len_at = w.size();
+  w.u8(delta ? kKindDelta : kKindFull);
+  w.u64(ckpt_.base_epoch);
+  const std::size_t dedup_len_at = w.size();
   w.u32(0);
-  server_->save(w);
-  w.patch_u32(image_len_at,
-              static_cast<std::uint32_t>(w.size() - image_len_at - 4));
   dedup_.serialize(w);
+  w.patch_u32(dedup_len_at,
+              static_cast<std::uint32_t>(w.size() - dedup_len_at - 4));
+  if (delta) {
+    server_->fold_changes(delta_);
+  } else {
+    const std::size_t image_len_at = w.size();
+    w.u32(0);
+    server_->save(w);
+    ckpt_.image_bytes = w.size() - image_len_at - 4;
+    w.patch_u32(image_len_at, static_cast<std::uint32_t>(ckpt_.image_bytes));
+    server_->mark_clean();  // later deltas count changes from here
+    delta_.clear();
+  }
 
   if (next_wal) {
+    wal_bytes_[wal_->epoch()] = wal_->appended_bytes();
     wal_ = std::move(next_wal);
   }
   epoch_ = new_epoch;
   mutations_since_checkpoint_ = 0;
   checkpoints_counter().inc();
+  if (delta) {
+    deltas_counter().inc();
+  }
   checkpoint_stall_hist().observe(obs::now_ns() - t0);
   return Status::ok();
 }
 
 Status DurableServer::write_out(CheckpointImage& img) {
+  if (img.delta) {
+    // delta_ is this thread's until the next snapshot joins it.
+    const std::size_t image_len_at = img.w.size();
+    img.w.u32(0);
+    delta_.serialize(img.w);
+    img.w.patch_u32(image_len_at,
+                    static_cast<std::uint32_t>(img.w.size() - image_len_at - 4));
+  }
   img.w.u32(fsio::crc32(img.w.data()));
 
   // temp -> fsync -> (crash point) -> rename -> (crash point) -> fsync dir
@@ -1160,20 +1347,14 @@ Status DurableServer::write_out(CheckpointImage& img) {
   obs::FlightRecorder::instance().record(obs::FrEvent::kCheckpointCommit, 0,
                                          img.epoch, img.w.size());
 
-  // Keep this checkpoint and the newest one before it as a fallback, plus
-  // every log from the fallback's epoch on: without them the fallback
-  // would come back without the mutations ACKed after it was taken. Temp
-  // files of abandoned write-outs go too.
-  const std::vector<std::uint64_t> ckpts =
-      list_numbered(opts_.dir, "checkpoint-", ".ckpt");
-  std::uint64_t fallback = 0;
-  for (std::uint64_t e : ckpts) {
-    if (e < img.epoch) {
-      fallback = e;
-    }
-  }
-  for (std::uint64_t e : ckpts) {
-    if (e < fallback) {
+  // Keep this checkpoint, its base, and a fallback full image that does
+  // not depend on that base, plus every log from the fallback's epoch on:
+  // any one of these files may rot without losing an ACKed mutation, and
+  // without the logs the fallback would come back without the mutations
+  // ACKed after it was taken. Temp files of abandoned write-outs go too.
+  const std::uint64_t fallback = img.fallback_epoch;
+  for (std::uint64_t e : list_numbered(opts_.dir, "checkpoint-", ".ckpt")) {
+    if (e < img.epoch && e != img.base_epoch && e != fallback) {
       ::unlink(checkpoint_path(e).c_str());
     }
   }
@@ -1190,8 +1371,12 @@ Status DurableServer::write_out(CheckpointImage& img) {
   obs::Logger::instance().log(obs::Level::kInfo, "checkpoint",
                               obs::Kv()
                                   .u64("epoch", img.epoch)
+                                  .str("kind", img.delta ? "delta" : "full")
+                                  .u64("base_epoch", img.base_epoch)
+                                  .u64("bytes", img.w.size())
                                   .u64("last_lsn", img.last_lsn)
                                   .u64("fallback_epoch", fallback));
+  img.durable = true;
   return Status::ok();
 }
 

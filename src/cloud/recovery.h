@@ -4,10 +4,12 @@
 // DurableServer wraps CloudServer::handle with the durability discipline
 // the paper's assured-deletion guarantee needs to survive ungraceful
 // shutdowns: a mutation is WAL-logged and fsynced before it is
-// acknowledged, the full server image is checkpointed atomically every N
-// mutations (snapshot under the dispatch lock, then temp -> fsync ->
-// rename -> fsync dir off it), and startup recovers by loading the newest
-// valid checkpoint and replaying the WAL tail.
+// acknowledged, the server is checkpointed atomically every N mutations
+// (snapshot under the dispatch lock, then temp -> fsync -> rename -> fsync
+// dir off it), and startup recovers by loading the newest valid checkpoint
+// and replaying the WAL tail. A checkpoint is either a full image or a
+// delta against the newest durable full image, its base: the files and
+// ciphertexts that changed since the base was taken.
 //
 // Exactly-once: a mutating request that arrives in a tagged envelope
 // (proto::kTaggedEnvelope) is deduplicated by its request id. The dedup
@@ -19,16 +21,20 @@
 // net::RetryChannel.
 //
 // State directory layout:
-//   checkpoint-<epoch>.ckpt   atomic snapshots (newest valid one wins)
+//   checkpoint-<epoch>.ckpt   atomic snapshots, full or delta (the newest
+//                             one whose chain - a delta and its base -
+//                             reads back wins). Kept: the newest, its
+//                             base, and a fallback full image that does
+//                             not depend on that base.
 //   wal-<epoch>.log           records logged after snapshot <epoch> was
-//                             taken, kept while a checkpoint at or before
-//                             <epoch> may be needed to recover
+//                             taken, kept from the fallback's epoch on
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -156,6 +162,9 @@ class DurableServer {
   /// Statistics from the recovery pass, for logs and tests.
   struct RecoveryInfo {
     std::uint64_t checkpoint_epoch = 0;  // 0 = started from empty state
+    // Full image the loaded checkpoint builds on: checkpoint_epoch itself
+    // for a full image, the delta's base otherwise (0 = empty state).
+    std::uint64_t base_epoch = 0;
     std::uint64_t replayed = 0;          // WAL records re-executed
     std::uint64_t skipped = 0;           // records <= checkpoint LSN
     std::uint64_t duration_ns = 0;       // wall time of the recovery pass
@@ -233,18 +242,33 @@ class DurableServer {
     std::uint64_t epoch = 0;
     std::uint64_t last_lsn = 0;
     std::uint64_t start_ns = 0;  // snapshot start
-    proto::Writer w;  // header | image | dedup; write_out adds the CRC
+    bool delta = false;
+    std::uint64_t base_epoch = 0;  // full image it builds on (own epoch if full)
+    // Full image kept beside it that does not depend on its base (0 =
+    // empty state): every log from this epoch on is kept too.
+    std::uint64_t fallback_epoch = 0;
+    std::uint64_t image_bytes = 0;  // a full image's server image alone
+    bool settled = true;   // outcome folded in by join_write_out_locked()
+    bool durable = false;  // set by write_out on success
+    // header | dedup | image; write_out adds a delta's image and the CRC
+    proto::Writer w;
   };
 
   /// Snapshot now, then write the image out: inline when `background` is
   /// false (returns once it is durable), else on the checkpoint thread.
   Status checkpoint_locked(bool background);
-  /// Under mu_: waits for the previous write-out, fsyncs the log,
-  /// serializes into ckpt_ and rotates the WAL to the new epoch.
+  /// Under mu_: waits for the previous write-out, fsyncs the log, picks
+  /// full or delta, serializes into ckpt_ and rotates the WAL to the new
+  /// epoch.
   Status snapshot_locked();
+  /// Under mu_: waits for the in-flight write-out and folds its outcome
+  /// into the base bookkeeping below.
+  void join_write_out_locked();
   /// Without mu_: CRC trailer, temp file, fsync, rename, directory fsync,
   /// prune.
   Status write_out(CheckpointImage& img);
+  /// Bytes of every log from `epoch` on, the current one included.
+  std::uint64_t wal_bytes_from(std::uint64_t epoch) const;
   std::string checkpoint_path(std::uint64_t epoch) const;
   std::string wal_path(std::uint64_t epoch) const;
 
@@ -280,6 +304,18 @@ class DurableServer {
   std::uint64_t term_ = 0;  // fencing term, persisted in checkpoints
   std::shared_ptr<Replicator> repl_;  // primary side only
   ReplAckMode repl_mode_ = ReplAckMode::kOff;
+  // Delta bookkeeping (DESIGN.md §13). base_epoch_ is the newest durable
+  // full image, prev_base_epoch_ the durable full image before it (0 =
+  // none); deltas are taken against base_epoch_ only while delta_ok_, i.e.
+  // while server_'s change tracking runs from that image's snapshot.
+  std::uint64_t base_epoch_ = 0;
+  std::uint64_t base_image_bytes_ = 0;
+  std::uint64_t prev_base_epoch_ = 0;
+  bool delta_ok_ = false;
+  std::map<std::uint64_t, std::uint64_t> wal_bytes_;  // rotated log sizes
+  // Changes since the base as of the newest snapshot; folded into under
+  // mu_, serialized by the write-out (which the next snapshot joins first).
+  DeltaImage delta_;
   // The newest image; its buffer is recycled by the next snapshot. While
   // ckpt_writer_ runs, only that thread touches ckpt_.
   CheckpointImage ckpt_;

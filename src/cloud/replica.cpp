@@ -706,6 +706,10 @@ Bytes DurableServer::handle_repl_snapshot(const proto::ReplSnapshot& req) {
     return error_frame(st.error().code,
                        "repl snapshot: " + st.error().message);
   }
+  // The installed server tracks no changes against our last full image,
+  // so the checkpoint below must be a full one.
+  join_write_out_locked();
+  delta_ok_ = false;
   server_ = std::move(server).value();
   dedup_ = std::move(dedup);
   next_lsn_ = req.last_lsn + 1;

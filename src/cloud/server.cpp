@@ -33,6 +33,7 @@ Status CloudServer::outsource(std::uint64_t file_id, core::ModulationTree tree,
     return st;
   }
   files_.emplace(file_id, std::move(store));
+  dropped_.erase(file_id);  // a delta carries the new file whole
   return Status::ok();
 }
 
@@ -197,11 +198,13 @@ Status CloudServer::drop_file(std::uint64_t file_id) {
   if (files_.erase(file_id) == 0) {
     return Status(Errc::kNotFound, "server: no such file");
   }
+  dropped_.insert(file_id);
   return Status::ok();
 }
 
 void CloudServer::kv_put(std::uint64_t table, std::uint64_t key, Bytes value) {
   tables_[table][key] = std::move(value);
+  tables_changed_ = true;
 }
 
 Result<Bytes> CloudServer::kv_get(std::uint64_t table,
@@ -222,6 +225,7 @@ Status CloudServer::kv_delete(std::uint64_t table, std::uint64_t key) {
   if (t == tables_.end() || t->second.erase(key) == 0) {
     return Status(Errc::kNotFound, "server: no such key");
   }
+  tables_changed_ = true;
   return Status::ok();
 }
 
@@ -235,24 +239,24 @@ std::size_t CloudServer::kv_size(std::uint64_t table) const {
 namespace {
 constexpr std::uint32_t kImageMagic = 0x46474144;  // "FGAD"
 constexpr std::uint16_t kImageVersion = 1;
+constexpr std::uint32_t kDeltaMagic = 0x4647444C;  // "FGDL"
+constexpr std::uint16_t kDeltaVersion = 1;
 }  // namespace
 
 void CloudServer::save(proto::Writer& w) const {
   w.u32(kImageMagic);
   w.u16(kImageVersion);
   // Files, ordered by id so images are deterministic.
-  std::vector<std::uint64_t> file_ids;
-  file_ids.reserve(files_.size());
-  for (const auto& [id, store] : files_) {
-    file_ids.push_back(id);
-  }
-  std::sort(file_ids.begin(), file_ids.end());
-  w.u64(file_ids.size());
-  for (std::uint64_t id : file_ids) {
+  const std::vector<std::uint64_t> ids = file_ids();
+  w.u64(ids.size());
+  for (std::uint64_t id : ids) {
     w.u64(id);
     files_.at(id)->serialize(w);
   }
-  // Blob tables.
+  save_tables(w);
+}
+
+void CloudServer::save_tables(proto::Writer& w) const {
   std::vector<std::uint64_t> table_ids;
   table_ids.reserve(tables_.size());
   for (const auto& [id, table] : tables_) {
@@ -293,27 +297,194 @@ Result<std::unique_ptr<CloudServer>> CloudServer::load(proto::Reader& r,
     server.files_.emplace(
         id, std::make_unique<FileStore>(std::move(store).value()));
   }
+  if (auto st = server.load_tables(r); !st) {
+    return st.error();
+  }
+  return server_ptr;
+}
+
+Status CloudServer::load_tables(proto::Reader& r) {
+  tables_.clear();
   const std::uint64_t n_tables = r.u64();
   if (!r.ok() || n_tables > (1ull << 32)) {
-    return Error(Errc::kDecodeError, "server image: bad table count");
+    return Status(Errc::kDecodeError, "server image: bad table count");
   }
   for (std::uint64_t t = 0; t < n_tables; ++t) {
     const std::uint64_t table_id = r.u64();
     const std::uint64_t n_keys = r.u64();
     if (!r.ok() || n_keys > (1ull << 32)) {
-      return Error(Errc::kDecodeError, "server image: bad key count");
+      return Status(Errc::kDecodeError, "server image: bad key count");
     }
-    auto& table = server.tables_[table_id];
+    auto& table = tables_[table_id];
     for (std::uint64_t k = 0; k < n_keys; ++k) {
       const std::uint64_t key = r.u64();
       Bytes value = r.bytes();
       if (!r.ok()) {
-        return Error(Errc::kDecodeError, "server image: truncated table");
+        return Status(Errc::kDecodeError, "server image: truncated table");
       }
       table.emplace(key, std::move(value));
     }
   }
-  return server_ptr;
+  return Status::ok();
+}
+
+void CloudServer::mark_clean() {
+  for (auto& [id, store] : files_) {
+    store->mark_clean();
+  }
+  dropped_.clear();
+  tables_changed_ = false;
+}
+
+std::uint64_t CloudServer::pending_delta_size() const {
+  std::uint64_t n = 8 * dropped_.size();
+  for (const auto& [id, store] : files_) {
+    if (store->changed()) {
+      n += DeltaImage::kFileEntryBytes + store->delta_size();
+    }
+  }
+  if (tables_changed_) {
+    n += 8;
+    for (const auto& [id, table] : tables_) {
+      n += 16;
+      for (const auto& [key, value] : table) {
+        n += 8 + 4 + value.size();
+      }
+    }
+  }
+  return n;
+}
+
+void CloudServer::fold_changes(DeltaImage& delta) {
+  for (std::uint64_t id : dropped_) {
+    delta.files_.erase(id);
+    delta.dropped_.insert(id);
+  }
+  for (const auto& [id, store] : files_) {
+    if (!store->changed()) {
+      continue;
+    }
+    DeltaImage::File& f = delta.files_[id];
+    if (store->structurally_changed()) {
+      proto::Writer w;
+      store->serialize(w);
+      f.whole = std::move(w).take();
+      f.patch.clear();
+      f.bytes = DeltaImage::kFileEntryBytes + f.whole.size();
+    } else {
+      f.bytes = std::max(f.bytes, DeltaImage::kFileEntryBytes);
+      for (std::uint64_t item : store->modified_items()) {
+        const ItemStore::Record& rec =
+            store->items().at(*store->items().find(item));
+        auto [it, fresh] = f.patch.try_emplace(item);
+        f.bytes = fresh ? f.bytes + 8 + 8 + 4 + rec.ciphertext.size()
+                        : f.bytes - it->second.second.size() +
+                              rec.ciphertext.size();
+        it->second = {rec.plain_size, rec.ciphertext};
+      }
+    }
+    store->mark_clean();
+  }
+  if (tables_changed_) {
+    proto::Writer w;
+    save_tables(w);
+    delta.tables_ = std::move(w).take();
+  }
+  dropped_.clear();
+  tables_changed_ = false;
+}
+
+void DeltaImage::clear() {
+  dropped_.clear();
+  files_.clear();
+  tables_.reset();
+}
+
+std::uint64_t DeltaImage::size() const {
+  std::uint64_t n = 4 + 2 + 8 + 8 * dropped_.size() + 8 + 1 +
+                    (tables_ ? tables_->size() : 0);
+  for (const auto& [id, f] : files_) {
+    n += f.bytes;
+  }
+  return n;
+}
+
+void DeltaImage::serialize(proto::Writer& w) const {
+  w.u32(kDeltaMagic);
+  w.u16(kDeltaVersion);
+  w.u64(dropped_.size());
+  for (std::uint64_t id : dropped_) {
+    w.u64(id);
+  }
+  w.u64(files_.size());
+  for (const auto& [id, f] : files_) {
+    w.u64(id);
+    w.u8(f.whole.empty() ? 0 : 1);
+    w.raw(f.whole);
+    w.u64(f.patch.size());
+    for (const auto& [item, content] : f.patch) {
+      w.u64(item);
+      w.u64(content.first);
+      w.bytes(content.second);
+    }
+  }
+  w.u8(tables_ ? 1 : 0);
+  if (tables_) {
+    w.raw(*tables_);
+  }
+}
+
+Status CloudServer::apply_delta(proto::Reader& r) {
+  if (r.u32() != kDeltaMagic || r.u16() != kDeltaVersion) {
+    return Status(Errc::kDecodeError, "delta image: bad magic/version");
+  }
+  const std::uint64_t n_dropped = r.u64();
+  if (!r.ok() || n_dropped > (1ull << 32)) {
+    return Status(Errc::kDecodeError, "delta image: bad tombstone count");
+  }
+  for (std::uint64_t i = 0; i < n_dropped; ++i) {
+    files_.erase(r.u64());
+  }
+  const std::uint64_t n_files = r.u64();
+  if (!r.ok() || n_files > (1ull << 32)) {
+    return Status(Errc::kDecodeError, "delta image: bad file count");
+  }
+  for (std::uint64_t i = 0; i < n_files; ++i) {
+    const std::uint64_t id = r.u64();
+    const std::uint8_t whole = r.u8();
+    if (!r.ok()) {
+      return Status(Errc::kDecodeError, "delta image: truncated");
+    }
+    if (whole != 0) {
+      auto store = FileStore::deserialize(r, opts_.track_duplicates,
+                                          opts_.enable_integrity, pool_.get());
+      if (!store) {
+        return store.status();
+      }
+      files_[id] = std::make_unique<FileStore>(std::move(store).value());
+    }
+    FileStore* store = mutable_file(id);
+    const std::uint64_t n_items = r.u64();
+    if (!r.ok() || store == nullptr || n_items > store->item_count()) {
+      return Status(Errc::kDecodeError, "delta image: bad patch");
+    }
+    for (std::uint64_t k = 0; k < n_items; ++k) {
+      const std::uint64_t item = r.u64();
+      const std::uint64_t plain_size = r.u64();
+      Bytes ct = r.bytes();
+      if (!r.ok()) {
+        return Status(Errc::kDecodeError, "delta image: truncated patch");
+      }
+      if (auto st = store->modify(item, std::move(ct), plain_size); !st) {
+        return st;
+      }
+    }
+  }
+  const std::uint8_t tables = r.u8();
+  if (!r.ok()) {
+    return Status(Errc::kDecodeError, "delta image: truncated");
+  }
+  return tables != 0 ? load_tables(r) : Status::ok();
 }
 
 Status CloudServer::save_to_file(const std::string& path) const {

@@ -16,6 +16,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <unordered_map>
 
 #include "cloud/file_store.h"
@@ -23,6 +25,37 @@
 #include "proto/messages.h"
 
 namespace fgad::cloud {
+
+/// What changed since a base image, gathered one snapshot at a time by
+/// CloudServer::fold_changes (DESIGN.md §13). It holds its own copies, so a
+/// delta checkpoint is serialized from it off the dispatch lock while the
+/// server keeps mutating, and a snapshot copies only what changed since
+/// the previous one.
+class DeltaImage {
+ public:
+  void clear();
+  /// Exact size of what serialize() writes.
+  std::uint64_t size() const;
+  /// Writes the image CloudServer::apply_delta reads.
+  void serialize(proto::Writer& w) const;
+
+ private:
+  friend class CloudServer;
+  // A file entry besides its whole image and patch entries: id, whole
+  // flag, patch count.
+  static constexpr std::uint64_t kFileEntryBytes = 8 + 1 + 8;
+
+  struct File {
+    Bytes whole;  // FileStore::serialize output; empty = the base's file
+    // Item id -> (plain size, ciphertext) modify() left, applied on top.
+    std::map<std::uint64_t, std::pair<std::uint64_t, Bytes>> patch;
+    std::uint64_t bytes = 0;  // serialized size of this entry
+  };
+
+  std::set<std::uint64_t> dropped_;
+  std::map<std::uint64_t, File> files_;
+  std::optional<Bytes> tables_;  // save_tables output
+};
 
 class CloudServer {
  public:
@@ -96,6 +129,21 @@ class CloudServer {
   static Result<std::unique_ptr<CloudServer>> load_from_file(
       const std::string& path, Options opts);
 
+  // ---- delta images (DESIGN.md §13) ----------------------------------------
+
+  /// Makes the current state the base that deltas are taken against.
+  void mark_clean();
+  /// Bytes fold_changes() would add to a DeltaImage now, at most.
+  std::uint64_t pending_delta_size() const;
+  /// Copies every change since the last fold_changes() or mark_clean()
+  /// into `delta` and restarts change tracking: a tombstone per dropped
+  /// file, every file created or structurally changed whole, the items
+  /// modify() replaced in every other file, and the blob tables if any
+  /// changed.
+  void fold_changes(DeltaImage& delta);
+  /// Applies a serialized DeltaImage onto the base it was taken against.
+  Status apply_delta(proto::Reader& r);
+
   // ---- wire dispatcher -----------------------------------------------------
 
   /// Handles one framed request and produces the framed response.
@@ -116,6 +164,8 @@ class CloudServer {
   Result<const FileStore*> get_file(std::uint64_t file_id) const;
   Result<FileStore*> get_file(std::uint64_t file_id);
   Bytes handle_locked(BytesView request);
+  void save_tables(proto::Writer& w) const;
+  Status load_tables(proto::Reader& r);
 
   mutable std::mutex mu_;
 
@@ -124,6 +174,11 @@ class CloudServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<FileStore>> files_;
   // Ordered by key so range fetches stream the file in order.
   std::unordered_map<std::uint64_t, std::map<std::uint64_t, Bytes>> tables_;
+  // Since mark_clean() or the last fold_changes(): files dropped (and not
+  // re-created), and whether any blob table changed. A new server counts
+  // everything as changed.
+  std::set<std::uint64_t> dropped_;
+  bool tables_changed_ = true;
 };
 
 }  // namespace fgad::cloud

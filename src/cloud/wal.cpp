@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -329,7 +330,7 @@ Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request,
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kWalAppend, obs::current_request_id(), lsn, fw.size());
   if (opts_.sync_ms == 0 && !defer_sync) {
-    if (auto st = fsync_locked_bytes(ticket); !st) {
+    if (auto st = sync_upto(lock, ticket); !st) {
       return st.error();
     }
   }
@@ -341,30 +342,42 @@ Status Wal::sync_to(std::uint64_t ticket) {
   if (opts_.sync_ms < 0) {
     return Status::ok();  // durability disabled (bench-only)
   }
-  const Status st = fsync_locked_bytes(ticket);
-  lock.unlock();
-  // Window-mode handlers may be parked in sync_through() on bytes this
-  // flush just covered.
-  cv_.notify_all();
-  return st;
+  return sync_upto(lock, ticket);
 }
 
-Status Wal::fsync_locked_bytes(std::uint64_t upto) {
-  // Precondition: mu_ held. fsync covers everything written so far.
+Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
+  // Precondition: `lock` holds mu_. It is released around fsync(2) so that
+  // appends (and other syncs) proceed while the disk flushes.
   if (durable_ >= upto) {
     return Status::ok();
   }
+  if (!sync_error_.is_ok()) {
+    return sync_error_;  // sticky: a failed fsync may have dropped pages
+  }
+  // fsync covers every byte written before it starts, so note the end of
+  // the log now; concurrent syncs each advance durable_ to their own mark.
+  const std::uint64_t target = written_;
+  lock.unlock();
   const std::uint64_t t0 = obs::now_ns();
-  if (::fsync(fd_) != 0) {
-    sync_error_ = errno_status("wal fsync");
+  const int rc = ::fsync(fd_);
+  const int err = errno;
+  const std::uint64_t dur = obs::now_ns() - t0;
+  lock.lock();
+  if (rc != 0) {
+    sync_error_ =
+        Status(Errc::kIoError, std::string("wal fsync: ") + std::strerror(err));
+  }
+  if (!sync_error_.is_ok()) {
+    cv_.notify_all();
     return sync_error_;
   }
-  const std::uint64_t dur = obs::now_ns() - t0;
   fsyncs_counter().inc();
   fsync_hist().observe(dur);
-  durable_ = written_;
+  durable_ = std::max(durable_, target);
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kWalFsync, obs::current_request_id(), durable_, dur);
+  // Window-mode handlers may be parked in sync_through() on these bytes.
+  cv_.notify_all();
   return Status::ok();
 }
 
@@ -374,7 +387,7 @@ Status Wal::sync_through(std::uint64_t ticket) {
     return Status::ok();  // durability disabled (bench-only)
   }
   if (opts_.sync_ms == 0) {
-    return fsync_locked_bytes(ticket);
+    return sync_upto(lock, ticket);
   }
   cv_.wait(lock, [&] {
     return durable_ >= ticket || !sync_error_.is_ok() || stop_;
@@ -393,7 +406,7 @@ Status Wal::sync_now() {
   if (opts_.sync_ms < 0) {
     return Status::ok();
   }
-  return fsync_locked_bytes(written_);
+  return sync_upto(lock, written_);
 }
 
 std::uint64_t Wal::appended_bytes() const {
@@ -412,13 +425,12 @@ void Wal::syncer_loop() {
     cv_.wait_for(lock, std::chrono::milliseconds(opts_.sync_ms),
                  [&] { return stop_; });
     if (durable_ < written_ && sync_error_.is_ok()) {
-      fsync_locked_bytes(written_);
-      cv_.notify_all();
+      (void)sync_upto(lock, written_);
     }
   }
   // Final drain so a clean shutdown loses nothing.
   if (durable_ < written_ && sync_error_.is_ok()) {
-    fsync_locked_bytes(written_);
+    (void)sync_upto(lock, written_);
   }
   cv_.notify_all();
 }

@@ -176,7 +176,9 @@ class Wal {
       Options opts);
 
   void syncer_loop();
-  Status fsync_locked_bytes(std::uint64_t upto);
+  /// Makes every byte up to `upto` durable. `lock` holds mu_ on entry and
+  /// exit but not during the fsync itself.
+  Status sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto);
 
   const std::string path_;
   const std::uint64_t epoch_;
@@ -186,8 +188,8 @@ class Wal {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::uint64_t written_ = 0;   // bytes appended (ticket space)
-  std::uint64_t durable_ = 0;   // bytes known fsynced
-  Status sync_error_ = Status::ok();
+  std::uint64_t durable_ = 0;   // bytes known fsynced; never decreases
+  Status sync_error_ = Status::ok();  // first fsync failure, sticky
   bool stop_ = false;
   std::thread syncer_;
 };

@@ -206,6 +206,9 @@ void FlightRecorder::record(FrEvent type, std::uint64_t rid, std::uint64_t a,
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = ring->slots[seq & ring->mask];
   s.pub.store(0, std::memory_order_relaxed);  // invalidate during rewrite
+  // Orders the invalidation before the payload stores, so a reader that
+  // re-checks pub after copying the payload sees any rewrite it overlapped.
+  std::atomic_thread_fence(std::memory_order_release);
   s.ts_ns.store(now_ns(), std::memory_order_relaxed);
   s.rid.store(rid, std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
@@ -251,6 +254,11 @@ std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
     e.a = s.a.load(std::memory_order_relaxed);
     e.b = s.b.load(std::memory_order_relaxed);
     e.type = static_cast<FrEvent>(s.type.load(std::memory_order_relaxed));
+    // A writer lapping the ring may have rewritten the slot mid-copy.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.pub.load(std::memory_order_relaxed) != seq + 1) {
+      continue;
+    }
     out.push_back(e);
   }
   return out;

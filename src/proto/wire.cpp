@@ -93,6 +93,14 @@ Bytes Reader::bytes() {
   return raw(n);
 }
 
+BytesView Reader::bytes_view() {
+  const std::uint32_t n = u32();
+  if (!need(n)) return {};
+  const BytesView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 Bytes Reader::raw(std::size_t n) {
   if (!need(n)) return {};
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -61,6 +61,8 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   Bytes bytes();
+  /// Like bytes(), but a view into the reader's buffer instead of a copy.
+  BytesView bytes_view();
   Bytes raw(std::size_t n);
   crypto::Md md();
   std::string str();

@@ -5,6 +5,7 @@
 // exactly-once retry convergence.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -22,6 +23,7 @@
 #include "cloud/server.h"
 #include "cloud/wal.h"
 #include "common/fsio.h"
+#include "common/rng.h"
 #include "net/retry.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
@@ -34,6 +36,12 @@ namespace {
 using client::Client;
 using crypto::SystemRandom;
 using test::payload_for;
+
+Bytes image_of(const CloudServer& s) {
+  proto::Writer w;
+  s.save(w);
+  return std::move(w).take();
+}
 
 TEST(Persistence, FileStoreRoundtrip) {
   test::Harness h(crypto::HashAlg::kSha1, 5);
@@ -159,6 +167,74 @@ TEST(Persistence, EmptyServerImage) {
   EXPECT_TRUE(r.finish());
 }
 
+TEST(Persistence, DeltaImageAppliesOntoBase) {
+  CloudServer server;
+  SystemRandom rnd;
+  net::DirectChannel ch([&server](BytesView req) { return server.handle(req); });
+  Client client(ch, rnd);
+  std::vector<Bytes> items;
+  for (int i = 0; i < 16; ++i) items.push_back(payload_for(i, 64));
+  auto f1 = client.outsource(1, items);
+  auto f2 = client.outsource(2, items);
+  auto f3 = client.outsource(3, items);
+  ASSERT_TRUE(f1.is_ok() && f2.is_ok() && f3.is_ok());
+  const auto ids1 = client.list_items(f1.value()).value();
+  const auto ids2 = client.list_items(f2.value()).value();
+  server.kv_put(7, 1, to_bytes("blob"));
+
+  proto::Writer base;
+  server.save(base);
+  server.mark_clean();
+  DeltaImage delta;
+  const auto serialized_size_matches = [&delta] {
+    proto::Writer w;
+    delta.serialize(w);
+    EXPECT_EQ(delta.size(), w.size());
+  };
+  serialized_size_matches();
+
+  // Folded over two snapshots. File 1: modifies only (a patch, one item
+  // replaced in both). File 2: a structural change (carried whole), then
+  // a modify on top. File 3: dropped. File 4: new. Tables changed.
+  ASSERT_TRUE(client.modify(f1.value(), ids1[3], payload_for(300, 80)));
+  ASSERT_TRUE(client.modify(f1.value(), ids1[5], payload_for(500, 64)));
+  ASSERT_TRUE(client.erase_item(f2.value(), proto::ItemRef::id(ids2[4])));
+  EXPECT_TRUE(server.file(2)->structurally_changed());
+  EXPECT_FALSE(server.file(1)->structurally_changed());
+  EXPECT_EQ(server.file(1)->modified_items().size(), 2u);
+  server.fold_changes(delta);
+  serialized_size_matches();
+  EXPECT_FALSE(server.file(1)->changed());
+
+  ASSERT_TRUE(client.modify(f1.value(), ids1[3], payload_for(301, 40)));
+  ASSERT_TRUE(client.modify(f2.value(), ids2[7], payload_for(700, 64)));
+  ASSERT_TRUE(client.drop_file(f3.value()));
+  ASSERT_TRUE(client.outsource(4, items).is_ok());
+  server.kv_put(7, 2, to_bytes("more"));
+  const std::uint64_t pending = server.pending_delta_size();
+  const std::uint64_t before = delta.size();
+  server.fold_changes(delta);
+  serialized_size_matches();
+  EXPECT_LE(delta.size(), before + pending);
+
+  proto::Writer image;
+  delta.serialize(image);
+  EXPECT_LT(image.size(), base.size());
+  proto::Reader br(base.data());
+  auto restored = CloudServer::load(br, CloudServer::Options{});
+  ASSERT_TRUE(restored.is_ok());
+  proto::Reader dr(image.data());
+  ASSERT_TRUE(restored.value()->apply_delta(dr));
+  EXPECT_TRUE(dr.finish());
+  EXPECT_EQ(image_of(*restored.value()), image_of(server));
+  EXPECT_TRUE(fsck(*restored.value()));
+
+  // A delta against the wrong base is refused, not misapplied.
+  CloudServer other;
+  proto::Reader dr2(image.data());
+  EXPECT_FALSE(other.apply_delta(dr2));
+}
+
 // ---- durable server: crash matrix + recovery -------------------------------
 
 std::string fresh_state_dir(const std::string& name) {
@@ -168,12 +244,6 @@ std::string fresh_state_dir(const std::string& name) {
                         std::to_string(counter.fetch_add(1));
   ::mkdir(d.c_str(), 0755);
   return d;
-}
-
-Bytes image_of(CloudServer& s) {
-  proto::Writer w;
-  s.save(w);
-  return std::move(w).take();
 }
 
 /// Drives a tagged client against a DurableServer through a crash-catching
@@ -399,26 +469,30 @@ TEST(DurableRecovery, CheckpointTruncatesLogAndPrunes) {
   std::vector<Bytes> items{payload_for(0), payload_for(1), payload_for(2)};
   auto fh = rig.client->outsource(1, items);
   ASSERT_TRUE(fh.is_ok());
-  ASSERT_TRUE(rig.ds->checkpoint());
+  ASSERT_TRUE(rig.ds->checkpoint());  // 1: full, nothing to build on
   ASSERT_TRUE(rig.client->erase_item(fh.value(), proto::ItemRef::id(1)));
+  ASSERT_TRUE(rig.ds->checkpoint());  // 2: full, the whole file changed
+  // Nothing changed since checkpoint 2, so the next two are deltas on it.
   ASSERT_TRUE(rig.ds->checkpoint());
   ASSERT_TRUE(rig.ds->checkpoint());
 
-  // Keep newest + one fallback checkpoint, and every WAL from the
-  // fallback's epoch on: the fallback replays forward through them.
-  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt"));
+  // Keep the newest (a delta), its base, and a fallback full image that
+  // does not depend on that base, plus every WAL from the fallback's epoch
+  // on: the fallback replays forward through them. The older delta goes.
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000004.ckpt"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt"));
   EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000002.ckpt"));
-  EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt"));
-  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000003.log"));
-  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000002.log"));
-  EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000001.log"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000001.ckpt"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000004.log"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000001.log"));
   EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000000.log"));
 
   const Bytes before = image_of(rig.ds->server());
   auto reopened = rig.restart();
   ASSERT_TRUE(reopened.is_ok());
   EXPECT_EQ(image_of(reopened.value()->server()), before);
-  EXPECT_EQ(reopened.value()->recovery_info().checkpoint_epoch, 3u);
+  EXPECT_EQ(reopened.value()->recovery_info().checkpoint_epoch, 4u);
+  EXPECT_EQ(reopened.value()->recovery_info().base_epoch, 2u);
   EXPECT_EQ(reopened.value()->recovery_info().replayed, 0u);
 }
 
@@ -1247,6 +1321,422 @@ TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
   ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
   EXPECT_EQ(image_of(reopened.value()->server()), before);
   EXPECT_TRUE(fsck(reopened.value()->server()));
+}
+
+// ---- delta checkpoints (DESIGN.md §13) -------------------------------------
+
+/// Copies every regular file of `dir` into a fresh directory, as a backup
+/// tool would: the copy must recover on its own.
+std::string copy_state_dir(const std::string& dir) {
+  const std::string out = fresh_state_dir("state_copy");
+  DIR* d = ::opendir(dir.c_str());
+  EXPECT_NE(d, nullptr);
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name == "." || name == "..") {
+      continue;
+    }
+    // A file the in-flight write-out prunes between listing and reading is
+    // simply absent from the copy.
+    if (auto data = fsio::read_file(dir + "/" + name)) {
+      EXPECT_TRUE(fsio::atomic_write_file(out + "/" + name, data.value()));
+    }
+  }
+  ::closedir(d);
+  return out;
+}
+
+void remove_state_dir(const std::string& dir) {
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") {
+        ::unlink((dir + "/" + name).c_str());
+      }
+    }
+    ::closedir(d);
+  }
+  ::rmdir(dir.c_str());
+}
+
+std::string ckpt_path(const std::string& dir, std::uint64_t epoch) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "/checkpoint-%06llu.ckpt",
+                static_cast<unsigned long long>(epoch));
+  return dir + buf;
+}
+
+void flip_byte_mid_file(const std::string& path) {
+  auto data = fsio::read_file(path);
+  ASSERT_TRUE(data.is_ok()) << path;
+  Bytes bad = data.value();
+  bad[bad.size() / 2] ^= 0x01;
+  ASSERT_TRUE(fsio::atomic_write_file(path, bad));
+}
+
+Bytes tagged_kv_delete(std::uint64_t rid, std::uint64_t key) {
+  proto::KvDeleteReq del;
+  del.table = 1;
+  del.key = key;
+  return proto::seal_tagged(rid, del.to_frame());
+}
+
+/// One outsourced file as the test's client knows it.
+struct LiveFile {
+  Client::FileHandle fh;
+  std::vector<std::uint64_t> ids;
+};
+
+LiveFile outsource_file(DurableRig& rig, std::uint64_t file_id,
+                        std::size_t n) {
+  std::vector<Bytes> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    items.push_back(payload_for(file_id * 1000 + i, 256));
+  }
+  auto fh = rig.client->outsource(file_id, items);
+  EXPECT_TRUE(fh.is_ok()) << fh.status().to_string();
+  LiveFile f{std::move(fh).value(), {}};
+  f.ids = rig.client->list_items(f.fh).value();
+  return f;
+}
+
+// A seeded mix of every mutation, through both handle() and handle_async(),
+// a checkpoint every 3 mutations. After each checkpoint a copy of the state
+// directory recovers the live image exactly as of the checkpoint's LSN,
+// passes fsck and answers every ACKed request id from its dedup table.
+TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_delta_seq");
+  dopts.checkpoint_every_n = 3;
+  DurableRig rig(dopts, 4242);
+  Xoshiro256 rng(4242);
+  auto& checkpoints =
+      obs::Registry::instance().counter("fgad_checkpoints_total");
+  auto& deltas =
+      obs::Registry::instance().counter("fgad_checkpoint_deltas_total");
+  const std::uint64_t checkpoints_before = checkpoints.value();
+  const std::uint64_t deltas_before = deltas.value();
+
+  std::uint64_t verified = 0;
+  std::uint64_t deltas_loaded = 0;
+  // Runs after every mutation: when it took a checkpoint, recover a copy
+  // of the state directory as of right now.
+  const auto verify_new_checkpoint = [&] {
+    const std::uint64_t epoch = checkpoints.value() - checkpoints_before;
+    if (epoch == verified) {
+      return;
+    }
+    verified = epoch;
+    SCOPED_TRACE("checkpoint " + std::to_string(epoch));
+    const Bytes live = image_of(rig.ds->server());
+    ASSERT_TRUE(wait_until(
+        [&] { return fsio::exists(ckpt_path(dopts.dir, epoch)); }));
+    DurableServer::Options copy = dopts;
+    copy.dir = copy_state_dir(dopts.dir);
+    auto reopened = DurableServer::open(copy);
+    ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+    const auto& info = reopened.value()->recovery_info();
+    EXPECT_EQ(info.checkpoint_epoch, epoch);
+    EXPECT_EQ(info.replayed, 0u);
+    EXPECT_FALSE(info.checkpoint_fallback);
+    if (info.base_epoch != epoch) {
+      ++deltas_loaded;
+    }
+    EXPECT_EQ(image_of(reopened.value()->server()), live);
+    EXPECT_TRUE(fsck(reopened.value()->server()));
+    expect_resends_hit_dedup(rig, *reopened.value());
+    reopened.value().reset();
+    remove_state_dir(copy.dir);
+  };
+
+  std::vector<LiveFile> files;
+  std::uint64_t next_file = 1;
+  std::vector<std::uint64_t> keys;  // live blob-table keys
+  std::uint64_t next_rid = 70000;
+  // Every step is exactly one mutation.
+  for (int step = 0; step < 160; ++step) {
+    rig.async = rng.next_below(2) == 1;
+    if (files.size() < 3) {
+      files.push_back(outsource_file(rig, next_file++, 48));
+      verify_new_checkpoint();
+      continue;
+    }
+    const std::size_t fi = rng.next_below(files.size());
+    LiveFile& f = files[fi];
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 62) {
+      const std::uint64_t id = f.ids[rng.next_below(f.ids.size())];
+      ASSERT_TRUE(rig.client->modify(f.fh, id, payload_for(step, 256)));
+    } else if (roll < 67 && f.ids.size() > 8) {
+      const std::size_t at = rng.next_below(f.ids.size());
+      ASSERT_TRUE(rig.client->erase_item(f.fh, proto::ItemRef::id(f.ids[at])));
+      f.ids.erase(f.ids.begin() + static_cast<std::ptrdiff_t>(at));
+    } else if (roll < 72) {
+      auto id = rig.client->insert(f.fh, payload_for(5000 + step, 256));
+      ASSERT_TRUE(id.is_ok());
+      f.ids.push_back(id.value());
+    } else if (roll < 75 && f.ids.size() > 8) {
+      std::vector<proto::ItemRef> refs;
+      for (int k = 0; k < 3; ++k) {
+        refs.push_back(proto::ItemRef::id(f.ids.back()));
+        f.ids.pop_back();
+      }
+      ASSERT_TRUE(rig.client->erase_items(f.fh, refs));
+    } else if (roll < 87 || (roll < 95 && keys.empty())) {
+      const std::uint64_t key = step;
+      ASSERT_FALSE(is_error_frame(
+          rig.ch->roundtrip(tagged_kv_put(next_rid++, key, payload_for(key)))
+              .value()));
+      keys.push_back(key);
+    } else if (roll < 95) {
+      ASSERT_FALSE(is_error_frame(
+          rig.ch->roundtrip(tagged_kv_delete(next_rid++, keys.back()))
+              .value()));
+      keys.pop_back();
+    } else {
+      // Dropped here; a later step outsources a replacement.
+      ASSERT_TRUE(rig.client->drop_file(f.fh));
+      files.erase(files.begin() + static_cast<std::ptrdiff_t>(fi));
+    }
+    verify_new_checkpoint();
+  }
+  EXPECT_GE(verified, 40u);
+  // Most checkpoints are deltas, and some deltas were read back.
+  EXPECT_GT(2 * (deltas.value() - deltas_before), verified);
+  EXPECT_GT(deltas_loaded, 0u);
+}
+
+/// Builds a state directory whose newest checkpoint (4) is a delta on the
+/// full image 2, with full image 1 as the fallback, plus ACKed mutations
+/// logged after checkpoint 4. Returns the live image.
+Bytes build_delta_chain(DurableRig& rig) {
+  LiveFile a = outsource_file(rig, 1, 64);
+  LiveFile b = outsource_file(rig, 2, 64);
+  EXPECT_TRUE(rig.ds->checkpoint());  // 1: full, nothing to build on
+  EXPECT_TRUE(rig.client->erase_item(a.fh, proto::ItemRef::id(a.ids[0])));
+  EXPECT_TRUE(rig.client->erase_item(b.fh, proto::ItemRef::id(b.ids[0])));
+  EXPECT_TRUE(rig.ds->checkpoint());  // 2: full, both files changed shape
+  EXPECT_TRUE(rig.client->modify(a.fh, a.ids[1], payload_for(901, 256)));
+  EXPECT_TRUE(rig.client->modify(b.fh, b.ids[2], payload_for(902, 256)));
+  EXPECT_TRUE(rig.ds->checkpoint());  // 3: delta on 2
+  EXPECT_TRUE(rig.client->modify(b.fh, b.ids[3], payload_for(903, 256)));
+  EXPECT_TRUE(rig.ds->checkpoint());  // 4: delta on 2
+  // ACKed after the newest checkpoint: only the logs hold these.
+  EXPECT_TRUE(rig.client->erase_item(a.fh, proto::ItemRef::id(a.ids[5])));
+  EXPECT_TRUE(rig.client->modify(b.fh, b.ids[2], payload_for(904, 256)));
+  return image_of(rig.ds->server());
+}
+
+void expect_recovers_after_rot(const std::string& rotten_name,
+                               std::uint64_t want_epoch) {
+  SCOPED_TRACE(rotten_name);
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_delta_rot");
+  dopts.checkpoint_every_n = 0;
+  DurableRig rig(dopts);
+  const Bytes live = build_delta_chain(rig);
+  EXPECT_TRUE(fsio::exists(ckpt_path(dopts.dir, 1)));
+  EXPECT_TRUE(fsio::exists(ckpt_path(dopts.dir, 2)));
+  EXPECT_FALSE(fsio::exists(ckpt_path(dopts.dir, 3)));  // superseded delta
+  rig.ds.reset();
+  {
+    auto clean = DurableServer::open(dopts);
+    ASSERT_TRUE(clean.is_ok());
+    EXPECT_EQ(clean.value()->recovery_info().checkpoint_epoch, 4u);
+    EXPECT_EQ(clean.value()->recovery_info().base_epoch, 2u);
+  }
+
+  flip_byte_mid_file(dopts.dir + "/" + rotten_name);
+  auto reopened = DurableServer::open(dopts);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  rig.ds = std::move(reopened).value();
+  const auto& info = rig.ds->recovery_info();
+  EXPECT_TRUE(info.checkpoint_fallback);
+  EXPECT_EQ(info.checkpoint_epoch, want_epoch);
+  EXPECT_EQ(info.base_epoch, want_epoch);
+  EXPECT_GT(info.replayed, 0u);
+  EXPECT_EQ(image_of(rig.ds->server()), live);
+  EXPECT_EQ(image_of(rig.ds->server()), reference_image(rig));
+  EXPECT_TRUE(fsck(rig.ds->server()));
+  expect_resends_hit_dedup(rig, *rig.ds);
+}
+
+TEST(DurableRecovery, BitRotInNewestDeltaFallsBackToItsBase) {
+  expect_recovers_after_rot("checkpoint-000004.ckpt", 2);
+}
+
+TEST(DurableRecovery, BitRotInDeltaBaseFallsBackToOlderFullImage) {
+  expect_recovers_after_rot("checkpoint-000002.ckpt", 1);
+}
+
+// The automatic checkpoint writes a delta out on the checkpoint thread
+// while later modifies are ACKed into the new log. Kill that thread at
+// each write-out crash point and recover from disk alone.
+TEST(DurableRecovery, BackgroundDeltaWriteOutCrashKeepsAckedMutations) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_delta_crash");
+  dopts.checkpoint_every_n = 3;
+  DurableRig rig(dopts);
+  rig.async = true;
+  auto& deltas =
+      obs::Registry::instance().counter("fgad_checkpoint_deltas_total");
+  LiveFile f = outsource_file(rig, 1, 64);
+  int next = 0;
+  const auto modify = [&] {
+    const std::uint64_t id = f.ids[next % f.ids.size()];
+    ASSERT_TRUE(rig.client->modify(f.fh, id, payload_for(700 + next, 256)));
+    ++next;
+  };
+
+  // Checkpoints 1 and 2 are full (the log from epoch 0 holds the whole
+  // outsource); 3 is the first delta.
+  modify();
+  modify();
+  ASSERT_TRUE(wait_until([&] { return fsio::exists(ckpt_path(dopts.dir, 1)); }));
+  for (int i = 0; i < 3; ++i) modify();
+  ASSERT_TRUE(wait_until([&] { return fsio::exists(ckpt_path(dopts.dir, 2)); }));
+
+  // 1. Die mid-write-out of delta 3: temp file written, never renamed.
+  const std::uint64_t deltas_before = deltas.value();
+  std::atomic<int> mid_hits{0};
+  arm_throw_once(CrashSite::kMidCheckpoint, mid_hits);
+  for (int i = 0; i < 3; ++i) modify();
+  ASSERT_TRUE(wait_until([&] { return mid_hits.load() > 0; }));
+  EXPECT_EQ(deltas.value(), deltas_before + 1);
+  modify();
+  modify();
+  CrashPoint::instance().reset();
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt.tmp"));
+  EXPECT_FALSE(fsio::exists(ckpt_path(dopts.dir, 3)));
+
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  rig.ds = std::move(reopened).value();
+  EXPECT_EQ(rig.ds->recovery_info().checkpoint_epoch, 2u);
+  EXPECT_EQ(rig.ds->recovery_info().replayed, 5u);
+  EXPECT_EQ(image_of(rig.ds->server()), reference_image(rig));
+  EXPECT_TRUE(fsck(rig.ds->server()));
+  expect_resends_hit_dedup(rig, *rig.ds);
+
+  // 2. The first checkpoint after recovery is full (4); the next is a
+  //    delta on it (5). Die right after its rename, before the directory
+  //    fsync and the prune.
+  for (int i = 0; i < 3; ++i) modify();
+  ASSERT_TRUE(wait_until([&] { return fsio::exists(ckpt_path(dopts.dir, 4)); }));
+  std::atomic<int> rename_hits{0};
+  arm_throw_once(CrashSite::kPostRename, rename_hits);
+  for (int i = 0; i < 3; ++i) modify();
+  ASSERT_TRUE(wait_until([&] { return rename_hits.load() > 0; }));
+  modify();
+  CrashPoint::instance().reset();
+  EXPECT_TRUE(fsio::exists(ckpt_path(dopts.dir, 5)));
+
+  reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  rig.ds = std::move(reopened).value();
+  EXPECT_EQ(rig.ds->recovery_info().checkpoint_epoch, 5u);
+  EXPECT_EQ(rig.ds->recovery_info().base_epoch, 4u);
+  EXPECT_EQ(rig.ds->recovery_info().replayed, 1u);
+  EXPECT_EQ(image_of(rig.ds->server()), reference_image(rig));
+  EXPECT_TRUE(fsck(rig.ds->server()));
+  expect_resends_hit_dedup(rig, *rig.ds);
+
+  // 3. The next checkpoint is full again (6). It keeps the recovered base
+  //    as its fallback and prunes the delta, the stray temp file and every
+  //    log older than that fallback.
+  ASSERT_TRUE(rig.ds->checkpoint());
+  EXPECT_TRUE(fsio::exists(ckpt_path(dopts.dir, 6)));
+  EXPECT_FALSE(fsio::exists(ckpt_path(dopts.dir, 5)));
+  EXPECT_TRUE(fsio::exists(ckpt_path(dopts.dir, 4)));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/checkpoint-000003.ckpt.tmp"));
+  EXPECT_FALSE(fsio::exists(dopts.dir + "/wal-000003.log"));
+  EXPECT_TRUE(fsio::exists(dopts.dir + "/wal-000004.log"));
+}
+
+// Checkpoints written before kinds existed (v1: no term, v2: term) load as
+// full images and are then superseded by v3 ones.
+TEST(DurableRecovery, V1AndV2CheckpointsStillLoad) {
+  CloudServer ref;
+  SystemRandom rnd;
+  net::DirectChannel ch([&ref](BytesView req) { return ref.handle(req); });
+  Client client(ch, rnd);
+  std::vector<Bytes> items;
+  for (int i = 0; i < 8; ++i) items.push_back(payload_for(i));
+  auto fh = client.outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+  ASSERT_TRUE(client.erase_item(fh.value(), proto::ItemRef::id(2)));
+  ref.kv_put(1, 5, to_bytes("old"));
+  const Bytes image = image_of(ref);
+  const Bytes put = tagged_kv_put(77, 5, to_bytes("old"));
+  const Bytes put_resp = to_bytes("stored-response");
+
+  for (std::uint16_t version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    DurableServer::Options dopts;
+    dopts.dir = fresh_state_dir("durable_old_format");
+    proto::Writer w;
+    w.u32(0x46474350);  // "FGCP"
+    w.u16(version);
+    w.u64(5);  // epoch
+    w.u64(9);  // last LSN
+    if (version >= 2) {
+      w.u64(3);  // fencing term
+    }
+    w.bytes(image);
+    RidDedup dedup;
+    dedup.put(77, put_resp);
+    dedup.serialize(w);
+    w.u32(fsio::crc32(w.data()));
+    ASSERT_TRUE(fsio::atomic_write_file(ckpt_path(dopts.dir, 5), w.data()));
+
+    auto opened = DurableServer::open(dopts);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+    DurableServer& ds = *opened.value();
+    EXPECT_EQ(ds.recovery_info().checkpoint_epoch, 5u);
+    EXPECT_EQ(ds.recovery_info().base_epoch, 5u);
+    EXPECT_EQ(ds.term(), version >= 2 ? 3u : 1u);
+    EXPECT_EQ(ds.last_lsn(), 9u);
+    EXPECT_EQ(image_of(ds.server()), image);
+    EXPECT_EQ(ds.handle(put), put_resp);  // dedup hit
+
+    ds.handle(tagged_kv_put(78, 6, to_bytes("new")));
+    ASSERT_TRUE(ds.checkpoint());
+    const Bytes after = image_of(ds.server());
+    opened.value().reset();
+    auto again = DurableServer::open(dopts);
+    ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+    EXPECT_EQ(again.value()->recovery_info().checkpoint_epoch, 6u);
+    EXPECT_EQ(image_of(again.value()->server()), after);
+  }
+}
+
+// fgad_checkpoint_stall_ns covers the whole hold of the dispatch lock,
+// including the wait for the previous image's write-out.
+TEST(DurableRecovery, CheckpointStallCountsWaitForPreviousWriteOut) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_stall_join");
+  dopts.checkpoint_every_n = 1;
+  DurableRig rig(dopts);
+  auto& stalls =
+      obs::Registry::instance().histogram("fgad_checkpoint_stall_ns");
+  const std::uint64_t count_before = stalls.count();
+  const std::uint64_t sum_before = stalls.sum();
+  static constexpr auto kSlowWriteOut = std::chrono::milliseconds(300);
+  CrashPoint::instance().set_handler(CrashSite::kMidCheckpoint, [](CrashSite) {
+    std::this_thread::sleep_for(kSlowWriteOut);
+  });
+  // Two back-to-back triggers: the second snapshot waits out the first
+  // image's slow write-out under the lock.
+  ASSERT_FALSE(is_error_frame(
+      rig.handle_async_wait(tagged_kv_put(8100, 1, payload_for(1)))));
+  ASSERT_FALSE(is_error_frame(
+      rig.handle_async_wait(tagged_kv_put(8101, 2, payload_for(2)))));
+  rig.ds.reset();  // joins the second write-out
+  CrashPoint::instance().reset();
+  EXPECT_EQ(stalls.count(), count_before + 2);
+  const auto waited_ns = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(kSlowWriteOut).count());
+  EXPECT_GE(stalls.sum() - sum_before, waited_ns * 3 / 4);
 }
 
 }  // namespace

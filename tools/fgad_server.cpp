@@ -328,10 +328,11 @@ int main(int argc, char** argv) {
     durable = std::move(opened).value();
     const auto& info = durable->recovery_info();
     std::printf(
-        "recovered state from %s (checkpoint epoch %llu, %llu WAL records "
-        "replayed%s)\n",
+        "recovered state from %s (checkpoint epoch %llu, base epoch %llu, "
+        "%llu WAL records replayed%s)\n",
         dur_opts.dir.c_str(),
         static_cast<unsigned long long>(info.checkpoint_epoch),
+        static_cast<unsigned long long>(info.base_epoch),
         static_cast<unsigned long long>(info.replayed),
         info.torn_tail ? ", torn tail truncated" : "");
     if (!replicate_to.empty()) {
