@@ -1,20 +1,15 @@
 // Durability tax of the WAL (DESIGN.md §13): per-mutation latency of the
-// paper's delete / insert operations against a DurableServer in its three
-// sync modes —
+// paper's delete / insert operations against a DurableServer with and
+// without its log —
 //
 //   off      enable_wal = false   checkpoint-only durability (no log)
-//   fsync    --wal-sync-ms 0      fsync before every ACK (strict)
-//   group    --wal-sync-ms 2      group commit, 2 ms window
+//   fsync    enable_wal = true    group-committed fsync before every ACK
 //
 // Reported per mode: p50/p95/p99 latency for erase_item and insert through
-// the real wire protocol, plus mean throughput. The state directory lives
+// the real wire protocol, plus mean throughput. One client drives it, so
+// every mutation's group commit flushes alone. The state directory lives
 // in $TMPDIR, so on a tmpfs the fsync numbers are a lower bound for real
 // disks — the *relative* cost of the modes is the portable result.
-//
-// Caveat: this bench drives ONE client, so group commit shows its worst
-// face — every mutation waits out the sync window alone. The window only
-// pays off when concurrent clients share a flush; read the group row as
-// "latency ceiling per mutation", not as typical latency.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -33,13 +28,11 @@ namespace {
 struct Mode {
   const char* name;
   bool enable_wal;
-  int sync_ms;
 };
 
 constexpr Mode kModes[] = {
-    {"off", false, 0},
-    {"fsync", true, 0},
-    {"group-2ms", true, 2},
+    {"off", false},
+    {"fsync", true},
 };
 
 std::string fresh_dir(const char* mode) {
@@ -78,7 +71,6 @@ void run() {
     cloud::DurableServer::Options dopts;
     dopts.dir = dir;
     dopts.enable_wal = mode.enable_wal;
-    dopts.wal_sync_ms = mode.sync_ms;
     dopts.checkpoint_every_n = 0;  // measure the log, not checkpoints
     dopts.server = cloud::CloudServer::Options{/*track_duplicates=*/false,
                                                /*enable_integrity=*/false};
@@ -164,7 +156,7 @@ void run() {
     auto& row = json.row();
     row.set("mode", mode.name)
         .set("wal", mode.enable_wal ? 1 : 0)
-        .set("sync_ms", mode.sync_ms)
+        .set("sync_ms", 0)  // row key of the recorded snapshot
         .set("n", n)
         .set("pairs", samples)
         .set("mutations_per_s",

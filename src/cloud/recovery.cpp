@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <future>
 
 #include "common/fsio.h"
 #include "crypto/hasher.h"
@@ -461,11 +462,11 @@ Status fsck(const CloudServer& server) {
 namespace {
 
 /// Owns the rid's trace capture for the durability layer when no outer
-/// capture is active: spans opened anywhere below (WAL append, fsync,
-/// replication wait, the apply inside CloudServer::handle) land on one
-/// timeline that is stored to the TraceStore on scope exit. `parent` is
-/// the client's RPC span id from the V2 envelope, so the stored segment
-/// stitches under the client's tree (DESIGN.md §19).
+/// capture is active: spans opened anywhere below (WAL append, the apply
+/// inside CloudServer::handle) land on one timeline that is stored to the
+/// TraceStore on scope exit. `parent` is the client's RPC span id from the
+/// V2 envelope, so the stored segment stitches under the client's tree
+/// (DESIGN.md §19).
 class TraceCaptureGuard {
  public:
   TraceCaptureGuard(std::uint64_t rid, std::uint64_t parent) {
@@ -732,6 +733,11 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   if (opts.dir.empty()) {
     return Error(Errc::kInvalidArgument, "recovery: empty state dir");
   }
+  if (opts.wal_sync_ms > 0) {
+    return Error(Errc::kInvalidArgument,
+                 "recovery: wal_sync_ms must be 0 (fsync before the ACK) or "
+                 "negative (never fsync)");
+  }
   const std::uint64_t recover_t0 = obs::now_ns();
   // /readyz reports 503 until checkpoint load + WAL replay + fsck all
   // complete (the guard clears on every exit path from open()).
@@ -894,123 +900,21 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
 }
 
 Bytes DurableServer::handle(BytesView request) {
-  const auto type = proto::peek_type(request);
-  if (type && is_repl_type(*type)) {
-    return handle_repl(request);  // primary -> follower stream
+  // The Done holds the only reference to the promise, so a response the
+  // committer drops (a throw-flavor crash point) breaks it rather than
+  // leaving this thread waiting.
+  auto reply = std::make_shared<std::promise<Bytes>>();
+  std::future<Bytes> acked = reply->get_future();
+  handle_async(Bytes(request.begin(), request.end()),
+               [reply = std::move(reply)](Bytes resp) {
+                 reply->set_value(std::move(resp));
+               });
+  obs::Span wait_span("commit_wait");
+  try {
+    return acked.get();
+  } catch (const std::future_error&) {
+    throw CrashError{CrashPoint::instance().last_fired()};
   }
-  if (role_.load(std::memory_order_acquire) != ReplRole::kPrimary) {
-    // A backup answers everything — reads included — with kNotPrimary:
-    // serving reads from a follower would expose a stale, possibly
-    // un-deleted view of data the primary already assured-deleted.
-    return not_primary_frame();
-  }
-  if (!type || !proto::is_mutating(*type)) {
-    return server_->handle(request);  // reads never touch the log
-  }
-  const auto tag = proto::open_tagged(request);
-  const std::uint64_t rid = tag ? tag->request_id : 0;
-  // Bind the rid to this thread before touching the durability layer so
-  // the WAL append/fsync and crash-point flight events it emits carry it.
-  obs::RequestScope rid_scope(rid);
-  // The durability layer owns the rid's trace capture (when enabled) so
-  // its WAL/fsync/replication spans share one timeline with the apply.
-  TraceCaptureGuard trace_guard(rid, tag ? tag->span_id : 0);
-  const std::uint64_t total_t0 = obs::now_ns();
-
-  std::shared_ptr<Wal> wal;
-  std::shared_ptr<Replicator> repl;
-  ReplAckMode mode = ReplAckMode::kOff;
-  std::uint64_t ticket = 0;
-  std::uint64_t lsn = 0;
-  Bytes resp;
-  bool checkpointed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    repl = repl_;
-    mode = repl_mode_;
-    if (rid != 0) {
-      if (const Bytes* cached = dedup_.find(rid)) {
-        // Exactly-once: the mutation already applied (possibly replayed
-        // from the WAL after a crash); hand back the original response
-        // instead of double-applying it.
-        dedup_hits_counter().inc();
-        obs::FlightRecorder::instance().record(obs::FrEvent::kDedupHit, rid);
-        if (repl && mode == ReplAckMode::kSync) {
-          // The cached response was first acked under the sync contract,
-          // so the record is on the follower — but a resend after
-          // failover-and-failback could race a still-catching-up backup.
-          // Gate conservatively on everything logged so far.
-          lsn = next_lsn_ - 1;
-          resp = *cached;
-        } else {
-          return *cached;
-        }
-      }
-    }
-    if (resp.empty()) {
-      CrashPoint::instance().fire(CrashSite::kBeforeWalAppend);
-      if (wal_) {
-        obs::Span wal_span("wal_append");
-        obs::ScopedCost wal_cost(obs::CostKind::kWalAppend);
-        lsn = next_lsn_++;
-        auto t = wal_->append(lsn, request);
-        if (!t) {
-          return io_error_frame("wal append failed: " + t.error().message);
-        }
-        ticket = t.value();
-        wal = wal_;
-        if (repl) {
-          // Staged under the dispatch lock so the ship stream sees the
-          // exact LSN order of the log.
-          repl->stage(term_, lsn, request);
-        }
-      }
-      {
-        CommitContextGuard commit_ctx(term_, lsn);
-        resp = server_->handle(request);
-      }
-      dedup_.put(rid, resp);
-      ++mutations_since_checkpoint_;
-      if (opts_.checkpoint_every_n > 0 &&
-          mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
-        // Written out inline: this synchronous path is the one the crash
-        // matrix drives through every checkpoint crash point. The
-        // snapshot fsyncs the log, so the just-appended record is durable
-        // once this returns.
-        if (auto st = checkpoint_locked(/*background=*/false); st) {
-          checkpointed = true;
-        }
-      }
-    }
-  }
-  // Group commit happens outside the dispatch lock: concurrent mutations
-  // pile onto one fsync while the next request proceeds.
-  if (wal && !checkpointed) {
-    obs::Span fsync_span("fsync");
-    obs::ScopedCost fsync_cost(obs::CostKind::kFsyncShare);
-    if (auto st = wal->sync_through(ticket); !st) {
-      return io_error_frame("wal sync failed: " + st.to_string());
-    }
-  }
-  // Sync ack mode: the client ACK additionally waits for the follower's
-  // durable ack. The ship thread has been streaming since stage(), so
-  // this overlaps the fsync above rather than serializing after it.
-  if (repl && mode == ReplAckMode::kSync && lsn > 0) {
-    obs::Span repl_span("repl_wait");
-    obs::ScopedCost repl_cost(obs::CostKind::kReplWait);
-    if (auto st = repl->wait_acked(lsn); !st) {
-      return commit_fail_frame(st);
-    }
-  }
-  CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
-  if (rid != 0 && obs::CostLedger::instance().enabled()) {
-    obs::CostLedger::instance().add(rid, obs::CostKind::kTotal,
-                                    obs::now_ns() - total_t0);
-  }
-  // Fold the post-apply buckets (fsync, replication wait, total) into the
-  // V2 response's server-timing trailer. Dedup stored the pre-reseal
-  // bytes above, which is what a resend gets back.
-  return reseal_with_costs(rid, std::move(resp));
 }
 
 void DurableServer::handle_async(Bytes request, Done done) {
@@ -1020,7 +924,10 @@ void DurableServer::handle_async(Bytes request, Done done) {
     return;
   }
   if (role_.load(std::memory_order_acquire) != ReplRole::kPrimary) {
-    done(not_primary_frame());  // see handle(): backups serve nothing
+    // A backup answers everything — reads included — with kNotPrimary:
+    // serving reads from a follower would expose a stale, possibly
+    // un-deleted view of data the primary already assured-deleted.
+    done(not_primary_frame());
     return;
   }
   if (!type || !proto::is_mutating(*type)) {
@@ -1029,6 +936,8 @@ void DurableServer::handle_async(Bytes request, Done done) {
   }
   const auto tag = proto::open_tagged(request);
   const std::uint64_t rid = tag ? tag->request_id : 0;
+  // Bind the rid to this thread before touching the durability layer so
+  // the WAL append and crash-point flight events it emits carry it.
   obs::RequestScope rid_scope(rid);
   // Captures the dispatch-side spans (wal_append + apply); the group
   // committer splices its amortized fsync share into the stored trace
@@ -1050,13 +959,17 @@ void DurableServer::handle_async(Bytes request, Done done) {
     mode = repl_mode_;
     if (rid != 0) {
       if (const Bytes* cached = dedup_.find(rid)) {
+        // Exactly-once: the mutation already applied (possibly replayed
+        // from the WAL after a crash); hand back the original response
+        // instead of double-applying it.
         dedup_hits_counter().inc();
         obs::FlightRecorder::instance().record(obs::FrEvent::kDedupHit, rid);
         resp = *cached;
         durable_already = true;
         dedup_hit = true;
-        // Sync ack mode still gates a dedup hit on the follower (see
-        // handle()): re-serve only once everything logged so far acked.
+        // The cached response was first acked under the sync contract, but
+        // a resend after failover-and-failback could race a still-catching-
+        // up backup, so sync ack mode gates it on everything logged so far.
         lsn = next_lsn_ - 1;
       }
     }
@@ -1068,7 +981,7 @@ void DurableServer::handle_async(Bytes request, Done done) {
         lsn = next_lsn_++;
         // Staged, not yet durable: the group committer below performs
         // the fsync for the whole cross-connection batch at once.
-        auto t = wal_->append(lsn, request, /*defer_sync=*/true);
+        auto t = wal_->append(lsn, request);
         if (!t) {
           done(io_error_frame("wal append failed: " + t.error().message));
           return;
@@ -1076,6 +989,9 @@ void DurableServer::handle_async(Bytes request, Done done) {
         ticket = t.value();
         wal = wal_;
         if (repl) {
+          // Staged under the dispatch lock so the ship stream sees the
+          // exact LSN order of the log, and ships while the committer's
+          // fsync runs.
           repl->stage(term_, lsn, request);
         }
       }
@@ -1098,7 +1014,9 @@ void DurableServer::handle_async(Bytes request, Done done) {
   }
   const bool sync_repl = repl && mode == ReplAckMode::kSync && lsn > 0;
   if ((wal == nullptr || durable_already) && !sync_repl) {
-    CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
+    if (!dedup_hit) {
+      CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
+    }
     done(std::move(resp));
     return;
   }

@@ -81,14 +81,14 @@ Status fsck(const CloudServer& server);
 
 /// Cross-connection WAL group commit (DESIGN.md §15).
 ///
-/// Mutation handlers stage their WAL append (Wal::append with
-/// defer_sync) and park the pending acknowledgement here as a commit
-/// ticket + release callback. The committer thread swaps out the whole
-/// stage, performs ONE fsync covering its highest ticket (Wal::sync_to),
-/// and releases every parked response in one wake — so one disk flush
-/// amortizes over however many mutations arrived while the previous
-/// flush was in progress. Batching is natural, not timed: an idle server
-/// still gets fsync-per-mutation latency, a loaded one gets batches.
+/// Mutation handlers stage their WAL append (Wal::append) and park the
+/// pending acknowledgement here as a commit ticket + release callback.
+/// The committer thread swaps out the whole stage, performs ONE fsync
+/// covering its highest ticket (Wal::sync_to), and releases every parked
+/// response in one wake — so one disk flush amortizes over however many
+/// mutations arrived while the previous flush was in progress. Batching
+/// is natural, not timed: an idle server still gets fsync-per-mutation
+/// latency, a loaded one gets batches.
 class GroupCommitter {
  public:
   /// Invoked exactly once per enqueue, after the entry's bytes are
@@ -148,7 +148,9 @@ class DurableServer {
  public:
   struct Options {
     std::string dir;                        // state directory (must exist)
-    int wal_sync_ms = 0;                    // see Wal::Options
+    // 0: fsync before the ACK; <0: never fsync (bench-only). open()
+    // rejects > 0.
+    int wal_sync_ms = 0;
     std::uint64_t checkpoint_every_n = 1024;  // mutations per checkpoint
     std::size_t dedup_capacity = 4096;
     bool enable_wal = true;                 // false: checkpoints only
@@ -180,24 +182,23 @@ class DurableServer {
   DurableServer(const DurableServer&) = delete;
   DurableServer& operator=(const DurableServer&) = delete;
 
-  /// Drop-in replacement for CloudServer::handle: reads pass through;
-  /// mutations are dedup-checked, WAL-logged, applied, and only
-  /// acknowledged once durable. The fsync happens on the caller's thread
-  /// (fsync-per-ACK when sync_ms == 0).
-  Bytes handle(BytesView request);
-
   /// Completion for handle_async: receives the response frame once the
   /// mutation is durable. May be invoked inline (reads, dedup hits,
   /// errors) or later from the group-commit thread.
   using Done = std::function<void(Bytes)>;
 
-  /// Pipelining-aware variant of handle() for the reactor server: the
-  /// mutation is staged into the WAL and the acknowledgement parks on a
-  /// GroupCommitter ticket, so one fsync covers every mutation staged
-  /// across all connections while the previous flush was in flight.
-  /// Call-order per connection is preserved by the reactor's response
-  /// slots, not by this function.
+  /// The mutation pipeline: reads pass through; a mutation is dedup-
+  /// checked, staged into the WAL (and the replication stream), applied,
+  /// and its acknowledgement parks on a GroupCommitter ticket, so one
+  /// fsync covers every mutation staged across all callers while the
+  /// previous flush was in flight. Call-order per connection is preserved
+  /// by the reactor's response slots, not by this function.
   void handle_async(Bytes request, Done done);
+
+  /// Drop-in replacement for CloudServer::handle: handle_async, waited
+  /// for. Throws CrashError when a throw-flavor crash point killed the
+  /// request (the committer then never answers).
+  Bytes handle(BytesView request);
 
   /// Writes an atomic checkpoint now and rotates the WAL; returns once
   /// the image is durable. Also invoked by fgad_server on SIGTERM. The
@@ -288,8 +289,8 @@ class DurableServer {
   std::unique_ptr<CloudServer> server_;
 
   mutable std::mutex mu_;  // orders WAL appends with their application
-  // shared_ptr: an acknowledging handler may still be waiting in
-  // sync_through() on a log a concurrent checkpoint just rotated away.
+  // shared_ptr: the group committer may still have to flush a log a
+  // concurrent checkpoint just rotated away.
   std::shared_ptr<Wal> wal_;
   RidDedup dedup_;
   // Epoch of the newest snapshot, i.e. of the current WAL; its checkpoint

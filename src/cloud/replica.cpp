@@ -634,7 +634,7 @@ Bytes DurableServer::handle_repl_append(const proto::ReplAppend& req) {
       return ack.to_frame();
     }
     if (wal_) {
-      auto t = wal_->append(rec.lsn, rec.request, /*defer_sync=*/true);
+      auto t = wal_->append(rec.lsn, rec.request);
       if (!t) {
         return error_frame(Errc::kIoError,
                            "repl wal append: " + t.error().message);

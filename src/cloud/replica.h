@@ -105,10 +105,10 @@ class Replicator {
   /// Flat-combining fast path: a waiter that would otherwise park
   /// donates itself as the shipper when nobody else is mid-ship,
   /// performing the follower round trip on its own thread. This saves
-  /// two context switches per synchronous commit (client -> ship thread
-  /// -> client), which on few-core hosts is the difference between the
-  /// round trip overlapping the local fsync and serializing behind a
-  /// scheduler ping-pong.
+  /// two context switches per synchronous commit (committer -> ship
+  /// thread -> committer), which on few-core hosts is the difference
+  /// between the round trip overlapping the local fsync and serializing
+  /// behind a scheduler ping-pong.
   Status wait_acked(std::uint64_t lsn);
 
   std::uint64_t acked_lsn() const;

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -124,6 +123,7 @@ void CrashPoint::fire(CrashSite site) {
     // The handler is about to simulate sudden death (throw or _exit), so
     // capture the evidence first: the dump's tail then shows the exact
     // mutation in flight (rid + WAL LSN) when the "crash" hit.
+    last_fired_.store(i, std::memory_order_release);
     auto& fr = obs::FlightRecorder::instance();
     fr.record(obs::FrEvent::kCrashPoint, obs::current_request_id(),
               static_cast<std::uint64_t>(i));
@@ -178,20 +178,9 @@ Wal::Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size,
       durable_(size) {
   wal_epoch_gauge().set(static_cast<std::int64_t>(epoch_));
   wal_size_gauge().set(static_cast<std::int64_t>(written_));
-  if (opts_.sync_ms > 0) {
-    syncer_ = std::thread([this] { syncer_loop(); });
-  }
 }
 
 Wal::~Wal() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (syncer_.joinable()) {
-    syncer_.join();
-  }
   if (fd_ >= 0) {
     ::close(fd_);
   }
@@ -301,8 +290,7 @@ Result<std::unique_ptr<Wal>> Wal::reopen(const std::string& path,
       new Wal(path, fd, scan.epoch, scan.valid_end, opts));
 }
 
-Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request,
-                                  bool defer_sync) {
+Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request) {
   // One buffer for the whole frame: the length and CRC words are patched
   // in once the payload behind them is written.
   proto::Writer fw;
@@ -315,7 +303,7 @@ Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request,
   fw.patch_u32(0, static_cast<std::uint32_t>(payload.size()));
   fw.patch_u32(4, fsio::crc32(payload));
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   {
     obs::ScopedTimer timer(append_hist());
     if (auto st = fsio::write_all(fd_, fw.data()); !st) {
@@ -323,18 +311,12 @@ Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request,
     }
   }
   written_ += fw.size();
-  const std::uint64_t ticket = written_;
   appends_counter().inc();
   bytes_counter().inc(fw.size());
   wal_size_gauge().set(static_cast<std::int64_t>(written_));
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kWalAppend, obs::current_request_id(), lsn, fw.size());
-  if (opts_.sync_ms == 0 && !defer_sync) {
-    if (auto st = sync_upto(lock, ticket); !st) {
-      return st.error();
-    }
-  }
-  return ticket;
+  return written_;
 }
 
 Status Wal::sync_to(std::uint64_t ticket) {
@@ -368,7 +350,6 @@ Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
         Status(Errc::kIoError, std::string("wal fsync: ") + std::strerror(err));
   }
   if (!sync_error_.is_ok()) {
-    cv_.notify_all();
     return sync_error_;
   }
   fsyncs_counter().inc();
@@ -376,28 +357,6 @@ Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
   durable_ = std::max(durable_, target);
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kWalFsync, obs::current_request_id(), durable_, dur);
-  // Window-mode handlers may be parked in sync_through() on these bytes.
-  cv_.notify_all();
-  return Status::ok();
-}
-
-Status Wal::sync_through(std::uint64_t ticket) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (opts_.sync_ms < 0) {
-    return Status::ok();  // durability disabled (bench-only)
-  }
-  if (opts_.sync_ms == 0) {
-    return sync_upto(lock, ticket);
-  }
-  cv_.wait(lock, [&] {
-    return durable_ >= ticket || !sync_error_.is_ok() || stop_;
-  });
-  if (!sync_error_.is_ok()) {
-    return sync_error_;
-  }
-  if (durable_ < ticket) {
-    return Status(Errc::kIoError, "wal: shut down before sync completed");
-  }
   return Status::ok();
 }
 
@@ -417,22 +376,6 @@ std::uint64_t Wal::appended_bytes() const {
 std::uint64_t Wal::durable_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return durable_;
-}
-
-void Wal::syncer_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(opts_.sync_ms),
-                 [&] { return stop_; });
-    if (durable_ < written_ && sync_error_.is_ok()) {
-      (void)sync_upto(lock, written_);
-    }
-  }
-  // Final drain so a clean shutdown loses nothing.
-  if (durable_ < written_ && sync_error_.is_ok()) {
-    (void)sync_upto(lock, written_);
-  }
-  cv_.notify_all();
 }
 
 }  // namespace fgad::cloud

@@ -22,20 +22,18 @@
 // the file is truncated back to the last valid boundary before appends
 // resume.
 //
-// Group commit: with sync_ms > 0 appends return immediately and a
-// background syncer thread fsyncs the batch every sync_ms milliseconds;
-// sync_through() blocks an acknowledging handler until its record's bytes
-// are on disk. sync_ms == 0 degenerates to fsync-per-append.
+// Durability: append() only stages a record (write(2), no fsync). The one
+// way to make it durable is sync_to()/sync_now(), which the group committer
+// (cloud::GroupCommitter) and checkpoints call: one fsync covers every
+// record staged before it started.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -82,6 +80,12 @@ class CrashPoint {
   /// Called by the durability layer at each site; near-free when unarmed.
   void fire(CrashSite site);
 
+  /// The site whose handler ran last: what a caller reports when a crash
+  /// on another thread dropped its response.
+  CrashSite last_fired() const {
+    return static_cast<CrashSite>(last_fired_.load(std::memory_order_acquire));
+  }
+
   /// Parses "site[:n]" (site name or index; n = fire on the n-th hit,
   /// default 1) and arms a handler that _exit(42)s the process — the
   /// fgad_server FGAD_CRASH_AT hook for integration tests.
@@ -93,6 +97,7 @@ class CrashPoint {
   std::mutex mu_;
   Handler handlers_[static_cast<int>(CrashSite::kCount)];
   std::atomic<bool> armed_[static_cast<int>(CrashSite::kCount)] = {};
+  std::atomic<int> last_fired_{0};
 };
 
 // ---- the log ---------------------------------------------------------------
@@ -100,8 +105,7 @@ class CrashPoint {
 class Wal {
  public:
   struct Options {
-    // <0: never fsync (bench-only); 0: fsync on every append before it
-    // returns; >0: group-commit window in milliseconds.
+    // 0: sync_to()/sync_now() fsync; <0: they never do (bench-only).
     int sync_ms = 0;
   };
 
@@ -142,24 +146,13 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one record (write(2), not yet durable unless sync_ms == 0).
-  /// Returns a ticket for sync_through()/sync_to(). With `defer_sync`
-  /// the sync_ms == 0 inline fsync is skipped — the record is *staged*
-  /// and the caller (the cross-connection group committer) is
-  /// responsible for making it durable via sync_to() before anything is
-  /// acknowledged on its strength.
-  Result<std::uint64_t> append(std::uint64_t lsn, BytesView request,
-                               bool defer_sync = false);
+  /// Stages one record: write(2), not yet durable. Returns the ticket to
+  /// hand to sync_to() before anything is acknowledged on its strength.
+  Result<std::uint64_t> append(std::uint64_t lsn, BytesView request);
 
-  /// Blocks until every byte up to `ticket` is fsynced (no-op when
-  /// sync_ms <= 0 or already durable).
-  Status sync_through(std::uint64_t ticket);
-
-  /// Immediately fsyncs through `ticket` on the caller's thread,
-  /// regardless of the sync_ms window mode (no-op when sync_ms < 0 —
-  /// durability disabled — or already durable). One call covers every
-  /// record staged at or below the ticket: this is the group-commit
-  /// flush primitive.
+  /// fsyncs through `ticket` on the caller's thread (no-op when sync_ms <
+  /// 0 or already durable). One call covers every record staged at or
+  /// below the ticket: this is the group-commit flush primitive.
   Status sync_to(std::uint64_t ticket);
 
   /// fsyncs everything appended so far.
@@ -175,7 +168,6 @@ class Wal {
   Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size,
       Options opts);
 
-  void syncer_loop();
   /// Makes every byte up to `upto` durable. `lock` holds mu_ on entry and
   /// exit but not during the fsync itself.
   Status sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto);
@@ -186,12 +178,9 @@ class Wal {
   int fd_ = -1;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::uint64_t written_ = 0;   // bytes appended (ticket space)
   std::uint64_t durable_ = 0;   // bytes known fsynced; never decreases
   Status sync_error_ = Status::ok();  // first fsync failure, sticky
-  bool stop_ = false;
-  std::thread syncer_;
 };
 
 }  // namespace fgad::cloud

@@ -5,13 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#define FGAD_HAVE_EPOLL 1
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -240,10 +236,9 @@ void count_read_failure(const Status& st) {
 
 // ---- readiness multiplexer -------------------------------------------------
 
-/// Thin epoll wrapper with a poll(2) fallback for non-Linux hosts. Each
-/// registered fd carries an opaque `ud` pointer handed back with its
-/// events; error/hangup conditions are folded into `readable` so the
-/// caller discovers them through the usual recv() path.
+/// Thin epoll wrapper. Each registered fd carries an opaque `ud` pointer
+/// handed back with its events; error/hangup conditions are folded into
+/// `readable` so the caller discovers them through the usual recv() path.
 class Poller {
  public:
   struct Ev {
@@ -254,72 +249,31 @@ class Poller {
 
   Poller() = default;
   ~Poller() {
-#if FGAD_HAVE_EPOLL
     if (ep_ >= 0) {
       ::close(ep_);
     }
-#endif
   }
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
   bool init() {
-#if FGAD_HAVE_EPOLL
     ep_ = ::epoll_create1(EPOLL_CLOEXEC);
     return ep_ >= 0;
-#else
-    return true;
-#endif
   }
 
   bool add(int fd, bool r, bool w, void* ud) {
-#if FGAD_HAVE_EPOLL
-    epoll_event ev{};
-    ev.events = mask(r, w);
-    ev.data.ptr = ud;
-    return ::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) == 0;
-#else
-    entries_.push_back(Entry{fd, r, w, ud});
-    return true;
-#endif
+    return ctl(EPOLL_CTL_ADD, fd, r, w, ud);
   }
 
   bool mod(int fd, bool r, bool w, void* ud) {
-#if FGAD_HAVE_EPOLL
-    epoll_event ev{};
-    ev.events = mask(r, w);
-    ev.data.ptr = ud;
-    return ::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev) == 0;
-#else
-    for (Entry& e : entries_) {
-      if (e.fd == fd) {
-        e.read = r;
-        e.write = w;
-        e.ud = ud;
-        return true;
-      }
-    }
-    return false;
-#endif
+    return ctl(EPOLL_CTL_MOD, fd, r, w, ud);
   }
 
-  void del(int fd) {
-#if FGAD_HAVE_EPOLL
-    ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-#else
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->fd == fd) {
-        entries_.erase(it);
-        return;
-      }
-    }
-#endif
-  }
+  void del(int fd) { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
   /// Fills `out` with ready fds (empty on timeout/EINTR).
   void wait(std::vector<Ev>& out, int timeout_ms) {
     out.clear();
-#if FGAD_HAVE_EPOLL
     if (evbuf_.size() < 64) {
       evbuf_.resize(64);
     }
@@ -336,60 +290,18 @@ class Poller {
     if (n == static_cast<int>(evbuf_.size())) {
       evbuf_.resize(evbuf_.size() * 2);  // more fds were ready than slots
     }
-#else
-    pfds_.clear();
-    for (const Entry& e : entries_) {
-      short events = 0;
-      if (e.read) {
-        events |= POLLIN;
-      }
-      if (e.write) {
-        events |= POLLOUT;
-      }
-      pfds_.push_back(pollfd{e.fd, events, 0});
-    }
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n <= 0) {
-      return;
-    }
-    for (std::size_t i = 0; i < pfds_.size(); ++i) {
-      const short re = pfds_[i].revents;
-      if (re == 0) {
-        continue;
-      }
-      Ev ev;
-      ev.ud = entries_[i].ud;
-      ev.readable = (re & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0;
-      ev.writable = (re & POLLOUT) != 0;
-      out.push_back(ev);
-    }
-#endif
   }
 
  private:
-#if FGAD_HAVE_EPOLL
-  static std::uint32_t mask(bool r, bool w) {
-    std::uint32_t m = 0;
-    if (r) {
-      m |= EPOLLIN;
-    }
-    if (w) {
-      m |= EPOLLOUT;
-    }
-    return m;
+  bool ctl(int op, int fd, bool r, bool w, void* ud) {
+    epoll_event ev{};
+    ev.events = (r ? EPOLLIN : 0u) | (w ? EPOLLOUT : 0u);
+    ev.data.ptr = ud;
+    return ::epoll_ctl(ep_, op, fd, &ev) == 0;
   }
+
   int ep_ = -1;
   std::vector<epoll_event> evbuf_;
-#else
-  struct Entry {
-    int fd;
-    bool read;
-    bool write;
-    void* ud;
-  };
-  std::vector<Entry> entries_;
-  std::vector<pollfd> pfds_;
-#endif
 };
 
 }  // namespace
@@ -1197,44 +1109,17 @@ class TcpServer::IOWorker {
 
 // ---- TcpServer -------------------------------------------------------------
 
-TcpServer::TcpServer(std::uint16_t port, Handler handler)
-    : TcpServer(port, std::move(handler), AsyncHandler{}, Options{}, nullptr) {}
+TcpServer::TcpServer(AsyncHandler handler, Options opts)
+    : handler_(std::move(handler)), opts_(opts) {}
 
-TcpServer::TcpServer(std::uint16_t port, Handler handler, Options opts)
-    : TcpServer(port, std::move(handler), AsyncHandler{}, opts, nullptr) {}
-
-TcpServer::TcpServer(std::uint16_t port, AsyncHandler handler, Options opts)
-    : TcpServer(port, Handler{}, std::move(handler), opts, nullptr) {}
-
-TcpServer::TcpServer(std::uint16_t port, Handler sync_handler,
-                     AsyncHandler handler, Options opts,
-                     std::string* error_out)
-    : handler_(std::move(handler)), opts_(opts) {
-  if (!handler_) {
-    // Synchronous handlers run inline on the owning event loop; the
-    // response completes before the next frame of that connection is
-    // parsed, exactly like the old thread-per-connection serve loop.
-    handler_ = [h = std::move(sync_handler)](Bytes req, Respond respond) {
-      respond(h(BytesView(req)));
-    };
-  }
-  auto fail = [&](const char* what) {
-    if (error_out != nullptr) {
-      *error_out = std::string(what) + ": " + std::strerror(errno);
-    }
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (auto& w : workers_) {
-      w->request_stop();
-    }
-    workers_.clear();
+Status TcpServer::start(std::uint16_t port) {
+  const auto fail = [](const char* what) {
+    return Status(Errc::kIoError, std::string("tcp: server start failed: ") +
+                                      what + ": " + std::strerror(errno));
   };
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
-    fail("socket()");
-    return;
+    return fail("socket()");
   }
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -1244,12 +1129,10 @@ TcpServer::TcpServer(std::uint16_t port, Handler sync_handler,
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    fail("bind()");
-    return;
+    return fail("bind()");
   }
   if (::listen(listen_fd_, opts_.backlog) != 0) {
-    fail("listen()");
-    return;
+    return fail("listen()");
   }
   socklen_t len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
@@ -1265,8 +1148,7 @@ TcpServer::TcpServer(std::uint16_t port, Handler sync_handler,
   for (std::size_t i = 0; i < n; ++i) {
     auto w = std::make_unique<IOWorker>(this);
     if (!w->start()) {
-      fail("io worker start");
-      return;
+      return fail("io worker start");
     }
     workers_.push_back(std::move(w));
   }
@@ -1274,35 +1156,34 @@ TcpServer::TcpServer(std::uint16_t port, Handler sync_handler,
       .gauge("fgad_net_reactor_io_workers")
       .set(static_cast<std::int64_t>(workers_.size()));
   accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-Result<std::unique_ptr<TcpServer>> TcpServer::create(std::uint16_t port,
-                                                     Handler handler) {
-  return create(port, std::move(handler), Options{});
-}
-
-Result<std::unique_ptr<TcpServer>> TcpServer::create(std::uint16_t port,
-                                                     Handler handler,
-                                                     Options opts) {
-  std::string error;
-  std::unique_ptr<TcpServer> server(new TcpServer(
-      port, std::move(handler), AsyncHandler{}, opts, &error));
-  if (!server->ok()) {
-    return Error(Errc::kIoError, "tcp: server start failed: " + error);
-  }
-  return server;
+  return Status::ok();
 }
 
 Result<std::unique_ptr<TcpServer>> TcpServer::create(std::uint16_t port,
                                                      AsyncHandler handler,
                                                      Options opts) {
-  std::string error;
-  std::unique_ptr<TcpServer> server(
-      new TcpServer(port, Handler{}, std::move(handler), opts, &error));
-  if (!server->ok()) {
-    return Error(Errc::kIoError, "tcp: server start failed: " + error);
+  std::unique_ptr<TcpServer> server(new TcpServer(std::move(handler), opts));
+  if (auto st = server->start(port); !st) {
+    return st.error();
   }
   return server;
+}
+
+Result<std::unique_ptr<TcpServer>> TcpServer::create(std::uint16_t port,
+                                                     Handler handler,
+                                                     Options opts) {
+  // Runs inline on the owning event loop: the response completes before
+  // the next frame of that connection is parsed.
+  AsyncHandler inline_handler = [h = std::move(handler)](Bytes req,
+                                                         Respond respond) {
+    respond(h(BytesView(req)));
+  };
+  return create(port, std::move(inline_handler), opts);
+}
+
+Result<std::unique_ptr<TcpServer>> TcpServer::create(std::uint16_t port,
+                                                     Handler handler) {
+  return create(port, std::move(handler), Options{});
 }
 
 TcpServer::~TcpServer() {

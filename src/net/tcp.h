@@ -13,16 +13,16 @@
 // expired), kConnReset (peer closed/reset), kIoError (other socket
 // failure), kDecodeError (frame-limit violations).
 //
-// Server core (DESIGN.md §15): an epoll (fallback: poll) reactor. A small
-// fixed set of IOWorker event-loop threads each owns a share of the
-// non-blocking connection fds; per-connection read/write buffers support
-// request pipelining — multiple frames in flight per connection, responses
-// written back in request-arrival order regardless of the order handlers
-// complete in. Idle and write-stall deadlines are folded into the event
-// loop, and the accept path backs off (instead of dying) under fd
-// exhaustion. `Options::max_workers` keeps its historical meaning as the
-// concurrent-connection bound: at the bound the accept loop stops
-// accepting and the kernel backlog queues the overflow.
+// Server core (DESIGN.md §15): an epoll reactor (Linux only), built by
+// TcpServer::create. A small fixed set of IOWorker event-loop threads each
+// owns a share of the non-blocking connection fds; per-connection
+// read/write buffers support request pipelining — multiple frames in
+// flight per connection, responses written back in request-arrival order
+// regardless of the order handlers complete in. Idle and write-stall
+// deadlines are folded into the event loop, and the accept path backs off
+// (instead of dying) under fd exhaustion. `Options::max_workers` keeps its
+// historical meaning as the concurrent-connection bound: at the bound the
+// accept loop stops accepting and the kernel backlog queues the overflow.
 #pragma once
 
 #include <atomic>
@@ -92,7 +92,7 @@ class TcpChannel final : public RpcChannel {
   Options opts_;
 };
 
-/// Epoll/poll reactor server. A bounded set of connections (backpressure
+/// Epoll reactor server. A bounded set of connections (backpressure
 /// via the listen backlog at `max_workers`) is multiplexed over
 /// `io_workers` event-loop threads; each connection supports up to
 /// `max_pipeline` requests in flight with responses written in arrival
@@ -102,7 +102,7 @@ class TcpServer {
   using Handler = std::function<Bytes(BytesView)>;
 
   /// Completion callback for one pipelined request. Thread-safe: may be
-  /// invoked from any thread (a group-commit syncer, a thread pool, or
+  /// invoked from any thread (the group committer, a thread pool, or
   /// inline from the handler), at most once. Invoking it after the server
   /// stopped or the connection died is safe and drops the response.
   using Respond = std::function<void(Bytes)>;
@@ -126,28 +126,22 @@ class TcpServer {
     int io_timeout_ms = 30000;      // write-stall eviction deadline
   };
 
-  /// Binds to 127.0.0.1:`port` (0 = ephemeral). Prefer create(); these
-  /// legacy constructors report bind/listen failure only via ok().
-  TcpServer(std::uint16_t port, Handler handler);
-  TcpServer(std::uint16_t port, Handler handler, Options opts);
-  TcpServer(std::uint16_t port, AsyncHandler handler, Options opts);
+  /// Binds to 127.0.0.1:`port` (0 = ephemeral) and starts serving; a
+  /// bind/listen failure comes back as an Error carrying the errno. A
+  /// synchronous Handler runs inline on the connection's event loop.
+  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
+                                                   AsyncHandler handler,
+                                                   Options opts);
+  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
+                                                   Handler handler,
+                                                   Options opts);
+  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
+                                                   Handler handler);
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// Checked construction: surfaces the bind/listen errno as an Error
-  /// instead of a silent dead server.
-  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
-                                                   Handler handler);
-  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
-                                                   Handler handler,
-                                                   Options opts);
-  static Result<std::unique_ptr<TcpServer>> create(std::uint16_t port,
-                                                   AsyncHandler handler,
-                                                   Options opts);
-
-  bool ok() const { return listen_fd_ >= 0; }
   std::uint16_t port() const { return port_; }
 
   /// Live connections (name kept from the thread-per-connection era; one
@@ -166,8 +160,10 @@ class TcpServer {
   class IOWorker;
   friend class IOWorker;
 
-  TcpServer(std::uint16_t port, Handler sync_handler, AsyncHandler handler,
-            Options opts, std::string* error_out);
+  TcpServer(AsyncHandler handler, Options opts);
+  /// Binds, listens and starts the event loops; the destructor tears down
+  /// whatever a failure left running.
+  Status start(std::uint16_t port);
 
   void accept_loop();
   /// IOWorker notifies the accept loop's backpressure gate here whenever

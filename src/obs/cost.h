@@ -10,8 +10,8 @@
 // CostKind ordinal).
 //
 // Attribution rules:
-//   - direct waits (inline fsync, sync replication ack) are charged in
-//     full to the waiting rid via ScopedCost / add();
+//   - work on the request's own dispatch (the WAL append, the apply) is
+//     charged in full to its rid via ScopedCost / add();
 //   - batch-amortized work (one group-commit fsync covering n staged
 //     mutations, one gate() ack covering a batch) is charged as
 //     duration / n to every rid in the batch — the shares sum to the
@@ -35,7 +35,7 @@ namespace fgad::obs {
 enum class CostKind : std::uint8_t {
   kQueueWait = 0,   // group-committer enqueue -> flush pickup
   kWalAppend = 1,   // WAL append (buffer write, CRC, no fsync)
-  kFsyncShare = 2,  // fsync wait: full (inline) or amortized batch share
+  kFsyncShare = 2,  // amortized share of one group-commit fsync
   kReplWait = 3,    // sync replication: wait for the follower's ack share
   kApply = 4,       // state-machine apply (CloudServer::handle_locked)
   kKeyDerive = 5,   // client-side modulated-chain key derivation

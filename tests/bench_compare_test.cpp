@@ -192,6 +192,33 @@ TEST(BenchCompareVerdict, UnmatchedRowsReportedNotFailed) {
   EXPECT_NE(r.unmatched_old[0].find("mode=fsync"), std::string::npos);
 }
 
+TEST(BenchCompareVerdict, ZeroMatchedRowsFails) {
+  // A measured output (wal_fsyncs) slipped into row identity, so no row of
+  // the baseline finds its twin: nothing is compared, and that is no pass.
+  auto oldf = parse_bench_json(kBaseline).value();
+  const char* drifted = R"({
+    "bench": "wal_overhead", "schema": 1, "meta": {},
+    "rows": [
+      {"mode": "off", "wal": 0, "n": 4096, "wal_fsyncs": 17,
+       "mutations_per_s": 36000.0, "delete_p50_us": 36.1}
+    ]
+  })";
+  auto newf = parse_bench_json(drifted).value();
+  const auto r = compare(oldf, newf);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.nothing_matched());
+  EXPECT_EQ(r.regressions, 0u);
+  EXPECT_EQ(r.metrics_compared, 0u);
+  EXPECT_EQ(r.unmatched_old.size(), 2u);
+  const std::string rep = render_report_json("wal_overhead", r);
+  EXPECT_NE(rep.find("\"verdict\":\"no_rows_matched\""), std::string::npos);
+  EXPECT_TRUE(JsonParser(rep).parse());
+  EXPECT_NE(render_report_text("wal_overhead", r).find("no old row matched"),
+            std::string::npos);
+  // A baseline without rows expects nothing, so it still passes.
+  EXPECT_TRUE(compare(BenchFile{}, newf).ok());
+}
+
 TEST(BenchCompareReport, JsonVerdictMachineReadable) {
   auto oldf = parse_bench_json(kBaseline).value();
   auto newf = parse_bench_json(with_scaled("delete_p95_us", 1.20)).value();

@@ -21,8 +21,10 @@ using test::payload_for;
 
 TEST(Concurrency, ParallelClientsOnSeparateFiles) {
   CloudServer server;
-  net::TcpServer tcp(0, [&server](BytesView req) { return server.handle(req); });
-  ASSERT_TRUE(tcp.ok());
+  auto created = net::TcpServer::create(
+      0, [&server](BytesView req) { return server.handle(req); });
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  net::TcpServer& tcp = *created.value();
 
   constexpr int kClients = 4;
   constexpr int kOpsEach = 30;
@@ -89,8 +91,10 @@ TEST(Concurrency, ParallelClientsOnSeparateFiles) {
 
 TEST(Concurrency, ParallelReadersOnOneFile) {
   CloudServer server;
-  net::TcpServer tcp(0, [&server](BytesView req) { return server.handle(req); });
-  ASSERT_TRUE(tcp.ok());
+  auto created = net::TcpServer::create(
+      0, [&server](BytesView req) { return server.handle(req); });
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  net::TcpServer& tcp = *created.value();
 
   // One writer outsources; many readers hammer access concurrently.
   SystemRandom rnd;

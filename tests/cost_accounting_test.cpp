@@ -1,7 +1,7 @@
 // Per-request cost accounting (DESIGN.md §19): the CostLedger, ScopedCost
-// attribution, the server-timing trailer on V2 responses through both the
-// synchronous and the group-commit (async) durable paths, and the audit
-// log's fencing-term / commit-LSN stamps.
+// attribution, the server-timing trailer on V2 responses through the
+// durable server's group-commit pipeline (handle() and handle_async), and
+// the audit log's fencing-term / commit-LSN stamps.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -31,12 +31,11 @@ using client::Client;
 using obs::CostKind;
 using obs::CostLedger;
 
+/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
+/// back one that an earlier process with a recycled pid left behind.
 std::string fresh_state_dir(const std::string& name) {
-  static std::atomic<int> counter{0};
-  const std::string d = ::testing::TempDir() + "/" + name + "." +
-                        std::to_string(::getpid()) + "." +
-                        std::to_string(counter.fetch_add(1));
-  ::mkdir(d.c_str(), 0755);
+  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
+  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
   return d;
 }
 
@@ -246,7 +245,7 @@ TEST(CostAcct, V2ResponseCarriesServerTimingTrailer) {
 
   const auto& timings = client.last_server_timing();
   ASSERT_FALSE(timings.empty());
-  // The synchronous durable path always pays a WAL append, an inline
+  // A durable mutation always pays a WAL append, its share of a group
   // fsync, and the apply; total covers dispatch -> response.
   EXPECT_GT(ns_of(timings, CostKind::kWalAppend), 0u);
   EXPECT_GT(ns_of(timings, CostKind::kFsyncShare), 0u);
@@ -310,7 +309,6 @@ TEST(CostAcct, GroupCommitPathAttributesSharesAndQueueWait) {
   LedgerOn on;
   cloud::DurableServer::Options opts;
   opts.dir = fresh_state_dir("costacct_async");
-  opts.wal_sync_ms = 2;  // group-commit window: fsync amortized per batch
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();

@@ -87,10 +87,10 @@ TEST(PipeChannel, RoundtripThroughServerThread) {
 }
 
 TEST(Tcp, RoundtripOverLoopback) {
-  TcpServer server(0, echo_upper);
-  ASSERT_TRUE(server.ok());
-  ASSERT_NE(server.port(), 0);
-  auto ch = TcpChannel::connect("127.0.0.1", server.port());
+  auto server = TcpServer::create(0, echo_upper);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  ASSERT_NE(server.value()->port(), 0);
+  auto ch = TcpChannel::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(ch.is_ok());
   for (int i = 0; i < 20; ++i) {
     auto resp = ch.value()->roundtrip(to_bytes("tcp message"));
@@ -100,11 +100,11 @@ TEST(Tcp, RoundtripOverLoopback) {
 }
 
 TEST(Tcp, LargeFrames) {
-  TcpServer server(0, [](BytesView req) {
+  auto server = TcpServer::create(0, [](BytesView req) {
     return Bytes(req.begin(), req.end());  // echo
   });
-  ASSERT_TRUE(server.ok());
-  auto ch = TcpChannel::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto ch = TcpChannel::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(ch.is_ok());
   Bytes big(1 << 20, 0xab);
   auto resp = ch.value()->roundtrip(big);
@@ -113,9 +113,9 @@ TEST(Tcp, LargeFrames) {
 }
 
 TEST(Tcp, EmptyFrame) {
-  TcpServer server(0, [](BytesView) { return Bytes{}; });
-  ASSERT_TRUE(server.ok());
-  auto ch = TcpChannel::connect("127.0.0.1", server.port());
+  auto server = TcpServer::create(0, [](BytesView) { return Bytes{}; });
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto ch = TcpChannel::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(ch.is_ok());
   auto resp = ch.value()->roundtrip({});
   ASSERT_TRUE(resp.is_ok());
@@ -123,10 +123,10 @@ TEST(Tcp, EmptyFrame) {
 }
 
 TEST(Tcp, MultipleConcurrentClients) {
-  TcpServer server(0, echo_upper);
-  ASSERT_TRUE(server.ok());
-  auto a = TcpChannel::connect("127.0.0.1", server.port());
-  auto b = TcpChannel::connect("127.0.0.1", server.port());
+  auto server = TcpServer::create(0, echo_upper);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto a = TcpChannel::connect("127.0.0.1", server.value()->port());
+  auto b = TcpChannel::connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(to_string(a.value()->roundtrip(to_bytes("one")).value()), "ONE");
@@ -139,9 +139,9 @@ TEST(Tcp, ConnectToClosedPortFails) {
   // Grab an ephemeral port, close the server, then try to connect.
   std::uint16_t port;
   {
-    TcpServer server(0, echo_upper);
-    ASSERT_TRUE(server.ok());
-    port = server.port();
+    auto server = TcpServer::create(0, echo_upper);
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    port = server.value()->port();
   }
   auto ch = TcpChannel::connect("127.0.0.1", port);
   EXPECT_FALSE(ch.is_ok());

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -237,12 +236,11 @@ TEST(Persistence, DeltaImageAppliesOntoBase) {
 
 // ---- durable server: crash matrix + recovery -------------------------------
 
+/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
+/// back one that an earlier process with a recycled pid left behind.
 std::string fresh_state_dir(const std::string& name) {
-  static std::atomic<int> counter{0};
-  const std::string d = ::testing::TempDir() + "/" + name + "." +
-                        std::to_string(::getpid()) + "." +
-                        std::to_string(counter.fetch_add(1));
-  ::mkdir(d.c_str(), 0755);
+  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
+  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
   return d;
 }
 
@@ -258,7 +256,7 @@ struct DurableRig {
     ch = std::make_unique<net::DirectChannel>([this](BytesView req) -> Bytes {
       frames.emplace_back(req.data(), req.data() + req.size());
       try {
-        Bytes resp = async ? handle_async_wait(req) : ds->handle(req);
+        Bytes resp = ds->handle(req);
         responses.push_back(resp);
         return resp;
       } catch (const CrashError&) {
@@ -281,16 +279,6 @@ struct DurableRig {
     return DurableServer::open(opts);
   }
 
-  /// The reactor's path (handle_async), waiting for the ACK so recorded
-  /// frames stay in the order they were applied.
-  Bytes handle_async_wait(BytesView req) {
-    std::promise<Bytes> acked;
-    ds->handle_async(Bytes(req.begin(), req.end()), [&acked](Bytes resp) {
-      acked.set_value(std::move(resp));
-    });
-    return acked.get_future().get();
-  }
-
   DurableServer::Options opts;
   crypto::DeterministicRandom rnd;
   std::unique_ptr<DurableServer> ds;
@@ -299,8 +287,29 @@ struct DurableRig {
   std::vector<Bytes> frames;
   std::vector<Bytes> responses;
   bool crashed = false;
-  bool async = false;  // route the client through handle_async
 };
+
+bool wait_until(const std::function<bool()>& done) {
+  for (int spin = 0; spin < 5000 && !done(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return done();
+}
+
+/// Arms `site` to throw CrashError on its first hit only; `hits` counts
+/// every hit, so a test can wait for the simulated death.
+void arm_throw_once(CrashSite site, std::atomic<int>& hits) {
+  CrashPoint::instance().set_handler(site, [&hits](CrashSite s) {
+    if (hits.fetch_add(1) == 0) {
+      throw CrashError{s};
+    }
+  });
+}
+
+bool is_error_frame(const Bytes& resp) {
+  const auto type = proto::peek_type(resp);
+  return !type || *type == proto::MsgType::kError;
+}
 
 enum class MutOp { kDelete, kInsert, kOutsource };
 
@@ -341,25 +350,40 @@ void run_crash_case(CrashSite site, MutOp op) {
   ASSERT_TRUE(rig.client->insert(fh.value(), payload_for(77)).is_ok());
   ASSERT_FALSE(rig.crashed);
 
-  // Crash the next mutating RPC at `site`. The client sees a transport-
-  // style error, exactly as if the server died before responding.
-  CrashPoint::instance().arm_throw(site);
+  // Crash the next mutating RPC at `site`. At the WAL sites the client
+  // sees a transport-style error, exactly as if the server died before
+  // responding. The checkpoint sites fire on the checkpoint thread after
+  // the snapshot made the record durable, so the client is ACKed first;
+  // checkpoint() settles the base history's write-outs beforehand, so the
+  // armed site can only fire in the target mutation's.
+  std::atomic<int> hits{0};
+  if (ckpt_site) {
+    ASSERT_TRUE(rig.ds->checkpoint());
+    arm_throw_once(site, hits);
+  } else {
+    CrashPoint::instance().arm_throw(site);
+  }
+  bool acked = false;
   switch (op) {
     case MutOp::kDelete:
-      EXPECT_FALSE(rig.client->erase_item(fh.value(), proto::ItemRef::id(5)));
+      acked = rig.client->erase_item(fh.value(), proto::ItemRef::id(5)).is_ok();
       break;
     case MutOp::kInsert:
-      EXPECT_FALSE(rig.client->insert(fh.value(), payload_for(88)).is_ok());
+      acked = rig.client->insert(fh.value(), payload_for(88)).is_ok();
       break;
     case MutOp::kOutsource: {
       std::vector<Bytes> more{payload_for(200), payload_for(201),
                               payload_for(202)};
-      EXPECT_FALSE(rig.client->outsource(2, more).is_ok());
+      acked = rig.client->outsource(2, more).is_ok();
       break;
     }
   }
+  EXPECT_EQ(acked, ckpt_site);
+  if (ckpt_site) {
+    ASSERT_TRUE(wait_until([&] { return hits.load() > 0; }));
+  }
   CrashPoint::instance().reset();
-  ASSERT_TRUE(rig.crashed);
+  ASSERT_EQ(rig.crashed, !ckpt_site);
   const Bytes crashed_frame = rig.frames.back();
   ASSERT_TRUE(proto::split_tagged(crashed_frame).has_value());
   ASSERT_TRUE(proto::retryable_request(crashed_frame));
@@ -418,6 +442,17 @@ TEST(CrashMatrix, PostRename) {
   for (MutOp op : {MutOp::kDelete, MutOp::kInsert, MutOp::kOutsource}) {
     run_crash_case(CrashSite::kPostRename, op);
   }
+}
+
+// The WAL becomes durable one way, through the group committer: a timed
+// sync window is refused, not silently ignored.
+TEST(DurableRecovery, OpenRejectsPositiveWalSyncMs) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_sync_window");
+  dopts.wal_sync_ms = 5;
+  auto opened = DurableServer::open(dopts);
+  ASSERT_FALSE(opened.is_ok());
+  EXPECT_EQ(opened.status().code(), Errc::kInvalidArgument);
 }
 
 TEST(DurableRecovery, CleanRestartReplaysWal) {
@@ -815,7 +850,7 @@ TEST(GroupCommit, CrashBeforeFsyncLosesWholeBatchThenResendsExactlyOnce) {
   ASSERT_TRUE(opened.is_ok());
   auto ds = std::move(opened).value();
 
-  // Durable base state through the synchronous fsync-per-ACK path.
+  // Durable base state: handle() returns once its group fsync ran.
   for (std::uint64_t k = 0; k < 3; ++k) {
     ds->handle(tagged_kv_put(100 + k, k, to_bytes("base")));
   }
@@ -989,6 +1024,96 @@ TEST(GroupCommit, BulkDeleteCrashBeforeFsyncThenExactlyOnceResend) {
   EXPECT_TRUE(fsck(ds2.server()));
 }
 
+// handle() waits on the group committer like the reactor's path does, so
+// concurrent synchronous callers share flushes instead of each paying an
+// fsync alone.
+TEST(GroupCommit, SynchronousCallersShareFsyncs) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("group_sync_callers");
+  dopts.checkpoint_every_n = 0;
+  auto opened = DurableServer::open(dopts);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  auto ds = std::move(opened).value();
+  auto& fsyncs = obs::Registry::instance().counter("fgad_wal_fsyncs_total");
+  const std::uint64_t fsyncs_before = fsyncs.value();
+
+  // A slow disk: every flush takes 20 ms, so callers pile up behind it.
+  CrashPoint::instance().set_handler(CrashSite::kBeforeGroupFsync,
+                                     [](CrashSite) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kPerThread = 16;
+  std::atomic<int> errors{0};
+  std::vector<std::thread> callers;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t key = t * kPerThread + i;
+        if (is_error_frame(ds->handle(
+                tagged_kv_put(20000 + key, key, payload_for(key))))) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) {
+    c.join();
+  }
+  CrashPoint::instance().reset();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_LT(fsyncs.value() - fsyncs_before, kThreads * kPerThread / 2);
+
+  // The ACKs were honest: a cold restart recovers every mutation.
+  ds.reset();
+  auto reopened = DurableServer::open(dopts);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  for (std::uint64_t key = 0; key < kThreads * kPerThread; ++key) {
+    auto got = reopened.value()->server().kv_get(1, key);
+    ASSERT_TRUE(got.is_ok()) << key;
+    EXPECT_EQ(got.value(), payload_for(key));
+  }
+}
+
+// A throw-flavor crash before the group fsync drops the response on the
+// committer thread; handle() must raise it as CrashError, not wait forever.
+TEST(GroupCommit, CrashBeforeFsyncThrowsFromHandle) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("group_sync_crash");
+  dopts.checkpoint_every_n = 0;
+  auto opened = DurableServer::open(dopts);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  auto ds = std::move(opened).value();
+  ASSERT_FALSE(
+      is_error_frame(ds->handle(tagged_kv_put(300, 1, to_bytes("base")))));
+
+  const Bytes frame = tagged_kv_put(301, 2, to_bytes("unacked"));
+  CrashPoint::instance().arm_throw(CrashSite::kBeforeGroupFsync);
+  bool threw = false;
+  try {
+    ds->handle(frame);
+  } catch (const CrashError& e) {
+    threw = true;
+    EXPECT_EQ(e.site, CrashSite::kBeforeGroupFsync);
+  }
+  CrashPoint::instance().reset();
+  EXPECT_TRUE(threw);
+
+  // The client saw no ACK and resends after the restart: applied once,
+  // and the second resend answers with the same bytes.
+  ds.reset();
+  auto reopened = DurableServer::open(dopts);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  DurableServer& ds2 = *reopened.value();
+  const Bytes r1 = ds2.handle(frame);
+  EXPECT_FALSE(is_error_frame(r1));
+  const Bytes once = image_of(ds2.server());
+  EXPECT_EQ(ds2.handle(frame), r1);
+  EXPECT_EQ(image_of(ds2.server()), once);
+  EXPECT_EQ(to_string(ds2.server().kv_get(1, 2).value()), "unacked");
+  EXPECT_TRUE(fsck(ds2.server()));
+}
+
 TEST(GroupCommit, PipelinedClientBatchesOverReactorTcp) {
   // Full stack: batched Client API -> pipelined TcpChannel -> reactor
   // TcpServer -> DurableServer::handle_async -> group commit.
@@ -1078,28 +1203,6 @@ TEST(GroupCommit, PipelinedClientBatchesOverReactorTcp) {
 
 // ---- checkpoint write-out off the dispatch lock (DESIGN.md §13) -----------
 
-bool wait_until(const std::function<bool()>& done) {
-  for (int spin = 0; spin < 5000 && !done(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return done();
-}
-
-/// Arms `site` to throw CrashError on its first hit only; `hits` counts
-/// every hit, so a test can wait for the simulated death.
-void arm_throw_once(CrashSite site, std::atomic<int>& hits) {
-  CrashPoint::instance().set_handler(site, [&hits](CrashSite s) {
-    if (hits.fetch_add(1) == 0) {
-      throw CrashError{s};
-    }
-  });
-}
-
-bool is_error_frame(const Bytes& resp) {
-  const auto type = proto::peek_type(resp);
-  return !type || *type == proto::MsgType::kError;
-}
-
 Bytes reference_image(const DurableRig& rig) {
   CloudServer ref;
   for (const Bytes& frame : rig.frames) {
@@ -1170,7 +1273,6 @@ TEST(DurableRecovery, BackgroundWriteOutCrashKeepsAckedMutations) {
   dopts.dir = fresh_state_dir("durable_bg_crash");
   dopts.checkpoint_every_n = 3;
   DurableRig rig(dopts);
-  rig.async = true;
   std::vector<Bytes> items;
   for (int i = 0; i < 12; ++i) items.push_back(payload_for(i));
 
@@ -1246,7 +1348,7 @@ TEST(DurableRecovery, FailedWriteOutIsCountedAndLosesNothing) {
   for (std::uint64_t k = 0; k < 3; ++k) {
     // The second put takes snapshot 1; its write-out fails off the lock.
     const Bytes resp =
-        rig.handle_async_wait(tagged_kv_put(7000 + k, k, payload_for(k)));
+        rig.ds->handle(tagged_kv_put(7000 + k, k, payload_for(k)));
     ASSERT_FALSE(is_error_frame(resp)) << k;
   }
   ASSERT_TRUE(wait_until([&] { return failures.value() > failures_before; }));
@@ -1270,7 +1372,6 @@ TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
   dopts.dir = fresh_state_dir("durable_ckpt_reads");
   dopts.checkpoint_every_n = 4;
   DurableRig rig(dopts);
-  rig.async = true;
   std::vector<Bytes> items;
   for (int i = 0; i < 16; ++i) items.push_back(payload_for(i));
   auto fh = rig.client->outsource(1, items);
@@ -1303,7 +1404,7 @@ TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
   }
   constexpr int kPuts = 64;
   for (int k = 0; k < kPuts; ++k) {
-    const Bytes resp = rig.handle_async_wait(
+    const Bytes resp = rig.ds->handle(
         tagged_kv_put(9000 + k, static_cast<std::uint64_t>(k), payload_for(k)));
     ASSERT_FALSE(is_error_frame(resp)) << k;
   }
@@ -1400,10 +1501,10 @@ LiveFile outsource_file(DurableRig& rig, std::uint64_t file_id,
   return f;
 }
 
-// A seeded mix of every mutation, through both handle() and handle_async(),
-// a checkpoint every 3 mutations. After each checkpoint a copy of the state
-// directory recovers the live image exactly as of the checkpoint's LSN,
-// passes fsck and answers every ACKed request id from its dedup table.
+// A seeded mix of every mutation, a checkpoint every 3 mutations. After
+// each checkpoint a copy of the state directory recovers the live image
+// exactly as of the checkpoint's LSN, passes fsck and answers every ACKed
+// request id from its dedup table.
 TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
   DurableServer::Options dopts;
   dopts.dir = fresh_state_dir("durable_delta_seq");
@@ -1455,7 +1556,7 @@ TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
   std::uint64_t next_rid = 70000;
   // Every step is exactly one mutation.
   for (int step = 0; step < 160; ++step) {
-    rig.async = rng.next_below(2) == 1;
+    rng.next_below(2);  // unused bit: keeps the seeded sequence of steps
     if (files.size() < 3) {
       files.push_back(outsource_file(rig, next_file++, 48));
       verify_new_checkpoint();
@@ -1577,7 +1678,6 @@ TEST(DurableRecovery, BackgroundDeltaWriteOutCrashKeepsAckedMutations) {
   dopts.dir = fresh_state_dir("durable_delta_crash");
   dopts.checkpoint_every_n = 3;
   DurableRig rig(dopts);
-  rig.async = true;
   auto& deltas =
       obs::Registry::instance().counter("fgad_checkpoint_deltas_total");
   LiveFile f = outsource_file(rig, 1, 64);
@@ -1728,9 +1828,9 @@ TEST(DurableRecovery, CheckpointStallCountsWaitForPreviousWriteOut) {
   // Two back-to-back triggers: the second snapshot waits out the first
   // image's slow write-out under the lock.
   ASSERT_FALSE(is_error_frame(
-      rig.handle_async_wait(tagged_kv_put(8100, 1, payload_for(1)))));
+      rig.ds->handle(tagged_kv_put(8100, 1, payload_for(1)))));
   ASSERT_FALSE(is_error_frame(
-      rig.handle_async_wait(tagged_kv_put(8101, 2, payload_for(2)))));
+      rig.ds->handle(tagged_kv_put(8101, 2, payload_for(2)))));
   rig.ds.reset();  // joins the second write-out
   CrashPoint::instance().reset();
   EXPECT_EQ(stalls.count(), count_before + 2);

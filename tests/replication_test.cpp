@@ -30,12 +30,11 @@ namespace {
 using client::Client;
 using test::payload_for;
 
+/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
+/// back one that an earlier process with a recycled pid left behind.
 std::string fresh_state_dir(const std::string& name) {
-  static std::atomic<int> counter{0};
-  const std::string d = ::testing::TempDir() + "/" + name + "." +
-                        std::to_string(::getpid()) + "." +
-                        std::to_string(counter.fetch_add(1));
-  ::mkdir(d.c_str(), 0755);
+  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
+  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
   return d;
 }
 

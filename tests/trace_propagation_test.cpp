@@ -264,12 +264,11 @@ TEST(TraceProp, EvictionRecordsSpanDroppedEvent) {
 
 // ---- system: client / primary / backup correlation -------------------------
 
+/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
+/// back one that an earlier process with a recycled pid left behind.
 std::string fresh_state_dir(const std::string& name) {
-  static std::atomic<int> counter{0};
-  const std::string d = ::testing::TempDir() + "/" + name + "." +
-                        std::to_string(::getpid()) + "." +
-                        std::to_string(counter.fetch_add(1));
-  ::mkdir(d.c_str(), 0755);
+  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
+  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
   return d;
 }
 
@@ -294,10 +293,7 @@ TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
   auto backup = std::move(b).value();
 
   // Async ship mode: records reach the backup on the replicator's ship
-  // thread. (Sync mode would let wait_acked donate the *client's* thread
-  // as the shipper — an in-process-only situation where the backup's
-  // handler would see the client's active trace; a real backup is its
-  // own process.)
+  // thread.
   Replicator::Options ropts;
   ropts.mode = ReplAckMode::kAsync;
   ropts.heartbeat_ms = 50;
@@ -339,10 +335,11 @@ TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
                                 proto::ItemRef::id(ids.value().front())));
 
   // Client-side document: the whole traced operation, with the primary's
-  // spans (same thread through the DirectChannel) nested inline.
+  // spans (same thread through the DirectChannel) nested inline, the
+  // wait for the group commit included.
   const std::string client_doc = obs::trace_render_chrome_json();
   EXPECT_NE(client_doc.find("wal_append"), std::string::npos);
-  EXPECT_NE(client_doc.find("fsync"), std::string::npos);
+  EXPECT_NE(client_doc.find("commit_wait"), std::string::npos);
 
   // Backup-side segment: captured under the same rid, containing the
   // repl_apply span, once the ship thread has delivered the record.

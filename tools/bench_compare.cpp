@@ -18,7 +18,7 @@
 //                          where a noisy neighbor is not a regression)
 //
 // Exit codes: 0 = within tolerance (or --warn-only), 1 = regression
-// detected, 2 = usage or I/O error.
+// detected or no row of a baseline matched, 2 = usage or I/O error.
 #include <dirent.h>
 
 #include <algorithm>

@@ -12,7 +12,8 @@
 // Tolerances: 15% by default, 35% for p99 quantiles (a tail quantile of a
 // 20-200 sample run is noisy by construction). A metric only counts as a
 // regression when it moves beyond tolerance in its bad direction —
-// getting faster never fails the gate.
+// getting faster never fails the gate. A baseline none of whose rows
+// match fails as well: nothing was compared.
 #pragma once
 
 #include <algorithm>
@@ -398,7 +399,16 @@ struct CompareResult {
   std::vector<std::string> unmatched_old;  // row keys without a new-side twin
   std::vector<std::string> unmatched_new;
 
-  bool ok() const { return regressions == 0; }
+  /// The old file had rows and none found a twin: nothing was compared,
+  /// so the comparison cannot pass.
+  bool nothing_matched() const {
+    return rows_matched == 0 && !unmatched_old.empty();
+  }
+  bool ok() const { return regressions == 0 && !nothing_matched(); }
+  const char* verdict() const {
+    return nothing_matched() ? "no_rows_matched"
+                             : regressions > 0 ? "regression" : "ok";
+  }
 };
 
 inline CompareResult compare(const BenchFile& oldf, const BenchFile& newf,
@@ -476,7 +486,7 @@ inline std::string render_report_json(const std::string& bench,
                                       const CompareResult& r) {
   char buf[256];
   std::string out = "{\"bench\":\"" + json_escape(bench) + "\",";
-  out += "\"verdict\":\"" + std::string(r.ok() ? "ok" : "regression") + "\",";
+  out += "\"verdict\":\"" + std::string(r.verdict()) + "\",";
   std::snprintf(buf, sizeof(buf),
                 "\"regressions\":%zu,\"metrics_compared\":%zu,"
                 "\"rows_matched\":%zu,",
@@ -511,7 +521,11 @@ inline std::string render_report_text(const std::string& bench,
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s: %s (%zu regression%s, %zu metrics, %zu rows)\n",
-                bench.c_str(), r.ok() ? "OK" : "REGRESSION", r.regressions,
+                bench.c_str(),
+                r.nothing_matched() ? "FAIL, no old row matched"
+                : r.ok()            ? "OK"
+                                    : "REGRESSION",
+                r.regressions,
                 r.regressions == 1 ? "" : "s", r.metrics_compared,
                 r.rows_matched);
   std::string out = buf;

@@ -1,7 +1,7 @@
 // fgad_server — run the cloud side as a standalone TCP daemon.
 //
 //   fgad_server [--port N] [--image PATH] [--no-integrity]
-//               [--state-dir DIR] [--checkpoint-every-n N] [--wal-sync-ms N]
+//               [--state-dir DIR] [--checkpoint-every-n N]
 //               [--max-connections N] [--io-workers N] [--idle-timeout-ms N]
 //               [--metrics-port N] [--audit-log PATH]
 //               [--log-level LVL] [--slow-op-ms N]
@@ -20,8 +20,6 @@
 //                           WAL tail and runs the fsck invariant verifier
 //   --checkpoint-every-n N  mutations between automatic checkpoints
 //                           (default 1024; 0 = only on SIGTERM/shutdown)
-//   --wal-sync-ms N         group-commit window in ms (default 0 =
-//                           fsync per mutation; -1 = never fsync, unsafe)
 //   FGAD_CRASH_AT=site[:n]  kill the process (exit 42) the n-th time the
 //                           named crash site is reached (before-wal,
 //                           after-wal-pre-ack, mid-checkpoint,
@@ -161,8 +159,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-every-n" && i + 1 < argc) {
       dur_opts.checkpoint_every_n =
           std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--wal-sync-ms" && i + 1 < argc) {
-      dur_opts.wal_sync_ms = std::atoi(argv[++i]);
     } else if (arg == "--no-integrity") {
       opts.enable_integrity = false;
     } else if ((arg == "--max-workers" || arg == "--max-connections") &&
@@ -222,7 +218,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: fgad_server [--port N] [--image PATH] [--state-dir DIR]\n"
-          "                   [--checkpoint-every-n N] [--wal-sync-ms N]\n"
+          "                   [--checkpoint-every-n N]\n"
           "                   [--no-integrity] [--max-connections N] "
           "[--io-workers N] [--idle-timeout-ms N]\n"
           "                   [--metrics-port N] [--audit-log PATH] "
@@ -386,8 +382,8 @@ int main(int argc, char** argv) {
   }
 
   // The async path lets the durable layer park pipelined mutations on the
-  // cross-connection group committer (one fsync per batch) instead of
-  // paying fsync-per-ACK; a plain in-memory server just answers inline.
+  // cross-connection group committer (one fsync per batch) without
+  // blocking the event loop; a plain in-memory server just answers inline.
   const auto handler = [&](Bytes req, net::TcpServer::Respond respond) {
     if (durable) {
       durable->handle_async(std::move(req),
