@@ -7,23 +7,6 @@ using proto::MsgType;
 
 namespace {
 constexpr std::uint32_t kChunk = 1024;
-
-Result<Bytes> expect(net::RpcChannel& ch, BytesView frame, MsgType type) {
-  auto resp = ch.roundtrip(frame);
-  if (!resp) return resp;
-  auto env = proto::open_message(resp.value());
-  if (!env) return env.error();
-  if (env.value().type == MsgType::kError) {
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    if (!err) return Error(Errc::kDecodeError, "baseline: bad error frame");
-    return Error(err.value().code, err.value().message);
-  }
-  if (env.value().type != type) {
-    return Error(Errc::kDecodeError, "baseline: unexpected response");
-  }
-  return std::move(env.value().payload);
-}
 }  // namespace
 
 IndividualKeySolution::IndividualKeySolution(net::RpcChannel& channel,
@@ -52,7 +35,7 @@ Status IndividualKeySolution::outsource(
       }
     }
     if (auto st =
-            expect(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
+            net::call(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
         !st) {
       return st.status();
     }
@@ -67,7 +50,7 @@ Result<Bytes> IndividualKeySolution::access(std::uint64_t index) {
   proto::KvGetReq req;
   req.table = table_;
   req.key = index;
-  auto payload = expect(channel_, req.to_frame(), MsgType::kKvGetResp);
+  auto payload = net::call(channel_, req.to_frame(), MsgType::kKvGetResp);
   if (!payload) return payload.error();
   proto::Reader r(payload.value());
   auto resp = proto::KvGetResp::from(r);
@@ -99,7 +82,7 @@ Status IndividualKeySolution::erase_item(std::uint64_t index) {
   proto::KvDeleteReq req;
   req.table = table_;
   req.key = index;
-  return expect(channel_, req.to_frame(), MsgType::kKvDeleteResp).status();
+  return net::call(channel_, req.to_frame(), MsgType::kKvDeleteResp).status();
 }
 
 }  // namespace fgad::baselines

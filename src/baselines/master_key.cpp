@@ -7,23 +7,6 @@ using proto::MsgType;
 
 namespace {
 constexpr std::uint32_t kChunk = 1024;  // items per batch message
-
-Result<Bytes> expect(net::RpcChannel& ch, BytesView frame, MsgType type) {
-  auto resp = ch.roundtrip(frame);
-  if (!resp) return resp;
-  auto env = proto::open_message(resp.value());
-  if (!env) return env.error();
-  if (env.value().type == MsgType::kError) {
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    if (!err) return Error(Errc::kDecodeError, "baseline: bad error frame");
-    return Error(err.value().code, err.value().message);
-  }
-  if (env.value().type != type) {
-    return Error(Errc::kDecodeError, "baseline: unexpected response");
-  }
-  return std::move(env.value().payload);
-}
 }  // namespace
 
 MasterKeySolution::MasterKeySolution(net::RpcChannel& channel,
@@ -45,14 +28,14 @@ Status MasterKeySolution::kv_store(std::uint64_t key, Bytes value) {
   req.table = table_;
   req.key = key;
   req.value = std::move(value);
-  return expect(channel_, req.to_frame(), MsgType::kKvPutResp).status();
+  return net::call(channel_, req.to_frame(), MsgType::kKvPutResp).status();
 }
 
 Result<Bytes> MasterKeySolution::kv_fetch(std::uint64_t key) {
   proto::KvGetReq req;
   req.table = table_;
   req.key = key;
-  auto payload = expect(channel_, req.to_frame(), MsgType::kKvGetResp);
+  auto payload = net::call(channel_, req.to_frame(), MsgType::kKvGetResp);
   if (!payload) return payload.error();
   proto::Reader r(payload.value());
   auto resp = proto::KvGetResp::from(r);
@@ -81,7 +64,7 @@ Status MasterKeySolution::outsource(
       }
     }
     if (auto st =
-            expect(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
+            net::call(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
         !st) {
       return st.status();
     }
@@ -121,7 +104,8 @@ Status MasterKeySolution::erase_item(std::uint64_t index) {
     rreq.table = table_;
     rreq.start_key = old_idx;
     rreq.max_count = kChunk;
-    auto payload = expect(channel_, rreq.to_frame(), MsgType::kKvGetRangeResp);
+    auto payload =
+        net::call(channel_, rreq.to_frame(), MsgType::kKvGetRangeResp);
     if (!payload) return payload.status();
     proto::Reader r(payload.value());
     auto range = proto::KvGetRangeResp::from(r);
@@ -153,7 +137,7 @@ Status MasterKeySolution::erase_item(std::uint64_t index) {
     }
     if (!batch.entries.empty()) {
       if (auto st =
-              expect(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
+              net::call(channel_, batch.to_frame(), MsgType::kKvPutBatchResp);
           !st) {
         return st.status();
       }
@@ -164,7 +148,7 @@ Status MasterKeySolution::erase_item(std::uint64_t index) {
   proto::KvDeleteReq dreq;
   dreq.table = table_;
   dreq.key = n_ - 1;
-  if (auto st = expect(channel_, dreq.to_frame(), MsgType::kKvDeleteResp);
+  if (auto st = net::call(channel_, dreq.to_frame(), MsgType::kKvDeleteResp);
       !st) {
     return st.status();
   }

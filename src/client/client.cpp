@@ -118,20 +118,11 @@ Result<Bytes> Client::call(BytesView frame, MsgType expect) {
     return Error(Errc::kDecodeError,
                  "client: response carries a different request id");
   }
-  if (env.value().type == MsgType::kError) {
+  auto payload = proto::response_payload(std::move(env).value(), expect);
+  if (!payload) {
     rpc_errors.inc();
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    if (!err) {
-      return Error(Errc::kDecodeError, "client: malformed error response");
-    }
-    return Error(err.value().code, err.value().message);
   }
-  if (env.value().type != expect) {
-    rpc_errors.inc();
-    return Error(Errc::kDecodeError, "client: unexpected response type");
-  }
-  return std::move(env.value().payload);
+  return payload;
 }
 
 Result<std::vector<Result<Bytes>>> Client::call_batch(
@@ -178,25 +169,10 @@ Result<std::vector<Result<Bytes>>> Client::call_batch(
                           "client: response carries a different request id"));
       continue;
     }
-    if (env.value().type == MsgType::kError) {
+    out.push_back(proto::response_payload(std::move(env).value(), expect));
+    if (!out.back()) {
       rpc_errors.inc();
-      proto::Reader r(env.value().payload);
-      auto err = proto::ErrorMsg::from(r);
-      if (!err) {
-        out.push_back(
-            Error(Errc::kDecodeError, "client: malformed error response"));
-      } else {
-        out.push_back(Error(err.value().code, err.value().message));
-      }
-      continue;
     }
-    if (env.value().type != expect) {
-      rpc_errors.inc();
-      out.push_back(
-          Error(Errc::kDecodeError, "client: unexpected response type"));
-      continue;
-    }
-    out.push_back(std::move(env.value().payload));
   }
   return out;
 }

@@ -136,17 +136,13 @@ Status checkpoint_failed(std::uint64_t epoch, Status st) {
 }
 
 Bytes io_error_frame(const std::string& msg) {
-  proto::ErrorMsg e;
-  e.code = Errc::kIoError;
-  e.message = msg;
-  return e.to_frame();
+  return proto::error_frame(Error(Errc::kIoError, msg));
 }
 
 Bytes not_primary_frame() {
-  proto::ErrorMsg e;
-  e.code = Errc::kNotPrimary;
-  e.message = "this node is a replication backup; redial the primary";
-  return e.to_frame();
+  return proto::error_frame(
+      Error(Errc::kNotPrimary,
+            "this node is a replication backup; redial the primary"));
 }
 
 /// Maps a durability/replication failure to the client-visible error
@@ -157,22 +153,8 @@ Bytes commit_fail_frame(const Status& st) {
   if (st.code() == Errc::kStaleTerm) {
     return not_primary_frame();
   }
-  proto::ErrorMsg e;
-  e.code = st.code();
-  e.message = "commit failed: " + st.to_string();
-  return e.to_frame();
-}
-
-bool is_repl_type(proto::MsgType t) {
-  switch (t) {
-    case proto::MsgType::kReplAppend:
-    case proto::MsgType::kReplAck:
-    case proto::MsgType::kReplSnapshot:
-    case proto::MsgType::kReplHeartbeat:
-      return true;
-    default:
-      return false;
-  }
+  return proto::error_frame(
+      Error(st.code(), "commit failed: " + st.to_string()));
 }
 
 /// Lists `<prefix><number><suffix>` entries of `dir`, returning the parsed
@@ -919,7 +901,7 @@ Bytes DurableServer::handle(BytesView request) {
 
 void DurableServer::handle_async(Bytes request, Done done) {
   const auto type = proto::peek_type(request);
-  if (type && is_repl_type(*type)) {
+  if (type && proto::is_replication(*type)) {
     done(handle_repl(request));  // primary -> follower stream
     return;
   }

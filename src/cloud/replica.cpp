@@ -44,10 +44,7 @@ obs::Gauge& acked_lsn_gauge() {
 }
 
 Bytes error_frame(Errc code, std::string msg) {
-  proto::ErrorMsg e;
-  e.code = code;
-  e.message = std::move(msg);
-  return e.to_frame();
+  return proto::error_frame(Error(code, std::move(msg)));
 }
 
 }  // namespace
@@ -263,11 +260,10 @@ Result<proto::ReplAck> Replicator::roundtrip(const Bytes& frame) {
   if (!env) {
     return env.error();
   }
-  if (env.value().type == proto::MsgType::kError) {
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    const Errc code = err ? err.value().code : Errc::kDecodeError;
-    if (code == Errc::kStaleTerm) {
+  auto payload =
+      proto::response_payload(std::move(env).value(), proto::MsgType::kReplAck);
+  if (!payload) {
+    if (payload.code() == Errc::kStaleTerm) {
       std::uint64_t observed = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -275,17 +271,10 @@ Result<proto::ReplAck> Replicator::roundtrip(const Bytes& frame) {
       }
       fence(observed);
     }
-    return Error(code, err ? err.value().message : "repl: bad error frame");
+    return payload.error();
   }
-  if (env.value().type != proto::MsgType::kReplAck) {
-    return Error(Errc::kDecodeError, "repl: unexpected response type");
-  }
-  proto::Reader r(env.value().payload);
-  auto ack = proto::ReplAck::from(r);
-  if (!ack) {
-    return ack.error();
-  }
-  return ack;
+  proto::Reader r(payload.value());
+  return proto::ReplAck::from(r);
 }
 
 void Replicator::handle_ack(const proto::ReplAck& ack,

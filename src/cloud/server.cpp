@@ -518,16 +518,8 @@ Result<std::unique_ptr<CloudServer>> CloudServer::load_from_file(
 // ---- wire dispatcher --------------------------------------------------------
 
 namespace {
-Bytes error_frame(const Error& e) {
-  proto::ErrorMsg msg;
-  msg.code = e.code;
-  msg.message = e.message;
-  return msg.to_frame();
-}
-
-Bytes status_frame(const Status& st, MsgType ok_type) {
-  return st ? proto::empty_frame(ok_type) : error_frame(st.error());
-}
+using proto::error_frame;
+using proto::status_frame;
 
 /// Malformed request payload: keep the decoder's detail in the reply
 /// (prefixed with the message kind so the client knows which decode

@@ -1,21 +1,45 @@
 #include "fskeys/proxy.h"
 
+#include "proto/schema.h"
+
 namespace fgad::fskeys {
 
 namespace proto = fgad::proto;
 using proto::MsgType;
 
+FGAD_MESSAGE(PxCreateFileReq, kPxCreateFileReq, &S::file_id,
+             proto::list<std::uint64_t>(&S::items, 1ull << 32))
+FGAD_MESSAGE(PxAccessReq, kPxAccessReq, &S::file_id, &S::ref)
+FGAD_MESSAGE(PxAccessResp, kPxAccessResp, &S::content)
+FGAD_MESSAGE(PxInsertReq, kPxInsertReq, &S::file_id, &S::content)
+FGAD_MESSAGE(PxInsertResp, kPxInsertResp, &S::item_id)
+FGAD_MESSAGE(PxEraseReq, kPxEraseReq, &S::file_id, &S::ref)
+FGAD_MESSAGE(PxModifyReq, kPxModifyReq, &S::file_id, &S::item_id,
+             &S::content)
+FGAD_MESSAGE(PxDeleteFileReq, kPxDeleteFileReq, &S::file_id)
+FGAD_MESSAGE(PxListFilesResp, kPxListFilesResp, &S::file_count)
+
 namespace {
 
-Bytes error_frame(const Error& e) {
-  proto::ErrorMsg msg;
-  msg.code = e.code;
-  msg.message = e.message;
-  return msg.to_frame();
+using proto::error_frame;
+using proto::status_frame;
+
+/// Decodes a `Req` from `r` and answers it with `serve`, or with the
+/// decode error.
+template <class Req, class F>
+Bytes answer(proto::Reader& r, F&& serve) {
+  auto req = Req::from(r);
+  return req ? serve(req.value()) : error_frame(req.error());
 }
 
-Bytes status_frame(const Status& st, MsgType ok_type) {
-  return st ? proto::empty_frame(ok_type) : error_frame(st.error());
+/// Decodes an `M` from a response payload, passing net::call errors through.
+template <class M>
+Result<M> decode(const Result<Bytes>& payload) {
+  if (!payload) {
+    return payload.error();
+  }
+  proto::Reader r(payload.value());
+  return M::from(r);
 }
 
 }  // namespace
@@ -28,89 +52,46 @@ Bytes KeyProxy::handle(BytesView request) {
   proto::Reader r(env.value().payload);
 
   switch (env.value().type) {
-    case MsgType::kPxCreateFileReq: {
-      const std::uint64_t file_id = r.u64();
-      const std::uint64_t n = r.u64();
-      if (!r.ok() || n > (1ull << 32)) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad item count"));
-      }
-      std::vector<Bytes> items;
-      items.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        items.push_back(r.bytes());
-        if (!r.ok()) {
-          return error_frame(Error(Errc::kDecodeError, "proxy: truncated"));
-        }
-      }
-      return status_frame(fs_.create_file(file_id, items),
-                          MsgType::kPxCreateFileResp);
-    }
+    case MsgType::kPxCreateFileReq:
+      return answer<PxCreateFileReq>(r, [this](const PxCreateFileReq& q) {
+        return status_frame(fs_.create_file(q.file_id, q.items),
+                            MsgType::kPxCreateFileResp);
+      });
 
-    case MsgType::kPxAccessReq: {
-      const std::uint64_t file_id = r.u64();
-      auto ref = proto::decode_item_ref(r);
-      if (!ref || !r.finish()) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad access req"));
-      }
-      auto got = fs_.access(file_id, ref.value());
-      if (!got) {
-        return error_frame(got.error());
-      }
-      proto::Writer w;
-      w.bytes(got.value());
-      return proto::seal_message(MsgType::kPxAccessResp, w.data());
-    }
+    case MsgType::kPxAccessReq:
+      return answer<PxAccessReq>(r, [this](const PxAccessReq& q) {
+        auto got = fs_.access(q.file_id, q.ref);
+        return got ? PxAccessResp{std::move(got).value()}.to_frame()
+                   : error_frame(got.error());
+      });
 
-    case MsgType::kPxInsertReq: {
-      const std::uint64_t file_id = r.u64();
-      const Bytes content = r.bytes();
-      if (!r.finish()) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad insert req"));
-      }
-      auto id = fs_.insert(file_id, content);
-      if (!id) {
-        return error_frame(id.error());
-      }
-      proto::Writer w;
-      w.u64(id.value());
-      return proto::seal_message(MsgType::kPxInsertResp, w.data());
-    }
+    case MsgType::kPxInsertReq:
+      return answer<PxInsertReq>(r, [this](const PxInsertReq& q) {
+        auto id = fs_.insert(q.file_id, q.content);
+        return id ? PxInsertResp{id.value()}.to_frame()
+                  : error_frame(id.error());
+      });
 
-    case MsgType::kPxEraseReq: {
-      const std::uint64_t file_id = r.u64();
-      auto ref = proto::decode_item_ref(r);
-      if (!ref || !r.finish()) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad erase req"));
-      }
-      return status_frame(fs_.erase_item(file_id, ref.value()),
-                          MsgType::kPxEraseResp);
-    }
+    case MsgType::kPxEraseReq:
+      return answer<PxEraseReq>(r, [this](const PxEraseReq& q) {
+        return status_frame(fs_.erase_item(q.file_id, q.ref),
+                            MsgType::kPxEraseResp);
+      });
 
-    case MsgType::kPxModifyReq: {
-      const std::uint64_t file_id = r.u64();
-      const std::uint64_t item_id = r.u64();
-      const Bytes content = r.bytes();
-      if (!r.finish()) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad modify req"));
-      }
-      return status_frame(fs_.modify(file_id, item_id, content),
-                          MsgType::kPxModifyResp);
-    }
+    case MsgType::kPxModifyReq:
+      return answer<PxModifyReq>(r, [this](const PxModifyReq& q) {
+        return status_frame(fs_.modify(q.file_id, q.item_id, q.content),
+                            MsgType::kPxModifyResp);
+      });
 
-    case MsgType::kPxDeleteFileReq: {
-      const std::uint64_t file_id = r.u64();
-      if (!r.finish()) {
-        return error_frame(Error(Errc::kDecodeError, "proxy: bad delete req"));
-      }
-      return status_frame(fs_.delete_file(file_id),
-                          MsgType::kPxDeleteFileResp);
-    }
+    case MsgType::kPxDeleteFileReq:
+      return answer<PxDeleteFileReq>(r, [this](const PxDeleteFileReq& q) {
+        return status_frame(fs_.delete_file(q.file_id),
+                            MsgType::kPxDeleteFileResp);
+      });
 
-    case MsgType::kPxListFilesReq: {
-      proto::Writer w;
-      w.u64(fs_.file_count());
-      return proto::seal_message(MsgType::kPxListFilesResp, w.data());
-    }
+    case MsgType::kPxListFilesReq:
+      return PxListFilesResp{fs_.file_count()}.to_frame();
 
     default:
       return error_frame(
@@ -118,117 +99,60 @@ Bytes KeyProxy::handle(BytesView request) {
   }
 }
 
-Result<Bytes> ProxyUser::call(BytesView frame, MsgType expect) {
-  auto resp = channel_.roundtrip(frame);
-  if (!resp) {
-    return resp;
-  }
-  auto env = proto::open_message(resp.value());
-  if (!env) {
-    return env.error();
-  }
-  if (env.value().type == MsgType::kError) {
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    if (!err) {
-      return Error(Errc::kDecodeError, "proxy user: malformed error");
-    }
-    return Error(err.value().code, err.value().message);
-  }
-  if (env.value().type != expect) {
-    return Error(Errc::kDecodeError, "proxy user: unexpected response");
-  }
-  return std::move(env.value().payload);
-}
-
 Status ProxyUser::create_file(std::uint64_t file_id,
                               std::span<const Bytes> items) {
-  proto::Writer w;
-  w.u64(file_id);
-  w.u64(items.size());
-  for (const Bytes& b : items) {
-    w.bytes(b);
-  }
-  return call(proto::seal_message(MsgType::kPxCreateFileReq, w.data()),
-              MsgType::kPxCreateFileResp)
+  const PxCreateFileReq req{file_id, {items.begin(), items.end()}};
+  return net::call(channel_, req.to_frame(), MsgType::kPxCreateFileResp)
       .status();
 }
 
 Result<Bytes> ProxyUser::access(std::uint64_t file_id, proto::ItemRef ref) {
-  proto::Writer w;
-  w.u64(file_id);
-  proto::encode_item_ref(w, ref);
-  auto payload = call(proto::seal_message(MsgType::kPxAccessReq, w.data()),
-                      MsgType::kPxAccessResp);
-  if (!payload) {
-    return payload.error();
+  auto resp = decode<PxAccessResp>(net::call(
+      channel_, PxAccessReq{file_id, ref}.to_frame(), MsgType::kPxAccessResp));
+  if (!resp) {
+    return resp.error();
   }
-  proto::Reader r(payload.value());
-  Bytes content = r.bytes();
-  if (!r.finish()) {
-    return Error(Errc::kDecodeError, "proxy user: bad access payload");
-  }
-  return content;
+  return std::move(resp.value().content);
 }
 
 Result<std::uint64_t> ProxyUser::insert(std::uint64_t file_id,
                                         BytesView content) {
-  proto::Writer w;
-  w.u64(file_id);
-  w.bytes(content);
-  auto payload = call(proto::seal_message(MsgType::kPxInsertReq, w.data()),
-                      MsgType::kPxInsertResp);
-  if (!payload) {
-    return payload.error();
+  const PxInsertReq req{file_id, Bytes(content.begin(), content.end())};
+  auto resp = decode<PxInsertResp>(
+      net::call(channel_, req.to_frame(), MsgType::kPxInsertResp));
+  if (!resp) {
+    return resp.error();
   }
-  proto::Reader r(payload.value());
-  const std::uint64_t id = r.u64();
-  if (!r.finish()) {
-    return Error(Errc::kDecodeError, "proxy user: bad insert payload");
-  }
-  return id;
+  return resp.value().item_id;
 }
 
 Status ProxyUser::erase_item(std::uint64_t file_id, proto::ItemRef ref) {
-  proto::Writer w;
-  w.u64(file_id);
-  proto::encode_item_ref(w, ref);
-  return call(proto::seal_message(MsgType::kPxEraseReq, w.data()),
-              MsgType::kPxEraseResp)
+  return net::call(channel_, PxEraseReq{file_id, ref}.to_frame(),
+                   MsgType::kPxEraseResp)
       .status();
 }
 
 Status ProxyUser::modify(std::uint64_t file_id, std::uint64_t item_id,
                          BytesView new_content) {
-  proto::Writer w;
-  w.u64(file_id);
-  w.u64(item_id);
-  w.bytes(new_content);
-  return call(proto::seal_message(MsgType::kPxModifyReq, w.data()),
-              MsgType::kPxModifyResp)
-      .status();
+  const PxModifyReq req{file_id, item_id,
+                        Bytes(new_content.begin(), new_content.end())};
+  return net::call(channel_, req.to_frame(), MsgType::kPxModifyResp).status();
 }
 
 Status ProxyUser::delete_file(std::uint64_t file_id) {
-  proto::Writer w;
-  w.u64(file_id);
-  return call(proto::seal_message(MsgType::kPxDeleteFileReq, w.data()),
-              MsgType::kPxDeleteFileResp)
+  return net::call(channel_, PxDeleteFileReq{file_id}.to_frame(),
+                   MsgType::kPxDeleteFileResp)
       .status();
 }
 
 Result<std::size_t> ProxyUser::file_count() {
-  auto payload = call(proto::empty_frame(MsgType::kPxListFilesReq),
-                      MsgType::kPxListFilesResp);
-  if (!payload) {
-    return payload.error();
+  auto resp = decode<PxListFilesResp>(
+      net::call(channel_, proto::empty_frame(MsgType::kPxListFilesReq),
+                MsgType::kPxListFilesResp));
+  if (!resp) {
+    return resp.error();
   }
-  proto::Reader r(payload.value());
-  const std::uint64_t n = r.u64();
-  if (!r.finish()) {
-    return Error(Errc::kDecodeError, "proxy user: bad list payload");
-  }
-  return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(resp.value().file_count);
 }
 
 }  // namespace fgad::fskeys

@@ -16,6 +16,69 @@
 
 namespace fgad::fskeys {
 
+// Proxy protocol messages. The create/erase/modify/delete responses and the
+// list request carry no payload (proto::empty_frame).
+
+struct PxCreateFileReq {
+  std::uint64_t file_id = 0;
+  std::vector<Bytes> items;
+  Bytes to_frame() const;
+  static Result<PxCreateFileReq> from(proto::Reader& r);
+};
+
+struct PxAccessReq {
+  std::uint64_t file_id = 0;
+  proto::ItemRef ref;
+  Bytes to_frame() const;
+  static Result<PxAccessReq> from(proto::Reader& r);
+};
+
+struct PxAccessResp {
+  Bytes content;
+  Bytes to_frame() const;
+  static Result<PxAccessResp> from(proto::Reader& r);
+};
+
+struct PxInsertReq {
+  std::uint64_t file_id = 0;
+  Bytes content;
+  Bytes to_frame() const;
+  static Result<PxInsertReq> from(proto::Reader& r);
+};
+
+struct PxInsertResp {
+  std::uint64_t item_id = 0;
+  Bytes to_frame() const;
+  static Result<PxInsertResp> from(proto::Reader& r);
+};
+
+struct PxEraseReq {
+  std::uint64_t file_id = 0;
+  proto::ItemRef ref;
+  Bytes to_frame() const;
+  static Result<PxEraseReq> from(proto::Reader& r);
+};
+
+struct PxModifyReq {
+  std::uint64_t file_id = 0;
+  std::uint64_t item_id = 0;
+  Bytes content;
+  Bytes to_frame() const;
+  static Result<PxModifyReq> from(proto::Reader& r);
+};
+
+struct PxDeleteFileReq {
+  std::uint64_t file_id = 0;
+  Bytes to_frame() const;
+  static Result<PxDeleteFileReq> from(proto::Reader& r);
+};
+
+struct PxListFilesResp {
+  std::uint64_t file_count = 0;
+  Bytes to_frame() const;
+  static Result<PxListFilesResp> from(proto::Reader& r);
+};
+
 /// The proxy: owns no state beyond the wrapped FileSystemClient.
 class KeyProxy {
  public:
@@ -43,8 +106,6 @@ class ProxyUser {
   Result<std::size_t> file_count();
 
  private:
-  Result<Bytes> call(BytesView frame, proto::MsgType expect);
-
   net::RpcChannel& channel_;
 };
 

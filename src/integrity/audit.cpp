@@ -44,24 +44,11 @@ Result<std::vector<Auditor::VerifiedEntry>> Auditor::query(
   req.include_ciphertext = include_ct;
   req.targets.assign(targets.begin(), targets.end());
 
-  auto resp_bytes = channel_.roundtrip(req.to_frame());
-  if (!resp_bytes) {
-    return resp_bytes.error();
+  auto payload = net::call(channel_, req.to_frame(), MsgType::kAuditResp);
+  if (!payload) {
+    return payload.error();
   }
-  auto env = proto::open_message(resp_bytes.value());
-  if (!env) {
-    return env.error();
-  }
-  if (env.value().type == MsgType::kError) {
-    proto::Reader r(env.value().payload);
-    auto err = proto::ErrorMsg::from(r);
-    if (!err) return Error(Errc::kDecodeError, "audit: malformed error");
-    return Error(err.value().code, err.value().message);
-  }
-  if (env.value().type != MsgType::kAuditResp) {
-    return Error(Errc::kDecodeError, "audit: unexpected response");
-  }
-  proto::Reader r(env.value().payload);
+  proto::Reader r(payload.value());
   auto resp = proto::AuditResp::from(r);
   if (!resp) {
     return resp.error();

@@ -25,6 +25,10 @@
 #include "common/bytes.h"
 #include "common/result.h"
 
+namespace fgad::proto {
+enum class MsgType : std::uint16_t;
+}  // namespace fgad::proto
+
 namespace fgad::net {
 
 /// Wire frame header size (u32 length prefix), charged per message by
@@ -47,6 +51,12 @@ class RpcChannel {
   virtual Result<std::vector<Bytes>> roundtrip_batch(
       const std::vector<Bytes>& requests);
 };
+
+/// Round-trips `request` and returns the payload of its response, which
+/// must be of type `expect`; a kError response yields the Error it carries
+/// (proto::response_payload).
+Result<Bytes> call(RpcChannel& channel, BytesView request,
+                   proto::MsgType expect);
 
 /// In-process loopback: hands the request straight to a server handler.
 class DirectChannel final : public RpcChannel {

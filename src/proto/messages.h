@@ -24,89 +24,101 @@
 
 namespace fgad::proto {
 
-enum class MsgType : std::uint16_t {
-  kError = 0,
-  kOutsourceReq = 1,
-  kOutsourceResp = 2,
-  kAccessReq = 3,
-  kAccessResp = 4,
-  kModifyReq = 5,
-  kModifyResp = 6,
-  kInsertBeginReq = 7,
-  kInsertBeginResp = 8,
-  kInsertCommitReq = 9,
-  kInsertCommitResp = 10,
-  kDeleteBeginReq = 11,
-  kDeleteBeginResp = 12,
-  kDeleteCommitReq = 13,
-  kDeleteCommitResp = 14,
-  kFetchTreeReq = 15,
-  kFetchTreeResp = 16,
-  kFetchItemsReq = 17,
-  kFetchItemsResp = 18,
-  kListItemsReq = 19,
-  kListItemsResp = 20,
-  kDropFileReq = 21,
-  kDropFileResp = 22,
-  kStatReq = 23,
-  kStatResp = 24,
-  // Merged-cut bulk deletion (DESIGN.md §16): m items of one file, one
-  // fresh master key, one delta bundle, one commit round trip.
-  kDeleteManyBeginReq = 25,
-  kDeleteManyBeginResp = 26,
-  kDeleteManyCommitReq = 27,
-  kDeleteManyCommitResp = 28,
-  kKvPutReq = 30,
-  kKvPutResp = 31,
-  kKvGetReq = 32,
-  kKvGetResp = 33,
-  kKvDeleteReq = 34,
-  kKvDeleteResp = 35,
-  kKvGetRangeReq = 36,
-  kKvGetRangeResp = 37,
-  kKvPutBatchReq = 38,
-  kKvPutBatchResp = 39,
-  // Local key-proxy protocol (Section V: a proxy holds the control key and
-  // acts on users' behalf). Message structs live in fskeys/proxy.h.
-  kPxCreateFileReq = 60,
-  kPxCreateFileResp = 61,
-  kPxAccessReq = 62,
-  kPxAccessResp = 63,
-  kPxInsertReq = 64,
-  kPxInsertResp = 65,
-  kPxEraseReq = 66,
-  kPxEraseResp = 67,
-  kPxModifyReq = 68,
-  kPxModifyResp = 69,
-  kPxDeleteFileReq = 70,
-  kPxDeleteFileResp = 71,
-  kPxListFilesReq = 72,
-  kPxListFilesResp = 73,
-  // Integrity (PDP/PoR substrate): membership-proof queries.
-  kAuditReq = 80,
-  kAuditResp = 81,
-  // Observability (DESIGN.md §12): wraps any other frame with a
-  // client-generated request id for cross-party log/trace correlation.
-  // Layout: u16 kTaggedEnvelope | u64 request_id | inner frame (u16 type +
-  // payload). Untagged frames are unchanged on the wire, so peers that
-  // never tag see byte-identical traffic.
-  kTaggedEnvelope = 90,
-  // Distributed tracing (DESIGN.md §19): like kTaggedEnvelope but also
-  // carries the sender's span context and, on responses, a server-timing
-  // trailer. Layout: u16 kTaggedEnvelopeV2 | u64 request_id | u64 span_id
-  // | u64 parent_span_id | u8 n_timing | n_timing × (u8 kind | u64 ns) |
-  // inner frame. Requests set n_timing = 0; a server response echoes the
-  // request id, sets span_id to the request's span_id, and appends one
-  // timing entry per cost-ledger bucket (obs::CostKind). Old-tagged and
-  // untagged traffic is untouched on the wire.
-  kTaggedEnvelopeV2 = 91,
+// Every message type, once: X(enumerator, wire value, name, traits). The
+// traits mark read-only requests that are safe to resend after a transport
+// failure (kIdempotent, DESIGN.md §11), requests that mutate server state,
+// which the durability layer WAL-logs and deduplicates (kMutating,
+// DESIGN.md §13), and the replication stream (kReplication).
+//
+//   1-28    the paper's exchanges; 25-28 are merged-cut bulk deletion (m
+//           items of one file, one fresh master key, one delta bundle, one
+//           commit round trip; DESIGN.md §16)
+//   30-39   the Kv blob table of the Section III baselines
+//   60-73   the local key proxy (Section V: a proxy holds the control key
+//           and acts on users' behalf); structs in fskeys/proxy.h
+//   80-81   integrity (PDP/PoR substrate): membership-proof queries
+//   90-91   the tagged envelopes below
+//   100-103 primary–backup WAL replication (DESIGN.md §18), only on the
+//           server-to-server link; a plain CloudServer rejects them
+//
+// kTaggedEnvelope (DESIGN.md §12) wraps any other frame with a
+// client-generated request id for cross-party log/trace correlation:
+// u16 kTaggedEnvelope | u64 request_id | inner frame (u16 type + payload).
+// kTaggedEnvelopeV2 (DESIGN.md §19) also carries the sender's span context
+// and, on responses, a server-timing trailer: u16 kTaggedEnvelopeV2 | u64
+// request_id | u64 span_id | u64 parent_span_id | u8 n_timing | n_timing ×
+// (u8 kind | u64 ns) | inner frame. Requests set n_timing = 0; a server
+// response echoes the request id, sets span_id to the request's span_id,
+// and appends one timing entry per cost-ledger bucket (obs::CostKind).
+// Untagged and V1-tagged traffic is untouched on the wire, so peers that
+// never tag see byte-identical frames.
+#define FGAD_MSG_TYPES(X)                                        \
+  X(kError, 0, error, 0)                                         \
+  X(kOutsourceReq, 1, outsource_req, kMutating)                  \
+  X(kOutsourceResp, 2, outsource_resp, 0)                        \
+  X(kAccessReq, 3, access_req, kIdempotent)                      \
+  X(kAccessResp, 4, access_resp, 0)                              \
+  X(kModifyReq, 5, modify_req, kMutating)                        \
+  X(kModifyResp, 6, modify_resp, 0)                              \
+  X(kInsertBeginReq, 7, insert_begin_req, 0)                     \
+  X(kInsertBeginResp, 8, insert_begin_resp, 0)                   \
+  X(kInsertCommitReq, 9, insert_commit_req, kMutating)           \
+  X(kInsertCommitResp, 10, insert_commit_resp, 0)                \
+  X(kDeleteBeginReq, 11, delete_begin_req, 0)                    \
+  X(kDeleteBeginResp, 12, delete_begin_resp, 0)                  \
+  X(kDeleteCommitReq, 13, delete_commit_req, kMutating)          \
+  X(kDeleteCommitResp, 14, delete_commit_resp, 0)                \
+  X(kFetchTreeReq, 15, fetch_tree_req, kIdempotent)              \
+  X(kFetchTreeResp, 16, fetch_tree_resp, 0)                      \
+  X(kFetchItemsReq, 17, fetch_items_req, kIdempotent)            \
+  X(kFetchItemsResp, 18, fetch_items_resp, 0)                    \
+  X(kListItemsReq, 19, list_items_req, kIdempotent)              \
+  X(kListItemsResp, 20, list_items_resp, 0)                      \
+  X(kDropFileReq, 21, drop_file_req, kMutating)                  \
+  X(kDropFileResp, 22, drop_file_resp, 0)                        \
+  X(kStatReq, 23, stat_req, kIdempotent)                         \
+  X(kStatResp, 24, stat_resp, 0)                                 \
+  X(kDeleteManyBeginReq, 25, delete_many_begin_req, 0)           \
+  X(kDeleteManyBeginResp, 26, delete_many_begin_resp, 0)         \
+  X(kDeleteManyCommitReq, 27, delete_many_commit_req, kMutating) \
+  X(kDeleteManyCommitResp, 28, delete_many_commit_resp, 0)       \
+  X(kKvPutReq, 30, kv_put_req, kMutating)                        \
+  X(kKvPutResp, 31, kv_put_resp, 0)                              \
+  X(kKvGetReq, 32, kv_get_req, kIdempotent)                      \
+  X(kKvGetResp, 33, kv_get_resp, 0)                              \
+  X(kKvDeleteReq, 34, kv_delete_req, kMutating)                  \
+  X(kKvDeleteResp, 35, kv_delete_resp, 0)                        \
+  X(kKvGetRangeReq, 36, kv_get_range_req, kIdempotent)           \
+  X(kKvGetRangeResp, 37, kv_get_range_resp, 0)                   \
+  X(kKvPutBatchReq, 38, kv_put_batch_req, kMutating)             \
+  X(kKvPutBatchResp, 39, kv_put_batch_resp, 0)                   \
+  X(kPxCreateFileReq, 60, px_create_file_req, 0)                 \
+  X(kPxCreateFileResp, 61, px_create_file_resp, 0)               \
+  X(kPxAccessReq, 62, px_access_req, kIdempotent)                \
+  X(kPxAccessResp, 63, px_access_resp, 0)                        \
+  X(kPxInsertReq, 64, px_insert_req, 0)                          \
+  X(kPxInsertResp, 65, px_insert_resp, 0)                        \
+  X(kPxEraseReq, 66, px_erase_req, 0)                            \
+  X(kPxEraseResp, 67, px_erase_resp, 0)                          \
+  X(kPxModifyReq, 68, px_modify_req, 0)                          \
+  X(kPxModifyResp, 69, px_modify_resp, 0)                        \
+  X(kPxDeleteFileReq, 70, px_delete_file_req, 0)                 \
+  X(kPxDeleteFileResp, 71, px_delete_file_resp, 0)               \
+  X(kPxListFilesReq, 72, px_list_files_req, kIdempotent)         \
+  X(kPxListFilesResp, 73, px_list_files_resp, 0)                 \
+  X(kAuditReq, 80, audit_req, kIdempotent)                       \
+  X(kAuditResp, 81, audit_resp, 0)                               \
+  X(kTaggedEnvelope, 90, tagged_envelope, 0)                     \
+  X(kTaggedEnvelopeV2, 91, tagged_envelope_v2, 0)                \
+  X(kReplAppend, 100, repl_append, kReplication)                 \
+  X(kReplAck, 101, repl_ack, kReplication)                       \
+  X(kReplSnapshot, 102, repl_snapshot, kReplication)             \
+  X(kReplHeartbeat, 103, repl_heartbeat, kReplication)
 
-  // Primary–backup WAL replication (DESIGN.md §18). These flow only on the
-  // server-to-server replication link; a plain CloudServer rejects them.
-  kReplAppend = 100,
-  kReplAck = 101,
-  kReplSnapshot = 102,
-  kReplHeartbeat = 103,
+enum class MsgType : std::uint16_t {
+#define FGAD_MSG_ENUM(e, value, name, traits) e = value,
+  FGAD_MSG_TYPES(FGAD_MSG_ENUM)
+#undef FGAD_MSG_ENUM
 };
 
 /// Frames a payload with its message type (u16 prefix).
@@ -172,6 +184,9 @@ bool is_idempotent(MsgType t);
 /// durability layer WAL-logs and deduplicates (DESIGN.md §13).
 bool is_mutating(MsgType t);
 
+/// True for the primary-to-follower replication messages (DESIGN.md §18).
+bool is_replication(MsgType t);
+
 /// Retry predicate over a sealed request frame (peeks the u16 type);
 /// false on malformed frames. Read-only requests always retry. A mutating
 /// request retries only when it is wrapped in a tagged envelope: the
@@ -191,31 +206,9 @@ struct Envelope {
 };
 Result<Envelope> open_message(BytesView framed);
 
-// ---- shared sub-encoders -------------------------------------------------
-
-void encode_path(Writer& w, const core::PathView& p);
-Result<core::PathView> decode_path(Reader& r);
-
-void encode_delete_info(Writer& w, const core::DeleteInfo& info);
-Result<core::DeleteInfo> decode_delete_info(Reader& r);
-
-void encode_delete_commit(Writer& w, const core::DeleteCommit& c);
-Result<core::DeleteCommit> decode_delete_commit(Reader& r);
-
-void encode_delete_many_info(Writer& w, const core::DeleteManyInfo& info);
-Result<core::DeleteManyInfo> decode_delete_many_info(Reader& r);
-
-void encode_delete_many_commit(Writer& w, const core::DeleteManyCommit& c);
-Result<core::DeleteManyCommit> decode_delete_many_commit(Reader& r);
-
-void encode_insert_info(Writer& w, const core::InsertInfo& info);
-Result<core::InsertInfo> decode_insert_info(Reader& r);
-
-void encode_insert_commit(Writer& w, const core::InsertCommit& c);
-Result<core::InsertCommit> decode_insert_commit(Reader& r);
-
-void encode_access_info(Writer& w, const core::AccessInfo& info);
-Result<core::AccessInfo> decode_access_info(Reader& r);
+/// The payload of a response expected to be of type `expect`. A kError
+/// response yields the Error it carries; any other type is a kDecodeError.
+Result<Bytes> response_payload(Envelope env, MsgType expect);
 
 // ---- messages --------------------------------------------------------------
 
@@ -248,8 +241,6 @@ struct ItemRef {
     return ItemRef{RefKind::kByteOffset, v};
   }
 };
-void encode_item_ref(Writer& w, const ItemRef& ref);
-Result<ItemRef> decode_item_ref(Reader& r);
 
 struct OutsourceReq {
   std::uint64_t file_id = 0;
@@ -544,5 +535,11 @@ struct ReplHeartbeat {
 
 /// Empty-payload response frame for the given type.
 Bytes empty_frame(MsgType type);
+
+/// An ErrorMsg frame carrying `e`.
+Bytes error_frame(const Error& e);
+
+/// empty_frame(ok_type) when `st` is OK, else the error_frame of `st`.
+Bytes status_frame(const Status& st, MsgType ok_type);
 
 }  // namespace fgad::proto

@@ -68,6 +68,9 @@ class Reader {
   std::string str();
 
   bool ok() const { return ok_; }
+  /// Switches to the error state: the input broke a rule the byte-level
+  /// reads cannot see (a count over its cap, an enum out of range).
+  void fail() { ok_ = false; }
   bool at_end() const { return ok_ && pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 

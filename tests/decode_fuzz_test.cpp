@@ -8,6 +8,7 @@
 #include "fskeys/meta.h"
 #include "fskeys/proxy.h"
 #include "support/harness.h"
+#include "support/message_fixtures.h"
 
 namespace fgad {
 namespace {
@@ -18,38 +19,65 @@ Bytes random_bytes(Xoshiro256& rng, std::size_t max_len) {
   return b;
 }
 
+/// A wire message's decoder and one valid payload for it.
+struct Decoder {
+  void (*decode)(BytesView payload);
+  Bytes payload;
+};
+
+/// Every message decoder: the fixture structs of every proto message and
+/// the proxy messages that carry a payload.
+std::vector<Decoder> every_decoder() {
+  std::vector<Decoder> out;
+  const auto add = [&out](const auto& m) {
+    using M = std::decay_t<decltype(m)>;
+    const Bytes frame = m.to_frame();
+    out.push_back({[](BytesView b) {
+                     proto::Reader r(b);
+                     (void)M::from(r);
+                   },
+                   Bytes(frame.begin() + 2, frame.end())});
+  };
+  test::for_each_message([&](const std::string&, const auto& m) { add(m); });
+  add(fskeys::PxCreateFileReq{7, {to_bytes("a"), to_bytes("bb")}});
+  add(fskeys::PxAccessReq{7, proto::ItemRef::ordinal(1)});
+  add(fskeys::PxAccessResp{to_bytes("content")});
+  add(fskeys::PxInsertReq{7, to_bytes("new")});
+  add(fskeys::PxInsertResp{3});
+  add(fskeys::PxEraseReq{7, proto::ItemRef::byte_offset(5)});
+  add(fskeys::PxModifyReq{7, 3, to_bytes("edit")});
+  add(fskeys::PxDeleteFileReq{7});
+  add(fskeys::PxListFilesResp{2});
+  return out;
+}
+
+/// Every assigned message type, read off msg_type_name's table.
+std::vector<proto::MsgType> every_type() {
+  std::vector<proto::MsgType> out;
+  for (std::uint32_t t = 0; t <= 0xFFFF; ++t) {
+    const auto type = static_cast<proto::MsgType>(t);
+    if (std::string_view(proto::msg_type_name(type)) != "unknown") {
+      out.push_back(type);
+    }
+  }
+  return out;
+}
+
 TEST(DecodeFuzz, MessageDecodersSurviveRandomBytes) {
+  const std::vector<Decoder> decoders = every_decoder();
   Xoshiro256 rng(1);
   for (int i = 0; i < 3000; ++i) {
     const Bytes junk = random_bytes(rng, 200);
-    proto::Reader r1(junk);
-    (void)proto::decode_path(r1);
-    proto::Reader r2(junk);
-    (void)proto::decode_delete_info(r2);
-    proto::Reader r3(junk);
-    (void)proto::decode_delete_commit(r3);
-    proto::Reader r4(junk);
-    (void)proto::decode_insert_commit(r4);
-    proto::Reader r5(junk);
-    (void)proto::decode_access_info(r5);
-    proto::Reader r6(junk);
-    (void)proto::AuditResp::from(r6);
-    proto::Reader r7(junk);
-    (void)proto::OutsourceReq::from(r7);
-    proto::Reader r8(junk);
-    (void)proto::decode_delete_many_info(r8);
-    proto::Reader r9(junk);
-    (void)proto::decode_delete_many_commit(r9);
-    proto::Reader r10(junk);
-    (void)proto::DeleteManyBeginReq::from(r10);
-    proto::Reader r11(junk);
-    (void)proto::ReplAppend::from(r11);
-    proto::Reader r12(junk);
-    (void)proto::ReplAck::from(r12);
-    proto::Reader r13(junk);
-    (void)proto::ReplSnapshot::from(r13);
-    proto::Reader r14(junk);
-    (void)proto::ReplHeartbeat::from(r14);
+    for (const Decoder& d : decoders) {
+      d.decode(junk);
+      // A real payload with a few bytes flipped reaches the deeper fields.
+      Bytes mutant = d.payload;
+      for (int f = 0; f < 3 && !mutant.empty(); ++f) {
+        mutant[rng.next_below(mutant.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      d.decode(mutant);
+    }
   }
   SUCCEED();
 }
@@ -68,23 +96,12 @@ TEST(DecodeFuzz, ServerDispatcherSurvivesRandomFrames) {
 TEST(DecodeFuzz, ServerSurvivesTypedGarbagePayloads) {
   cloud::CloudServer server;
   Xoshiro256 rng(3);
-  // Valid message types with random payloads.
-  const proto::MsgType types[] = {
-      proto::MsgType::kOutsourceReq,   proto::MsgType::kAccessReq,
-      proto::MsgType::kModifyReq,      proto::MsgType::kDeleteBeginReq,
-      proto::MsgType::kDeleteCommitReq, proto::MsgType::kInsertBeginReq,
-      proto::MsgType::kInsertCommitReq, proto::MsgType::kFetchTreeReq,
-      proto::MsgType::kFetchItemsReq,  proto::MsgType::kAuditReq,
-      proto::MsgType::kKvPutBatchReq,  proto::MsgType::kStatReq,
-      proto::MsgType::kDeleteManyBeginReq,
-      proto::MsgType::kDeleteManyCommitReq,
-      // Replication control plane: CloudServer answers kUnsupported, but
-      // must never crash on a garbage Repl* payload.
-      proto::MsgType::kReplAppend,     proto::MsgType::kReplAck,
-      proto::MsgType::kReplSnapshot,   proto::MsgType::kReplHeartbeat,
-  };
-  for (int i = 0; i < 2000; ++i) {
-    const auto type = types[rng.next_below(std::size(types))];
+  // Every message type, each with random payloads; the server answers the
+  // ones it does not serve (responses, proxy and replication messages)
+  // with an error frame.
+  const std::vector<proto::MsgType> types = every_type();
+  for (int i = 0; i < 6000; ++i) {
+    const auto type = types[i % types.size()];
     const Bytes frame = proto::seal_message(type, random_bytes(rng, 100));
     const Bytes resp = server.handle(frame);
     auto env = proto::open_message(resp);
@@ -101,10 +118,14 @@ TEST(DecodeFuzz, ProxySurvivesRandomFrames) {
   fskeys::FileSystemClient fs(client, 1);
   ASSERT_TRUE(fs.init());
   fskeys::KeyProxy proxy(fs);
+  const std::vector<proto::MsgType> types = every_type();
   Xoshiro256 rng(4);
   for (int i = 0; i < 1000; ++i) {
     const Bytes resp = proxy.handle(random_bytes(rng, 100));
     EXPECT_TRUE(proto::open_message(resp).is_ok());
+    const Bytes typed = proto::seal_message(types[i % types.size()],
+                                            random_bytes(rng, 100));
+    EXPECT_TRUE(proto::open_message(proxy.handle(typed)).is_ok());
   }
 }
 

@@ -160,6 +160,22 @@ TEST_F(ProxyTest, MalformedRequestsRejected) {
       proto::seal_message(proto::MsgType::kPxAccessReq, w.data());
   env = proto::open_message(proxy_.handle(truncated));
   EXPECT_EQ(env.value().type, proto::MsgType::kError);
+
+  // An 18-byte create-file request claiming 2^32 - 1 items: the count is
+  // bounded by the bytes present, so the reply is a decode error rather
+  // than an allocation of ~100 GB.
+  proto::Writer hostile;
+  hostile.u64(7);            // file_id
+  hostile.u64(0xFFFFFFFFu);  // item count, no items follow
+  const Bytes frame =
+      proto::seal_message(proto::MsgType::kPxCreateFileReq, hostile.data());
+  ASSERT_EQ(frame.size(), 18u);
+  env = proto::open_message(proxy_.handle(frame));
+  ASSERT_EQ(env.value().type, proto::MsgType::kError);
+  proto::Reader r(env.value().payload);
+  auto err = proto::ErrorMsg::from(r);
+  ASSERT_TRUE(err.is_ok());
+  EXPECT_EQ(err.value().code, Errc::kDecodeError);
 }
 
 TEST_F(ProxyTest, TwoUsersOverPipes) {
