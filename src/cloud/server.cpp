@@ -1,6 +1,8 @@
 #include "cloud/server.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
 
 #include "common/fsio.h"
@@ -23,50 +25,55 @@ CloudServer::CloudServer(Options opts) : opts_(opts) {
 
 Status CloudServer::outsource(std::uint64_t file_id, core::ModulationTree tree,
                               std::vector<FileStore::IngestItem> items) {
-  if (files_.count(file_id) != 0) {
+  const auto exists = [] {
     return Status(Errc::kInvalidArgument, "server: file id already exists");
+  };
+  {
+    std::shared_lock<WriterPreferringMutex> map(files_mu_);
+    if (files_.count(file_id) != 0) {
+      return exists();
+    }
   }
-  auto store = std::make_unique<FileStore>(tree.alg(), opts_.track_duplicates,
-                                           opts_.enable_integrity,
-                                           pool_.get());
-  if (auto st = store->ingest(std::move(tree), std::move(items)); !st) {
+  // Ingest (hashing every item) runs before the map is locked, so reads of
+  // other files keep going meanwhile.
+  FileStore store(tree.alg(), opts_.track_duplicates, opts_.enable_integrity,
+                  pool_.get());
+  if (auto st = store.ingest(std::move(tree), std::move(items)); !st) {
     return st;
   }
-  files_.emplace(file_id, std::move(store));
+  auto file = std::make_unique<StoredFile>(std::move(store));
+  std::unique_lock<WriterPreferringMutex> map(files_mu_);
+  if (!files_.emplace(file_id, std::move(file)).second) {
+    return exists();
+  }
   dropped_.erase(file_id);  // a delta carries the new file whole
   return Status::ok();
 }
 
-Result<const FileStore*> CloudServer::get_file(std::uint64_t file_id) const {
+Result<CloudServer::LockedFile> CloudServer::lock_file(
+    std::uint64_t file_id) const {
+  std::shared_lock<WriterPreferringMutex> map(files_mu_);
   const auto it = files_.find(file_id);
   if (it == files_.end()) {
     return Error(Errc::kNotFound, "server: no such file");
   }
-  return static_cast<const FileStore*>(it->second.get());
-}
-
-Result<FileStore*> CloudServer::get_file(std::uint64_t file_id) {
-  const auto it = files_.find(file_id);
-  if (it == files_.end()) {
-    return Error(Errc::kNotFound, "server: no such file");
-  }
-  return it->second.get();
+  return LockedFile(std::move(map), *it->second);
 }
 
 const FileStore* CloudServer::file(std::uint64_t file_id) const {
   const auto it = files_.find(file_id);
-  return it == files_.end() ? nullptr : it->second.get();
+  return it == files_.end() ? nullptr : &it->second->store;
 }
 
 FileStore* CloudServer::mutable_file(std::uint64_t file_id) {
   const auto it = files_.find(file_id);
-  return it == files_.end() ? nullptr : it->second.get();
+  return it == files_.end() ? nullptr : &it->second->store;
 }
 
 std::vector<std::uint64_t> CloudServer::file_ids() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(files_.size());
-  for (const auto& [id, store] : files_) {
+  for (const auto& [id, file] : files_) {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
@@ -75,7 +82,7 @@ std::vector<std::uint64_t> CloudServer::file_ids() const {
 
 Result<core::AccessInfo> CloudServer::access(std::uint64_t file_id,
                                              const proto::ItemRef& ref) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   auto slot = file.value()->resolve(ref);
   if (!slot) return slot.error();
@@ -88,14 +95,14 @@ Result<core::AccessInfo> CloudServer::access(std::uint64_t file_id,
 
 Status CloudServer::modify(std::uint64_t file_id, std::uint64_t item_id,
                            Bytes ct, std::uint64_t plain_size) {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.status();
   return file.value()->modify(item_id, std::move(ct), plain_size);
 }
 
 Result<core::DeleteInfo> CloudServer::delete_begin(
     std::uint64_t file_id, const proto::ItemRef& ref) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   auto slot = file.value()->resolve(ref);
   if (!slot) return slot.error();
@@ -108,14 +115,14 @@ Result<core::DeleteInfo> CloudServer::delete_begin(
 
 Status CloudServer::delete_commit(std::uint64_t file_id,
                                   const core::DeleteCommit& c) {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.status();
   return file.value()->delete_commit(c);
 }
 
 Result<core::DeleteManyInfo> CloudServer::delete_many_begin(
     std::uint64_t file_id, const std::vector<proto::ItemRef>& refs) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   std::vector<std::uint32_t> slots;
   slots.reserve(refs.size());
@@ -133,14 +140,14 @@ Result<core::DeleteManyInfo> CloudServer::delete_many_begin(
 
 Status CloudServer::delete_many_commit(std::uint64_t file_id,
                                        const core::DeleteManyCommit& c) {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.status();
   return file.value()->delete_many_commit(c);
 }
 
 Result<core::InsertInfo> CloudServer::insert_begin(
     std::uint64_t file_id) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   core::InsertInfo info = file.value()->insert_begin();
   if (tamper_insert_info) {
@@ -151,20 +158,20 @@ Result<core::InsertInfo> CloudServer::insert_begin(
 
 Status CloudServer::insert_commit(std::uint64_t file_id,
                                   const core::InsertCommit& c) {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.status();
   return file.value()->insert_commit(c);
 }
 
 Result<Bytes> CloudServer::fetch_tree(std::uint64_t file_id) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   return file.value()->serialized_tree();
 }
 
 Result<proto::AuditResp> CloudServer::audit(std::uint64_t file_id,
                                             const proto::AuditReq& req) const {
-  auto file = get_file(file_id);
+  auto file = lock_file(file_id);
   if (!file) return file.error();
   const FileStore& store = *file.value();
   if (!store.integrity_enabled()) {
@@ -195,20 +202,30 @@ Result<proto::AuditResp> CloudServer::audit(std::uint64_t file_id,
 }
 
 Status CloudServer::drop_file(std::uint64_t file_id) {
-  if (files_.erase(file_id) == 0) {
+  // Waits out every request holding the map shared, so none still uses
+  // the file; it is freed after the map is unlocked.
+  std::unique_ptr<StoredFile> dropped;
+  std::unique_lock<WriterPreferringMutex> map(files_mu_);
+  const auto it = files_.find(file_id);
+  if (it == files_.end()) {
     return Status(Errc::kNotFound, "server: no such file");
   }
+  dropped = std::move(it->second);
+  files_.erase(it);
   dropped_.insert(file_id);
+  map.unlock();
   return Status::ok();
 }
 
 void CloudServer::kv_put(std::uint64_t table, std::uint64_t key, Bytes value) {
+  std::lock_guard<std::mutex> lock(tables_mu_);
   tables_[table][key] = std::move(value);
   tables_changed_ = true;
 }
 
 Result<Bytes> CloudServer::kv_get(std::uint64_t table,
                                   std::uint64_t key) const {
+  std::lock_guard<std::mutex> lock(tables_mu_);
   const auto t = tables_.find(table);
   if (t == tables_.end()) {
     return Error(Errc::kNotFound, "server: no such table");
@@ -221,6 +238,7 @@ Result<Bytes> CloudServer::kv_get(std::uint64_t table,
 }
 
 Status CloudServer::kv_delete(std::uint64_t table, std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(tables_mu_);
   const auto t = tables_.find(table);
   if (t == tables_.end() || t->second.erase(key) == 0) {
     return Status(Errc::kNotFound, "server: no such key");
@@ -230,6 +248,7 @@ Status CloudServer::kv_delete(std::uint64_t table, std::uint64_t key) {
 }
 
 std::size_t CloudServer::kv_size(std::uint64_t table) const {
+  std::lock_guard<std::mutex> lock(tables_mu_);
   const auto t = tables_.find(table);
   return t == tables_.end() ? 0 : t->second.size();
 }
@@ -251,7 +270,7 @@ void CloudServer::save(proto::Writer& w) const {
   w.u64(ids.size());
   for (std::uint64_t id : ids) {
     w.u64(id);
-    files_.at(id)->serialize(w);
+    files_.at(id)->store.serialize(w);
   }
   save_tables(w);
 }
@@ -295,7 +314,7 @@ Result<std::unique_ptr<CloudServer>> CloudServer::load(proto::Reader& r,
       return store.error();
     }
     server.files_.emplace(
-        id, std::make_unique<FileStore>(std::move(store).value()));
+        id, std::make_unique<StoredFile>(std::move(store).value()));
   }
   if (auto st = server.load_tables(r); !st) {
     return st.error();
@@ -329,8 +348,8 @@ Status CloudServer::load_tables(proto::Reader& r) {
 }
 
 void CloudServer::mark_clean() {
-  for (auto& [id, store] : files_) {
-    store->mark_clean();
+  for (auto& [id, file] : files_) {
+    file->store.mark_clean();
   }
   dropped_.clear();
   tables_changed_ = false;
@@ -338,9 +357,9 @@ void CloudServer::mark_clean() {
 
 std::uint64_t CloudServer::pending_delta_size() const {
   std::uint64_t n = 8 * dropped_.size();
-  for (const auto& [id, store] : files_) {
-    if (store->changed()) {
-      n += DeltaImage::kFileEntryBytes + store->delta_size();
+  for (const auto& [id, file] : files_) {
+    if (file->store.changed()) {
+      n += DeltaImage::kFileEntryBytes + file->store.delta_size();
     }
   }
   if (tables_changed_) {
@@ -360,7 +379,8 @@ void CloudServer::fold_changes(DeltaImage& delta) {
     delta.files_.erase(id);
     delta.dropped_.insert(id);
   }
-  for (const auto& [id, store] : files_) {
+  for (const auto& [id, file] : files_) {
+    FileStore* store = &file->store;
     if (!store->changed()) {
       continue;
     }
@@ -461,7 +481,7 @@ Status CloudServer::apply_delta(proto::Reader& r) {
       if (!store) {
         return store.status();
       }
-      files_[id] = std::make_unique<FileStore>(std::move(store).value());
+      files_[id] = std::make_unique<StoredFile>(std::move(store).value());
     }
     FileStore* store = mutable_file(id);
     const std::uint64_t n_items = r.u64();
@@ -552,6 +572,35 @@ void audit_rpc(const char* op, std::uint64_t file_id, std::uint64_t item,
   obs::AuditLog::instance().record(e, outcome);
 }
 
+/// fgad_server_rpc_<type>_total. The registry finds a counter by name under
+/// its one mutex, which every request would share, so each type's counter
+/// is looked up once and kept in a slot per type value.
+obs::Counter& rpc_type_counter(MsgType t) {
+  constexpr std::size_t kSlots = [] {
+    std::size_t max = 0;
+#define FGAD_MAX_TYPE(e, value, name, traits) \
+  max = std::max<std::size_t>(max, value);
+    FGAD_MSG_TYPES(FGAD_MAX_TYPE)
+#undef FGAD_MAX_TYPE
+    return max + 1;
+  }();
+  static std::array<std::atomic<obs::Counter*>, kSlots> slots{};
+  const auto lookup = [t] {
+    return &obs::Registry::instance().counter(
+        std::string("fgad_server_rpc_") + proto::msg_type_name(t) + "_total");
+  };
+  const auto v = static_cast<std::size_t>(t);
+  if (v >= kSlots) {
+    return *lookup();  // an unassigned value: "unknown"
+  }
+  obs::Counter* c = slots[v].load(std::memory_order_acquire);
+  if (c == nullptr) {
+    c = lookup();
+    slots[v].store(c, std::memory_order_release);
+  }
+  return *c;
+}
+
 /// Non-zero CostLedger buckets as wire timing entries (kind = CostKind
 /// ordinal), the payload of a kTaggedEnvelopeV2 response trailer.
 std::vector<proto::TimingEntry> timings_of(
@@ -596,37 +645,34 @@ Bytes CloudServer::handle(BytesView request) {
   obs::FlightRecorder::instance().record(obs::FrEvent::kRpcStart, rid,
                                          type_ord);
   Bytes resp;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tag) {
-      obs::RequestScope scope(rid);
-      // With --trace-capture on, collect this handler's span tree and
-      // park it in the TraceStore under the client's rid, where
-      // GET /trace.json?rid=... can fetch it for Perfetto. When an outer
-      // layer (DurableServer) already opened a capture for this rid —
-      // so its WAL/fsync spans share the timeline — this layer only
-      // contributes spans and leaves ownership (put + stop) to it. A V2
-      // tag carries the client's RPC span id; depth-0 spans here parent
-      // under it so the stitched document forms one tree.
-      const bool own_trace = rid != 0 &&
-                             obs::TraceStore::instance().capture_enabled() &&
-                             !obs::trace_active();
-      if (own_trace) {
-        obs::trace_begin(rid, tag->span_id);
-      }
-      {
-        obs::Span rpc_span(inner_type ? proto::msg_type_name(*inner_type)
-                                      : "decode-error");
-        obs::ScopedCost apply_cost(obs::CostKind::kApply);
-        resp = handle_locked(inner);
-      }
-      if (own_trace) {
-        obs::TraceStore::instance().put(rid, obs::trace_render_chrome_json());
-        obs::trace_stop();
-      }
-    } else {
-      resp = handle_locked(inner);
+  if (tag) {
+    obs::RequestScope scope(rid);
+    // With --trace-capture on, collect this handler's span tree and
+    // park it in the TraceStore under the client's rid, where
+    // GET /trace.json?rid=... can fetch it for Perfetto. When an outer
+    // layer (DurableServer) already opened a capture for this rid —
+    // so its WAL/fsync spans share the timeline — this layer only
+    // contributes spans and leaves ownership (put + stop) to it. A V2
+    // tag carries the client's RPC span id; depth-0 spans here parent
+    // under it so the stitched document forms one tree.
+    const bool own_trace = rid != 0 &&
+                           obs::TraceStore::instance().capture_enabled() &&
+                           !obs::trace_active();
+    if (own_trace) {
+      obs::trace_begin(rid, tag->span_id);
     }
+    {
+      obs::Span rpc_span(inner_type ? proto::msg_type_name(*inner_type)
+                                    : "decode-error");
+      obs::ScopedCost apply_cost(obs::CostKind::kApply);
+      resp = dispatch(inner);
+    }
+    if (own_trace) {
+      obs::TraceStore::instance().put(rid, obs::trace_render_chrome_json());
+      obs::trace_stop();
+    }
+  } else {
+    resp = dispatch(inner);
   }
   if (proto::peek_type(resp) == proto::MsgType::kError) {
     errors.inc();
@@ -653,7 +699,7 @@ Bytes CloudServer::handle(BytesView request) {
                                resp);
 }
 
-Bytes CloudServer::handle_locked(BytesView request) {
+Bytes CloudServer::dispatch(BytesView request) {
   auto env = proto::open_message(request);
   if (!env) {
     static obs::Counter& decode_errors = obs::Registry::instance().counter(
@@ -661,10 +707,7 @@ Bytes CloudServer::handle_locked(BytesView request) {
     decode_errors.inc();
     return error_frame(env.error());
   }
-  obs::Registry::instance()
-      .counter(std::string("fgad_server_rpc_") +
-               proto::msg_type_name(env.value().type) + "_total")
-      .inc();
+  rpc_type_counter(env.value().type).inc();
   proto::Reader r(env.value().payload);
 
   switch (env.value().type) {
@@ -825,7 +868,7 @@ Bytes CloudServer::handle_locked(BytesView request) {
     case MsgType::kFetchItemsReq: {
       auto req = proto::FetchItemsReq::from(r);
       if (!req) return decode_error_frame(env.value().type, req.error());
-      auto file = get_file(req.value().file_id);
+      auto file = lock_file(req.value().file_id);
       if (!file) return error_frame(file.error());
       const ItemStore& items = file.value()->items();
       proto::FetchItemsResp resp;
@@ -850,7 +893,7 @@ Bytes CloudServer::handle_locked(BytesView request) {
     case MsgType::kListItemsReq: {
       auto req = proto::ListItemsReq::from(r);
       if (!req) return decode_error_frame(env.value().type, req.error());
-      auto file = get_file(req.value().file_id);
+      auto file = lock_file(req.value().file_id);
       if (!file) return error_frame(file.error());
       proto::ListItemsResp resp;
       resp.ids = file.value()->items().ids_in_order();
@@ -868,7 +911,7 @@ Bytes CloudServer::handle_locked(BytesView request) {
     case MsgType::kStatReq: {
       auto req = proto::StatReq::from(r);
       if (!req) return decode_error_frame(env.value().type, req.error());
-      auto file = get_file(req.value().file_id);
+      auto file = lock_file(req.value().file_id);
       if (!file) return error_frame(file.error());
       proto::StatResp resp;
       resp.n_items = file.value()->item_count();
@@ -921,6 +964,7 @@ Bytes CloudServer::handle_locked(BytesView request) {
       auto req = proto::KvGetRangeReq::from(r);
       if (!req) return decode_error_frame(env.value().type, req.error());
       proto::KvGetRangeResp resp;
+      std::lock_guard<std::mutex> lock(tables_mu_);
       const auto t = tables_.find(req.value().table);
       if (t != tables_.end()) {
         auto it = t->second.lower_bound(req.value().start_key);

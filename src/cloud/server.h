@@ -10,6 +10,13 @@
 // control, so the server exposes tamper hooks that mutate outgoing
 // responses — tests use them to verify the client rejects wrong-leaf MT(k'),
 // cloned paths, and corrupted ciphertexts (Theorem 2, case ii).
+//
+// Locking (DESIGN.md §15): the file map has a reader-writer lock, each
+// stored file a mutex of its own, and the blob tables one more. Only
+// outsource and drop_file take the map lock exclusively; every other file
+// request takes it shared and then locks the one file it names, so requests
+// on different files run in parallel. The order is map lock, then file
+// lock; DurableServer's mutex, when there is one, comes before both.
 #pragma once
 
 #include <functional>
@@ -18,9 +25,11 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "cloud/file_store.h"
+#include "common/shared_mutex.h"
 #include "common/thread_pool.h"
 #include "proto/messages.h"
 
@@ -72,6 +81,11 @@ class CloudServer {
   explicit CloudServer(Options opts);
 
   // ---- native file API ---------------------------------------------------
+  //
+  // Thread-safe, like the blob tables below: each call locks what it
+  // touches. The tamper hooks run with the file locked. has_file, file,
+  // mutable_file, file_ids and the persistence and delta calls take no
+  // lock; their callers keep mutations out (DurableServer holds its mutex).
 
   /// Installs an outsourced file (tree + sealed items).
   Status outsource(std::uint64_t file_id, core::ModulationTree tree,
@@ -147,10 +161,8 @@ class CloudServer {
   // ---- wire dispatcher -----------------------------------------------------
 
   /// Handles one framed request and produces the framed response.
-  /// Thread-safe: the TCP server runs one thread per connection, so the
-  /// dispatcher serializes request handling behind a coarse mutex (the
-  /// native API is not synchronized — in-process embedders own their
-  /// threading).
+  /// Thread-safe: the reactor calls it from every io worker at once, and
+  /// requests on different files do not wait for each other.
   Bytes handle(BytesView request);
 
   // ---- adversarial hooks ---------------------------------------------------
@@ -161,24 +173,50 @@ class CloudServer {
   std::function<void(core::InsertInfo&)> tamper_insert_info;
 
  private:
-  Result<const FileStore*> get_file(std::uint64_t file_id) const;
-  Result<FileStore*> get_file(std::uint64_t file_id);
-  Bytes handle_locked(BytesView request);
+  /// A stored file and the mutex that orders the requests naming it. The
+  /// map owns it through a pointer, so drop_file can unlink it under the
+  /// map lock and free it after.
+  struct StoredFile {
+    explicit StoredFile(FileStore s) : store(std::move(s)) {}
+    FileStore store;
+    std::mutex mu;
+  };
+
+  /// A stored file held for one request: the map lock shared, so the file
+  /// cannot be dropped meanwhile, and the file's own mutex.
+  class LockedFile {
+   public:
+    FileStore* operator->() const { return &file_->store; }
+    FileStore& operator*() const { return file_->store; }
+
+   private:
+    friend class CloudServer;
+    LockedFile(std::shared_lock<WriterPreferringMutex> map, StoredFile& file)
+        : map_(std::move(map)), lock_(file.mu), file_(&file) {}
+    std::shared_lock<WriterPreferringMutex> map_;
+    std::unique_lock<std::mutex> lock_;
+    StoredFile* file_;
+  };
+
+  /// Locks `file_id` for one request; kNotFound when no such file exists.
+  Result<LockedFile> lock_file(std::uint64_t file_id) const;
+  Bytes dispatch(BytesView request);
   void save_tables(proto::Writer& w) const;
   Status load_tables(proto::Reader& r);
 
-  mutable std::mutex mu_;
-
   Options opts_ = {};
   std::unique_ptr<ThreadPool> pool_;  // null when opts_.threads resolves to 1
-  std::unordered_map<std::uint64_t, std::unique_ptr<FileStore>> files_;
+
+  mutable WriterPreferringMutex files_mu_;  // guards the map, not the files
+  std::unordered_map<std::uint64_t, std::unique_ptr<StoredFile>> files_;
+  // Since mark_clean() or the last fold_changes(): files dropped (and not
+  // re-created). A new server counts everything as changed.
+  std::set<std::uint64_t> dropped_;
+
+  mutable std::mutex tables_mu_;
   // Ordered by key so range fetches stream the file in order.
   std::unordered_map<std::uint64_t, std::map<std::uint64_t, Bytes>> tables_;
-  // Since mark_clean() or the last fold_changes(): files dropped (and not
-  // re-created), and whether any blob table changed. A new server counts
-  // everything as changed.
-  std::set<std::uint64_t> dropped_;
-  bool tables_changed_ = true;
+  bool tables_changed_ = true;  // since mark_clean() or fold_changes()
 };
 
 }  // namespace fgad::cloud

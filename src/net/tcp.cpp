@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -95,10 +96,14 @@ Status map_io_errno(const char* what) {
                 std::string("tcp: ") + what + ": " + std::strerror(errno));
 }
 
-Status write_all(int fd, const std::uint8_t* data, std::size_t n,
-                 const Deadline& dl) {
+/// Sends every byte of `iov[0, n)` with sendmsg(2), one call when the
+/// socket buffer has room for all of it.
+Status write_all(int fd, iovec* iov, std::size_t n, const Deadline& dl) {
   while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) {
         continue;
@@ -111,32 +116,16 @@ Status write_all(int fd, const std::uint8_t* data, std::size_t n,
       }
       return map_io_errno("send");
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return Status::ok();
-}
-
-Status read_all(int fd, std::uint8_t* data, std::size_t n, const Deadline& dl) {
-  while (n > 0) {
-    const ssize_t r = ::recv(fd, data, n, 0);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (auto st = poll_ready(fd, POLLIN, dl); !st) {
-          return st;
-        }
-        continue;
-      }
-      return map_io_errno("recv");
+    auto left = static_cast<std::size_t>(w);
+    while (n > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --n;
     }
-    if (r == 0) {
-      return Status(Errc::kConnReset, "tcp: peer closed the connection");
+    if (n > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
     }
-    data += r;
-    n -= static_cast<std::size_t>(r);
   }
   return Status::ok();
 }
@@ -145,6 +134,14 @@ void put_frame_header(Bytes& out, std::uint32_t len) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
   }
+}
+
+std::uint32_t frame_len(const std::uint8_t* hdr) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
+  }
+  return len;
 }
 
 obs::Counter& frames_out_counter() {
@@ -234,6 +231,126 @@ void count_read_failure(const Status& st) {
   }
 }
 
+// ---- client frame reader ---------------------------------------------------
+
+/// What a TcpChannel returns once a failed exchange closed its socket.
+Error closed_channel_error() {
+  return Error(Errc::kConnReset,
+               "tcp: connection closed after a failed exchange");
+}
+
+/// Receives the responses to `want` requests from a non-blocking socket;
+/// the one reader behind TcpChannel::roundtrip and roundtrip_batch. A
+/// recv(2) takes up to 64 KiB into a scratch buffer, so a small response
+/// arrives header and payload in one call; once a large frame's header is
+/// in, the rest of its payload is received straight into the frame.
+class FrameReader {
+ public:
+  explicit FrameReader(std::size_t want) : want_(want) {
+    frames_.reserve(want);
+  }
+
+  bool done() const { return frames_.size() == want_; }
+  std::vector<Bytes>& frames() { return frames_; }
+
+  /// Receives what the socket holds, up to the last frame wanted. Returns
+  /// on a short read or EAGAIN (the caller polls for more), with
+  /// `progress` set if any byte arrived. kConnReset when the peer closed,
+  /// kDecodeError for a frame over kMaxFrameSize or bytes past the last
+  /// frame wanted.
+  Status receive(int fd, bool& progress) {
+    while (!done()) {
+      const bool direct = hdr_got_ == 4 && frame_.size() - got_ >= kScratch;
+      std::uint8_t* dst = direct ? frame_.data() + got_ : scratch_;
+      const std::size_t cap = direct ? frame_.size() - got_ : kScratch;
+      const ssize_t n = ::recv(fd, dst, cap, 0);
+      if (n > 0) {
+        progress = true;
+        const auto got = static_cast<std::size_t>(n);
+        if (direct) {
+          got_ += got;
+          if (got_ == frame_.size()) {
+            finish_frame();
+          }
+        } else if (auto st = consume(scratch_, got); !st) {
+          return st;
+        }
+        if (got < cap) {
+          break;  // the socket is drained for now
+        }
+        continue;
+      }
+      if (n == 0) {
+        return Status(Errc::kConnReset, "tcp: peer closed the connection");
+      }
+      if (errno == EINTR) {
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        break;
+      }
+      return map_io_errno("recv");
+    }
+    return Status::ok();
+  }
+
+ private:
+  static constexpr std::size_t kScratch = 65536;
+
+  Status consume(const std::uint8_t* p, std::size_t n) {
+    while (n > 0) {
+      if (done()) {
+        // The server wrote more than we asked for: protocol breach.
+        return Status(Errc::kDecodeError,
+                      "tcp: unexpected trailing response data");
+      }
+      if (hdr_got_ < 4) {
+        const std::size_t k = std::min(n, 4 - hdr_got_);
+        std::memcpy(hdr_ + hdr_got_, p, k);
+        hdr_got_ += k;
+        p += k;
+        n -= k;
+        if (hdr_got_ < 4) {
+          break;
+        }
+        const std::uint32_t len = frame_len(hdr_);
+        if (len > kMaxFrameSize) {
+          return Status(Errc::kDecodeError, "tcp: frame too large");
+        }
+        frame_ = Bytes(len);
+      }
+      const std::size_t k = std::min(n, frame_.size() - got_);
+      if (k > 0) {  // an empty frame has no buffer to copy into
+        std::memcpy(frame_.data() + got_, p, k);
+      }
+      got_ += k;
+      p += k;
+      n -= k;
+      if (got_ == frame_.size()) {
+        finish_frame();
+      }
+    }
+    return Status::ok();
+  }
+
+  void finish_frame() {
+    frames_in_counter().inc();
+    bytes_in_counter().inc(frame_.size() + 4);
+    frames_.push_back(std::move(frame_));
+    frame_ = Bytes();
+    hdr_got_ = 0;
+    got_ = 0;
+  }
+
+  std::size_t want_;
+  std::vector<Bytes> frames_;
+  std::uint8_t hdr_[4] = {};
+  std::size_t hdr_got_ = 0;
+  Bytes frame_;          // payload being received, sized once its header is in
+  std::size_t got_ = 0;  // payload bytes of frame_ received so far
+  std::uint8_t scratch_[kScratch];
+};
+
 // ---- readiness multiplexer -------------------------------------------------
 
 /// Thin epoll wrapper. Each registered fd carries an opaque `ud` pointer
@@ -309,9 +426,9 @@ class Poller {
 // ---- framed I/O ------------------------------------------------------------
 
 Status write_frame(int fd, BytesView payload, int timeout_ms) {
-  // Symmetric with the receive-side check below: refuse to put an
-  // unreadable frame on the wire. This also catches payloads over 4 GiB,
-  // which the u32 header would otherwise silently truncate.
+  // Symmetric with the receive-side check: refuse to put an unreadable
+  // frame on the wire. This also catches payloads over 4 GiB, which the
+  // u32 header would otherwise silently truncate.
   if (payload.size() > kMaxFrameSize) {
     return Status(Errc::kDecodeError, "tcp: frame too large");
   }
@@ -323,39 +440,11 @@ Status write_frame(int fd, BytesView payload, int timeout_ms) {
   for (int i = 0; i < 4; ++i) {
     hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  if (auto st = write_all(fd, hdr, sizeof(hdr), dl); !st) {
-    return st;
-  }
-  if (payload.empty()) {
-    return Status::ok();
-  }
-  return write_all(fd, payload.data(), payload.size(), dl);
-}
-
-Result<Bytes> read_frame(int fd, int timeout_ms) {
-  const Deadline dl(timeout_ms);
-  std::uint8_t hdr[4];
-  if (auto st = read_all(fd, hdr, sizeof(hdr), dl); !st) {
-    count_read_failure(st);
-    return st.error();
-  }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
-  }
-  if (len > kMaxFrameSize) {
-    return Error(Errc::kDecodeError, "tcp: frame too large");
-  }
-  Bytes payload(len);
-  if (len > 0) {
-    if (auto st = read_all(fd, payload.data(), len, dl); !st) {
-      count_read_failure(st);
-      return st.error();
-    }
-  }
-  frames_in_counter().inc();
-  bytes_in_counter().inc(payload.size() + 4);
-  return payload;
+  // One sendmsg for header and payload: under TCP_NODELAY two sends would
+  // leave as two segments and could wake the peer twice.
+  iovec iov[2] = {{hdr, sizeof(hdr)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  return write_all(fd, iov, 2, dl);
 }
 
 // ---- TcpChannel ------------------------------------------------------------
@@ -415,28 +504,51 @@ TcpChannel::~TcpChannel() {
 }
 
 Result<Bytes> TcpChannel::roundtrip(BytesView request) {
+  if (fd_ < 0) {
+    return closed_channel_error();
+  }
+  if (request.size() > kMaxFrameSize) {
+    return Error(Errc::kDecodeError, "tcp: frame too large");  // nothing sent
+  }
   if (auto st = write_frame(fd_, request, opts_.io_timeout_ms); !st) {
+    close_after_failure();
     return st.error();
   }
-  return read_frame(fd_, opts_.io_timeout_ms);
+  const Deadline dl(opts_.io_timeout_ms);
+  FrameReader reader(1);
+  while (!reader.done()) {
+    bool progress = false;
+    Status st = poll_ready(fd_, POLLIN, dl);
+    if (st) {
+      st = reader.receive(fd_, progress);
+    }
+    if (!st) {
+      count_read_failure(st);
+      close_after_failure();
+      return st.error();
+    }
+  }
+  return std::move(reader.frames().front());
 }
 
 Result<std::vector<Bytes>> TcpChannel::roundtrip_batch(
     const std::vector<Bytes>& requests) {
-  std::vector<Bytes> responses;
   if (requests.empty()) {
-    return responses;
+    return std::vector<Bytes>{};
+  }
+  if (fd_ < 0) {
+    return closed_channel_error();
   }
   std::size_t total = 0;
   for (const Bytes& r : requests) {
     if (r.size() > kMaxFrameSize) {
-      return Error(Errc::kDecodeError, "tcp: frame too large");
+      return Error(Errc::kDecodeError, "tcp: frame too large");  // nothing sent
     }
     total += 4 + r.size();
   }
   // One contiguous outgoing stream; batches are bounded by callers (the
   // client pipelines in pages), so the copy is cheap relative to framing
-  // each request with its own syscall pair.
+  // each request with its own syscall.
   Bytes out;
   out.reserve(total);
   for (const Bytes& r : requests) {
@@ -445,19 +557,17 @@ Result<std::vector<Bytes>> TcpChannel::roundtrip_batch(
     frames_out_counter().inc();
     bytes_out_counter().inc(r.size() + 4);
   }
-  responses.reserve(requests.size());
   std::size_t sent = 0;
-  Bytes in;
-  std::size_t parsed = 0;
+  FrameReader reader(requests.size());
   Deadline dl(opts_.io_timeout_ms);
-  std::uint8_t buf[65536];
-  while (responses.size() < requests.size()) {
+  while (!reader.done()) {
     short events = POLLIN;
     if (sent < out.size()) {
       events = static_cast<short>(events | POLLOUT);
     }
     if (auto st = poll_ready(fd_, events, dl); !st) {
       count_read_failure(st);
+      close_after_failure();
       return st.error();
     }
     bool progress = false;
@@ -475,49 +585,13 @@ Result<std::vector<Bytes>> TcpChannel::roundtrip_batch(
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         break;
       }
+      close_after_failure();
       return map_io_errno("send").error();
     }
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        append(in, BytesView(buf, static_cast<std::size_t>(n)));
-        progress = true;
-      } else if (n == 0) {
-        const Status st(Errc::kConnReset, "tcp: peer closed the connection");
-        count_read_failure(st);
-        return st.error();
-      } else if (errno == EINTR) {
-        continue;
-      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      } else {
-        return map_io_errno("recv").error();
-      }
-      while (responses.size() < requests.size() && in.size() - parsed >= 4) {
-        std::uint32_t len = 0;
-        for (int i = 0; i < 4; ++i) {
-          len |= static_cast<std::uint32_t>(in[parsed + i]) << (8 * i);
-        }
-        if (len > kMaxFrameSize) {
-          return Error(Errc::kDecodeError, "tcp: frame too large");
-        }
-        if (in.size() - parsed - 4 < len) {
-          break;
-        }
-        responses.emplace_back(in.begin() + static_cast<std::ptrdiff_t>(parsed + 4),
-                               in.begin() +
-                                   static_cast<std::ptrdiff_t>(parsed + 4 + len));
-        parsed += 4 + len;
-        frames_in_counter().inc();
-        bytes_in_counter().inc(len + 4);
-      }
-      if (parsed == in.size()) {
-        in.clear();
-        parsed = 0;
-      }
-      if (responses.size() == requests.size()) {
-        break;
-      }
+    if (auto st = reader.receive(fd_, progress); !st) {
+      count_read_failure(st);
+      close_after_failure();
+      return st.error();
     }
     if (progress) {
       // Inactivity deadline: a moving batch is never held to one frame's
@@ -525,11 +599,12 @@ Result<std::vector<Bytes>> TcpChannel::roundtrip_batch(
       dl = Deadline(opts_.io_timeout_ms);
     }
   }
-  if (parsed < in.size()) {
-    // The server wrote more frames than we asked for — protocol breach.
-    return Error(Errc::kDecodeError, "tcp: unexpected trailing response data");
-  }
-  return responses;
+  return std::move(reader.frames());
+}
+
+void TcpChannel::close_after_failure() {
+  ::close(fd_);
+  fd_ = -1;
 }
 
 // ---- TcpServer reactor -----------------------------------------------------
@@ -664,10 +739,7 @@ class TcpServer::IOWorker {
     if (avail < 4) {
       return false;
     }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(c.rbuf[c.roff + i]) << (8 * i);
-    }
+    const std::uint32_t len = frame_len(c.rbuf.data() + c.roff);
     return len <= kMaxFrameSize && avail - 4 >= len;
   }
 
@@ -876,12 +948,9 @@ class TcpServer::IOWorker {
       if (avail < 4) {
         break;
       }
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(c->rbuf[c->roff + i]) << (8 * i);
-      }
+      const std::uint32_t len = frame_len(c->rbuf.data() + c->roff);
       if (len > kMaxFrameSize) {
-        close_conn(c);  // same contract as read_frame: drop the peer
+        close_conn(c);  // an unreadable frame: drop the peer
         return;
       }
       if (avail - 4 < len) {
@@ -918,6 +987,11 @@ class TcpServer::IOWorker {
         append(c->rbuf, BytesView(buf, static_cast<std::size_t>(n)));
         c->last_activity = Clock::now();
         parse_frames(c);
+        if (static_cast<std::size_t>(n) < sizeof(buf)) {
+          // Drained for now. epoll is level-triggered, so anything that
+          // arrives later reports the fd again: no recv to see EAGAIN.
+          break;
+        }
         continue;
       }
       if (n == 0) {
@@ -1029,7 +1103,12 @@ class TcpServer::IOWorker {
     for (;;) {
       poller_.wait(evs, next_timeout_ms());
       reactor_loops_counter().inc();
-      drain_wake();
+      // Before the queues are swapped below, so a wake written after the
+      // swap stays pending for the next pass.
+      if (std::any_of(evs.begin(), evs.end(),
+                      [](const Poller::Ev& ev) { return ev.ud == nullptr; })) {
+        drain_wake();
+      }
       bool stop = false;
       std::vector<int> incoming;
       std::vector<Completion> comps;

@@ -45,17 +45,19 @@ inline constexpr std::uint32_t kMaxFrameSize = 1u << 30;  // 1 GiB sanity cap
 /// `kNoTimeout` (-1) meaning "block indefinitely".
 inline constexpr int kNoTimeout = -1;
 
-/// Writes one framed message to `fd` within `timeout_ms`. Rejects payloads
+/// Writes one framed message to `fd` within `timeout_ms`, header and
+/// payload in one sendmsg(2) when the socket has room. Rejects payloads
 /// over kMaxFrameSize (which also covers >4 GiB payloads that would
 /// silently truncate through the u32 header) with the same kDecodeError
 /// the receive side produces for an oversized frame.
 Status write_frame(int fd, BytesView payload, int timeout_ms = kNoTimeout);
 
-/// Reads one framed message from `fd` within `timeout_ms`. kTimeout when
-/// the deadline expires, kConnReset when the peer closes/resets.
-Result<Bytes> read_frame(int fd, int timeout_ms = kNoTimeout);
-
-/// Client-side TCP connection.
+/// Client-side TCP connection. A failed exchange (timeout, reset, an
+/// oversized or surplus response frame) closes the socket, since a late
+/// response would otherwise answer the next request; every later call
+/// returns kConnReset, on which RetryChannel, FailoverChannel and the
+/// Replicator redial. A request rejected as too large before anything was
+/// sent leaves the connection open.
 class TcpChannel final : public RpcChannel {
  public:
   struct Options {
@@ -88,7 +90,9 @@ class TcpChannel final : public RpcChannel {
 
  private:
   TcpChannel(int fd, Options opts) : fd_(fd), opts_(opts) {}
-  int fd_;
+  void close_after_failure();
+
+  int fd_;  // -1 once a failed exchange closed it
   Options opts_;
 };
 

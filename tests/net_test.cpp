@@ -7,6 +7,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -208,6 +209,16 @@ TEST(TcpHardening, RoundtripTimesOutOnSlowHandler) {
   ASSERT_FALSE(resp.is_ok());
   EXPECT_EQ(resp.error().code, Errc::kTimeout);
   EXPECT_LT(sw.elapsed_seconds(), 5.0);
+  // The late response to "slow" arrives meanwhile. It must not answer the
+  // next request: the failed exchange closed the socket, so every later
+  // call fails with kConnReset, on which the retry layers redial.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  auto second = ch.value()->roundtrip(to_bytes("second"));
+  ASSERT_FALSE(second.is_ok()) << "answered with " << to_string(second.value());
+  EXPECT_EQ(second.error().code, Errc::kConnReset);
+  auto batch = ch.value()->roundtrip_batch({to_bytes("third")});
+  ASSERT_FALSE(batch.is_ok());
+  EXPECT_EQ(batch.error().code, Errc::kConnReset);
 }
 
 TEST(TcpHardening, ConnectDeadlineIsBounded) {
@@ -650,6 +661,116 @@ TEST(TcpPipelining, MidPipelineStallTimesOutTheBatch) {
   ASSERT_FALSE(resps.is_ok());
   EXPECT_EQ(resps.error().code, Errc::kTimeout);
   EXPECT_LT(sw.elapsed_seconds(), 5.0);
+}
+
+// ---- fragmented frames -------------------------------------------------------
+
+void send_all(int fd, const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (w <= 0) return;
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+}
+
+TEST(Tcp, RequestFrameSentOneByteAtATime) {
+  // The reactor ends a read pass on a short recv and relies on
+  // level-triggered epoll to report what arrives later. A frame trickling
+  // in one byte per segment must still be answered exactly once, and so
+  // must a frame larger than one read that arrives all at once.
+  auto server = TcpServer::create(0, echo_upper);
+  ASSERT_TRUE(server.is_ok());
+  const int fd = raw_connect(server.value()->port());
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  Bytes frame;
+  append_frame(frame, to_bytes("one byte at a time"));
+  for (const std::uint8_t b : frame) {
+    ASSERT_EQ(::send(fd, &b, 1, MSG_NOSIGNAL), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  auto resp = recv_frame(fd);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(to_string(*resp), "ONE BYTE AT A TIME");
+
+  const Bytes big(200000, 'b');
+  Bytes big_frame;
+  append_frame(big_frame, big);
+  send_all(fd, big_frame.data(), big_frame.size());
+  resp = recv_frame(fd);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(*resp, Bytes(big.size(), 'B'));
+  std::uint8_t extra = 0;
+  EXPECT_LT(::recv(fd, &extra, 1, MSG_DONTWAIT), 0);  // nothing else came
+  ::close(fd);
+}
+
+TEST(Tcp, ResponseWrittenInDelayedPieces) {
+  // A hand-written peer answers in pieces with pauses between them: a
+  // header split across writes, a payload larger than the client's 64-KiB
+  // read, and a batch whose second frame starts in the write that ends
+  // the first. The client must reassemble every byte.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  Bytes big(200000);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const auto write_in_pieces = [](int fd, const Bytes& out,
+                                  std::initializer_list<std::size_t> cuts) {
+    std::size_t from = 0;
+    for (const std::size_t to : cuts) {
+      send_all(fd, out.data() + from, to - from);
+      from = to;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    send_all(fd, out.data() + from, out.size() - from);
+  };
+  std::thread peer([&] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval tv{5, 0};  // a failed client must not hang the peer
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    if (recv_frame(fd)) {
+      Bytes out;
+      append_frame(out, big);
+      write_in_pieces(fd, out, {2, 5, 70000});
+    }
+    if (recv_frame(fd) && recv_frame(fd)) {
+      Bytes out;
+      append_frame(out, to_bytes("first"));
+      append_frame(out, to_bytes("second"));
+      write_in_pieces(fd, out, {3, 4 + 5 + 2});
+    }
+    ::close(fd);
+  });
+  auto ch = TcpChannel::connect("127.0.0.1", ntohs(addr.sin_port));
+  Result<Bytes> one = Error(Errc::kIoError, "not connected");
+  Result<std::vector<Bytes>> two = Error(Errc::kIoError, "not connected");
+  if (ch) {
+    one = ch.value()->roundtrip(to_bytes("big"));
+    two = ch.value()->roundtrip_batch({to_bytes("a"), to_bytes("b")});
+  } else {
+    ::shutdown(lfd, SHUT_RDWR);  // wakes the peer's accept
+  }
+  peer.join();
+  ::close(lfd);
+  ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+  EXPECT_EQ(one.value(), big);
+  ASSERT_TRUE(two.is_ok()) << two.status().to_string();
+  ASSERT_EQ(two.value().size(), 2u);
+  EXPECT_EQ(to_string(two.value()[0]), "first");
+  EXPECT_EQ(to_string(two.value()[1]), "second");
 }
 
 TEST(TcpHardening, AcceptBacksOffUnderFdExhaustionAndRecovers) {

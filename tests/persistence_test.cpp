@@ -1366,62 +1366,96 @@ TEST(DurableRecovery, FailedWriteOutIsCountedAndLosesNothing) {
 }
 
 // Reads never take the dispatch lock: they run beside snapshots taken
-// under it and write-outs running off it (a TSan target).
+// under it and write-outs running off it (a TSan target). The writer puts
+// blobs, or mutates a second file (modify, erase, insert) under that
+// file's lock while the reads lock only the first.
 TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
-  DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_ckpt_reads");
-  dopts.checkpoint_every_n = 4;
-  DurableRig rig(dopts);
-  std::vector<Bytes> items;
-  for (int i = 0; i < 16; ++i) items.push_back(payload_for(i));
-  auto fh = rig.client->outsource(1, items);
-  ASSERT_TRUE(fh.is_ok());
-  auto& stalls =
-      obs::Registry::instance().histogram("fgad_checkpoint_stall_ns");
-  const std::uint64_t stalls_before = stalls.count();
+  for (const bool file_writer : {false, true}) {
+    SCOPED_TRACE(file_writer ? "writer mutates file 2" : "writer puts blobs");
+    DurableServer::Options dopts;
+    dopts.dir = fresh_state_dir("durable_ckpt_reads");
+    dopts.checkpoint_every_n = 4;
+    DurableRig rig(dopts);
+    std::vector<Bytes> items;
+    for (int i = 0; i < 16; ++i) items.push_back(payload_for(i));
+    auto fh = rig.client->outsource(1, items);
+    ASSERT_TRUE(fh.is_ok());
+    Client::FileHandle other;
+    std::vector<std::uint64_t> live;
+    if (file_writer) {
+      auto fh2 = rig.client->outsource(2, items);
+      ASSERT_TRUE(fh2.is_ok());
+      other = std::move(fh2).value();
+      live = rig.client->list_items(other).value();
+    }
+    auto& stalls =
+        obs::Registry::instance().histogram("fgad_checkpoint_stall_ns");
+    const std::uint64_t stalls_before = stalls.count();
 
-  std::atomic<bool> stop{false};
-  std::atomic<int> bad_reads{0};
-  std::atomic<int> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&, t] {
-      net::DirectChannel ch(
-          [&rig](BytesView req) { return rig.ds->handle(req); });
-      crypto::DeterministicRandom rnd(100 + t);
-      Client reader(ch, rnd);
-      Client::FileHandle h;
-      h.id = 1;
-      h.key = fh.value().key.clone();
-      for (std::uint64_t i = t; !stop.load(); i = (i + 1) % items.size()) {
-        auto got = reader.access(h, proto::ItemRef::id(i));
-        if (!got.is_ok() || got.value() != items[i]) {
-          bad_reads.fetch_add(1);
+    std::atomic<bool> stop{false};
+    std::atomic<int> bad_reads{0};
+    std::atomic<int> reads{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+      readers.emplace_back([&, t] {
+        net::DirectChannel ch(
+            [&rig](BytesView req) { return rig.ds->handle(req); });
+        crypto::DeterministicRandom rnd(100 + t);
+        Client reader(ch, rnd);
+        Client::FileHandle h;
+        h.id = 1;
+        h.key = fh.value().key.clone();
+        for (std::uint64_t i = t; !stop.load(); i = (i + 1) % items.size()) {
+          auto got = reader.access(h, proto::ItemRef::id(i));
+          if (!got.is_ok() || got.value() != items[i]) {
+            bad_reads.fetch_add(1);
+          }
+          reads.fetch_add(1);
         }
-        reads.fetch_add(1);
+      });
+    }
+    // One mutation each. With file 2's outsource as the 2nd mutation, both
+    // modes make 65, one snapshot per 4.
+    const int kMutations = file_writer ? 63 : 64;
+    for (int k = 0; k < kMutations; ++k) {
+      if (!file_writer) {
+        const Bytes resp = rig.ds->handle(tagged_kv_put(
+            9000 + k, static_cast<std::uint64_t>(k), payload_for(k)));
+        ASSERT_FALSE(is_error_frame(resp)) << k;
+        continue;
       }
-    });
-  }
-  constexpr int kPuts = 64;
-  for (int k = 0; k < kPuts; ++k) {
-    const Bytes resp = rig.ds->handle(
-        tagged_kv_put(9000 + k, static_cast<std::uint64_t>(k), payload_for(k)));
-    ASSERT_FALSE(is_error_frame(resp)) << k;
-  }
-  ASSERT_TRUE(wait_until([&] { return reads.load() >= 64; }));
-  stop = true;
-  for (auto& t : readers) {
-    t.join();
-  }
-  EXPECT_EQ(bad_reads.load(), 0);
-  // 1 outsource + 64 puts at one snapshot per 4 mutations.
-  EXPECT_EQ(stalls.count() - stalls_before, (1u + kPuts) / 4);
+      const std::size_t at = static_cast<std::size_t>(k * 5) % live.size();
+      switch (k % 3) {
+        case 0:
+          ASSERT_TRUE(rig.client->modify(other, live[at], payload_for(300 + k)))
+              << k;
+          break;
+        case 1:
+          ASSERT_TRUE(rig.client->erase_item(other, proto::ItemRef::id(live[at])))
+              << k;
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+        default: {
+          auto id = rig.client->insert(other, payload_for(600 + k));
+          ASSERT_TRUE(id.is_ok()) << k;
+          live.push_back(id.value());
+        }
+      }
+    }
+    ASSERT_TRUE(wait_until([&] { return reads.load() >= 64; }));
+    stop = true;
+    for (auto& t : readers) {
+      t.join();
+    }
+    EXPECT_EQ(bad_reads.load(), 0);
+    EXPECT_EQ(stalls.count() - stalls_before, 65u / 4);
 
-  const Bytes before = image_of(rig.ds->server());
-  auto reopened = rig.restart();
-  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
-  EXPECT_EQ(image_of(reopened.value()->server()), before);
-  EXPECT_TRUE(fsck(reopened.value()->server()));
+    const Bytes before = image_of(rig.ds->server());
+    auto reopened = rig.restart();
+    ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+    EXPECT_EQ(image_of(reopened.value()->server()), before);
+    EXPECT_TRUE(fsck(reopened.value()->server()));
+  }
 }
 
 // ---- delta checkpoints (DESIGN.md §13) -------------------------------------
