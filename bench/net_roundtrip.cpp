@@ -3,11 +3,12 @@
 // Measures the hardened transport itself (DESIGN.md §11), independent of
 // the scheme: echo round-trips across payload sizes (framing + syscall
 // cost), a real protocol operation (access) over TCP, and the overhead the
-// retry layer adds on the happy path (it should be ~zero — one mutex and a
-// predicate check per call). Emits BENCH_net_roundtrip.json.
+// reconnect layer (a one-endpoint FailoverChannel) adds on the happy path
+// (it should be ~zero — one mutex, a predicate check and a not-primary
+// check per call). Emits BENCH_net_roundtrip.json.
 #include <memory>
 
-#include "net/retry.h"
+#include "net/failover.h"
 #include "net/tcp.h"
 #include "proto/messages.h"
 #include "support/bench_util.h"
@@ -68,15 +69,17 @@ int main() {
     lat.emit(row, "echo");
   }
 
-  // Same echo path through RetryChannel: happy-path decoration overhead.
+  // Same echo path through the reconnect layer: happy-path decoration
+  // overhead.
   {
     const std::size_t size = 4096;
-    fgad::net::RetryChannel::Options opts;
+    fgad::net::FailoverChannel::Options opts;
     opts.retryable = [](fgad::BytesView frame) {
       return fgad::proto::retryable_request(frame);
     };
-    fgad::net::RetryChannel ch(
-        fgad::net::tcp_dialer("127.0.0.1", echo_port), opts);
+    fgad::net::FailoverChannel ch(
+        fgad::net::static_endpoints({{"127.0.0.1", echo_port}}),
+        fgad::net::tcp_endpoint_dial(), opts);
     echo_roundtrip_us(ch, size, 5);
     LatencyRecorder lat;
     const double us = echo_roundtrip_us(ch, size, reps, &lat);

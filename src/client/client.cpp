@@ -13,37 +13,12 @@ using core::InsertCommit;
 using crypto::MasterKey;
 using proto::MsgType;
 
-Client::Client(net::RpcChannel& channel, crypto::RandomSource& rnd,
-               Options opts)
-    : channel_(channel),
-      rnd_(rnd),
-      opts_(opts),
-      math_(opts.alg),
-      codec_(opts.alg),
-      outsourcer_(opts.alg, /*track_duplicates=*/false, opts.threads),
-      batch_(opts.alg, core::BatchDeriver::Options{opts.threads}) {}
+namespace {
 
-crypto::Md Client::derive_item_key(const FileHandle& fh,
-                                   const core::AccessInfo& info) {
-  obs::Span span("derive_key");
-  obs::ScopedCost cost(obs::CostKind::kKeyDerive);
-  if (opts_.use_prefix_cache) {
-    return fh.cache.derive_key(math_.chain(), fh.key.value(), info.path,
-                               info.leaf_mod);
-  }
-  return math_.derive_key(fh.key.value(), info.path, info.leaf_mod);
-}
-
-Status Client::check_handle(const FileHandle& fh) const {
-  if (fh.poisoned) {
-    return Status(Errc::kIndeterminate,
-                  "client: handle is poisoned by an indeterminate key "
-                  "rotation; call resync() first");
-  }
-  return Status::ok();
-}
-
-bool Client::commit_outcome_unknown(Errc c) {
+/// True when an error code means a commit may or may not have been
+/// applied server-side (transport died after the frame could have been
+/// sent, or the response was unreadable).
+bool commit_outcome_unknown(Errc c) {
   switch (c) {
     case Errc::kTimeout:
     case Errc::kConnReset:
@@ -56,13 +31,43 @@ bool Client::commit_outcome_unknown(Errc c) {
   }
 }
 
-void Client::poison(FileHandle& fh, MasterKey&& fresh) {
-  static obs::Counter& poisoned =
-      obs::Registry::instance().counter("fgad_client_indeterminate_commits_total");
-  poisoned.inc();
-  fh.poisoned = true;
-  fh.pending_key = std::move(fresh);
-  fh.cache.invalidate();
+/// Draws a fresh master key into `fresh` and plans with it, drawing again
+/// while the plan reports that F(K',M) collides with F(K,M)
+/// (kInvalidArgument): one draw plus up to `max_retries` more.
+template <typename PlanFn>
+auto plan_with_fresh_key(crypto::RandomSource& rnd, std::size_t width,
+                         int max_retries, MasterKey& fresh, PlanFn plan)
+    -> decltype(plan(fresh.value())) {
+  for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    fresh = MasterKey::generate(rnd, width);
+    auto planned = plan(fresh.value());
+    if (planned || planned.error().code != Errc::kInvalidArgument) {
+      return planned;
+    }
+  }
+  return Error(Errc::kDuplicateModulator,
+               "delete: retries exhausted picking a fresh key");
+}
+
+}  // namespace
+
+Client::Client(net::RpcChannel& channel, crypto::RandomSource& rnd,
+               Options opts)
+    : channel_(channel),
+      rnd_(rnd),
+      opts_(opts),
+      math_(opts.alg),
+      codec_(opts.alg),
+      outsourcer_(opts.alg, /*track_duplicates=*/false, opts.threads),
+      batch_(opts.alg, core::BatchDeriver::Options{opts.threads}) {}
+
+Status Client::check_handle(const FileHandle& fh) const {
+  if (fh.poisoned) {
+    return Status(Errc::kIndeterminate,
+                  "client: handle is poisoned by an indeterminate key "
+                  "rotation; call resync() first");
+  }
+  return Status::ok();
 }
 
 Result<Bytes> Client::call(BytesView frame, MsgType expect) {
@@ -232,24 +237,37 @@ Result<Bytes> Client::access(const FileHandle& fh, proto::ItemRef ref) {
   if (!resp) {
     return resp.error();
   }
-  const core::AccessInfo& info = resp.value().info;
-
   CumulativeTimer::Section sec(compute_timer_);
+  auto opened = open_item(fh, resp.value().info);
+  if (!opened) {
+    return opened.error();
+  }
+  return std::move(opened.value().plaintext);
+}
+
+Result<Client::OpenedItem> Client::open_item(const FileHandle& fh,
+                                             const core::AccessInfo& info) {
   if (!info.path.well_formed()) {
     return Error(Errc::kTamperDetected, "access: malformed path");
   }
-  crypto::Md key = derive_item_key(fh, info);
-  auto opened = codec_.open(key, info.ciphertext);
-  if (!opened && opts_.use_prefix_cache) {
+  OpenedItem out;
+  {
+    obs::Span span("derive_key");
+    obs::ScopedCost cost(obs::CostKind::kKeyDerive);
+    out.key = fh.cache.derive_key(math_.chain(), fh.key.value(), info.path,
+                                  info.leaf_mod);
+  }
+  auto opened = codec_.open(out.key, info.ciphertext);
+  if (!opened) {
     // A cached prefix may be stale (poisoned by an earlier tampered
     // response); drop the cache and re-derive from the master key before
     // concluding the server misbehaved.
     fh.cache.invalidate();
     const crypto::Md fresh =
         math_.derive_key(fh.key.value(), info.path, info.leaf_mod);
-    if (fresh != key) {
-      key = fresh;
-      opened = codec_.open(key, info.ciphertext);
+    if (fresh != out.key) {
+      out.key = fresh;
+      opened = codec_.open(out.key, info.ciphertext);
     }
   }
   if (!opened) {
@@ -260,7 +278,8 @@ Result<Bytes> Client::access(const FileHandle& fh, proto::ItemRef ref) {
   if (opened.value().r != info.item_id) {
     return Error(Errc::kTamperDetected, "access: counter value mismatch");
   }
-  return std::move(opened.value().plaintext);
+  out.plaintext = std::move(opened.value().plaintext);
+  return out;
 }
 
 Result<proto::ModifyReq> Client::build_modify(const FileHandle& fh,
@@ -274,31 +293,16 @@ Result<proto::ModifyReq> Client::build_modify(const FileHandle& fh,
   }
   const core::AccessInfo& info = resp.value().info;
 
-  proto::ModifyReq mreq;
   CumulativeTimer::Section sec(compute_timer_);
-  if (!info.path.well_formed()) {
-    return Error(Errc::kTamperDetected, "modify: malformed path");
-  }
-  crypto::Md key = derive_item_key(fh, info);
-  auto opened = codec_.open(key, info.ciphertext);
-  if (!opened && opts_.use_prefix_cache) {
-    fh.cache.invalidate();
-    const crypto::Md fresh =
-        math_.derive_key(fh.key.value(), info.path, info.leaf_mod);
-    if (fresh != key) {
-      key = fresh;
-      opened = codec_.open(key, info.ciphertext);
-    }
-  }
+  auto opened = open_item(fh, info);
   if (!opened) {
-    return Error(Errc::kIntegrityMismatch, "modify: item failed check");
+    return opened.error();
   }
-  if (opened.value().r != info.item_id) {
-    return Error(Errc::kTamperDetected, "modify: counter value mismatch");
-  }
+  proto::ModifyReq mreq;
   mreq.file_id = fh.id;
   mreq.item_id = item_id;
-  mreq.ciphertext = codec_.seal(key, new_content, opened.value().r, rnd_);
+  mreq.ciphertext =
+      codec_.seal(opened.value().key, new_content, info.item_id, rnd_);
   mreq.plain_size = new_content.size();
   return mreq;
 }
@@ -447,63 +451,126 @@ Status Client::erase_item(FileHandle& fh, proto::ItemRef ref) {
   if (!bresp) {
     return bresp.status();
   }
-  const core::DeleteInfo& info = bresp.value().info;
-
+  // A duplicate modulator the server observes asks for a re-run with a
+  // fresh K' (the paper's re-perform rule).
   for (int attempt = 0; attempt <= opts_.max_retries; ++attempt) {
-    proto::DeleteCommitReq creq;
-    creq.file_id = fh.id;
-    MasterKey fresh;
-    {
-      CumulativeTimer::Section sec(compute_timer_);
-      obs::Span span("plan_delete");
-      fresh = MasterKey::generate(rnd_, math_.width());
-      auto plan =
-          math_.plan_delete(info, fh.key.value(), fresh.value(), rnd_);
-      if (!plan) {
-        if (plan.error().code == Errc::kInvalidArgument) {
-          continue;  // F(K',M_k) collision: pick another K'
-        }
-        return plan.status();
-      }
-      // Only a response that decrypts the target item to a record matching
-      // its embedded hash is accepted (Theorem 2's wrong-leaf defence).
-      obs::Span verify_span("verify_target");
-      auto opened = codec_.open(plan.value().old_key, info.ciphertext);
-      if (!opened) {
-        return Status(Errc::kTamperDetected,
-                      "delete: MT(k) does not decrypt the target item");
-      }
-      if (opened.value().r != info.item_id) {
-        return Status(Errc::kTamperDetected, "delete: counter value mismatch");
-      }
-      creq.commit = std::move(plan.value().commit);
+    auto plan = plan_erase(fh, bresp.value().info);
+    if (!plan) {
+      return plan.status();
     }
-    auto resp = call(creq.to_frame(), MsgType::kDeleteCommitResp);
-    if (resp) {
-      // Server committed: permanently destroy the old master key. Every
-      // cached prefix belonged to the dead key epoch.
-      fh.key = std::move(fresh);
-      fh.cache.invalidate();
-      return Status::ok();
+    const Status outcome =
+        call(plan.value().commit, MsgType::kDeleteCommitResp).status();
+    const Status st = settle(fh, std::move(plan.value().fresh), outcome);
+    if (st.code() != Errc::kDuplicateModulator) {
+      return st;
     }
-    if (resp.error().code == Errc::kDuplicateModulator) {
-      continue;  // server-observed collision: re-run with a fresh K'
-    }
-    if (commit_outcome_unknown(resp.error().code)) {
-      // The transport died with the commit in flight: the server may be
-      // in either key epoch. Keeping only one candidate key here would
-      // risk silently diverging from the server, so the handle holds
-      // both and fails fast until resync() settles it.
-      poison(fh, std::move(fresh));
-      return Status(Errc::kIndeterminate,
-                    "delete: commit outcome unknown (" +
-                        resp.error().to_string() +
-                        "); handle poisoned, resync() required");
-    }
-    return resp.status();
   }
   return Status(Errc::kDuplicateModulator,
                 "delete: retries exhausted (server kept reporting duplicates)");
+}
+
+Result<Client::ErasePlan> Client::plan_erase(const FileHandle& fh,
+                                             const core::DeleteInfo& info) {
+  ErasePlan out;
+  proto::DeleteCommitReq creq;
+  creq.file_id = fh.id;
+  {
+    CumulativeTimer::Section sec(compute_timer_);
+    obs::Span span("plan_delete");
+    auto plan = plan_with_fresh_key(
+        rnd_, math_.width(), opts_.max_retries, out.fresh,
+        [&](const crypto::Md& fresh) {
+          return math_.plan_delete(info, fh.key.value(), fresh, rnd_);
+        });
+    if (!plan) {
+      return plan.error();
+    }
+    // Only a response that decrypts the target item to a record matching
+    // its embedded hash is accepted (Theorem 2's wrong-leaf defence).
+    obs::Span verify_span("verify_target");
+    auto opened = codec_.open(plan.value().old_key, info.ciphertext);
+    if (!opened) {
+      return Error(Errc::kTamperDetected,
+                   "delete: MT(k) does not decrypt the target item");
+    }
+    if (opened.value().r != info.item_id) {
+      return Error(Errc::kTamperDetected, "delete: counter value mismatch");
+    }
+    creq.commit = std::move(plan.value().commit);
+  }
+  out.commit = creq.to_frame();
+  return out;
+}
+
+Result<Client::ErasePlan> Client::plan_erase_many(
+    const FileHandle& fh, const core::DeleteManyInfo& info) {
+  ErasePlan out;
+  proto::DeleteManyCommitReq creq;
+  creq.file_id = fh.id;
+  {
+    CumulativeTimer::Section sec(compute_timer_);
+    obs::Span span("plan_delete_many");
+    auto plan = plan_with_fresh_key(
+        rnd_, math_.width(), opts_.max_retries, out.fresh,
+        [&](const crypto::Md& fresh) {
+          return math_.plan_delete_many(info, fh.key.value(), fresh, rnd_,
+                                        batch_.pool());
+        });
+    if (!plan) {
+      return plan.error();
+    }
+    // Theorem 2's wrong-leaf defence, applied to EVERY target: each
+    // returned ciphertext must decrypt under its claimed old data key
+    // to a record echoing the item id. One bad target rejects the
+    // whole bundle before anything is committed. The m opens are
+    // independent under one key epoch, so they ride the batch pool —
+    // sequential deletes cannot do this, as each open waits on the
+    // previous rotation.
+    obs::Span verify_span("verify_targets");
+    std::vector<core::BatchDeriver::OpenTask> tasks;
+    tasks.reserve(info.targets.size());
+    for (std::size_t i = 0; i < info.targets.size(); ++i) {
+      tasks.push_back(core::BatchDeriver::OpenTask{
+          i, info.targets[i].ciphertext, info.targets[i].item_id});
+    }
+    auto opened = batch_.open_all(plan.value().old_keys, tasks);
+    if (!opened) {
+      return Error(Errc::kTamperDetected,
+                   opened.error().code == Errc::kIntegrityMismatch
+                       ? "delete_many: MT(k) does not decrypt a target item"
+                       : "delete_many: counter value mismatch");
+    }
+    creq.commit = std::move(plan.value().commit);
+  }
+  out.commit = creq.to_frame();
+  return out;
+}
+
+Status Client::settle(FileHandle& fh, MasterKey&& fresh,
+                      const Status& outcome) {
+  if (outcome) {
+    // Server committed: permanently destroy the old master key. Every
+    // cached prefix belonged to the dead key epoch.
+    fh.key = std::move(fresh);
+    fh.cache.invalidate();
+    return outcome;
+  }
+  if (!commit_outcome_unknown(outcome.code())) {
+    return outcome;  // not applied: K stays the live key
+  }
+  // The transport died with the commit in flight: the server may be in
+  // either key epoch. Keeping only one candidate key here would risk
+  // silently diverging from the server, so the handle holds both and
+  // fails fast until resync() settles it.
+  static obs::Counter& poisoned = obs::Registry::instance().counter(
+      "fgad_client_indeterminate_commits_total");
+  poisoned.inc();
+  fh.poisoned = true;
+  fh.pending_key = std::move(fresh);
+  fh.cache.invalidate();
+  return Status(Errc::kIndeterminate,
+                "delete: commit outcome unknown (" + outcome.to_string() +
+                    "); handle poisoned, resync() required");
 }
 
 Status Client::erase_items(FileHandle& fh,
@@ -538,64 +605,21 @@ Status Client::erase_items(FileHandle& fh,
   const core::DeleteManyInfo& info = bresp.value().info;
 
   for (int attempt = 0; attempt <= opts_.max_retries; ++attempt) {
-    proto::DeleteManyCommitReq creq;
-    creq.file_id = fh.id;
-    MasterKey fresh;
-    {
-      CumulativeTimer::Section sec(compute_timer_);
-      obs::Span span("plan_delete_many");
-      fresh = MasterKey::generate(rnd_, math_.width());
-      auto plan = math_.plan_delete_many(info, fh.key.value(), fresh.value(),
-                                         rnd_, batch_.pool());
-      if (!plan) {
-        if (plan.error().code == Errc::kInvalidArgument) {
-          continue;  // F(K',M_d) collision on some target: pick another K'
-        }
-        return plan.status();
-      }
-      // Theorem 2's wrong-leaf defence, applied to EVERY target: each
-      // returned ciphertext must decrypt under its claimed old data key
-      // to a record echoing the item id. One bad target rejects the
-      // whole bundle before anything is committed. The m opens are
-      // independent under one key epoch, so they ride the batch pool —
-      // sequential deletes cannot do this, as each open waits on the
-      // previous rotation.
-      obs::Span verify_span("verify_targets");
-      std::vector<core::BatchDeriver::OpenTask> tasks;
-      tasks.reserve(info.targets.size());
-      for (std::size_t i = 0; i < info.targets.size(); ++i) {
-        tasks.push_back(core::BatchDeriver::OpenTask{
-            i, info.targets[i].ciphertext, info.targets[i].item_id});
-      }
-      auto opened = batch_.open_all(plan.value().old_keys, tasks);
-      if (!opened) {
-        return Status(Errc::kTamperDetected,
-                      opened.error().code == Errc::kIntegrityMismatch
-                          ? "delete_many: MT(k) does not decrypt a target item"
-                          : "delete_many: counter value mismatch");
-      }
-      creq.commit = std::move(plan.value().commit);
+    auto plan = plan_erase_many(fh, info);
+    if (!plan) {
+      return plan.status();
     }
-    auto resp = call(creq.to_frame(), MsgType::kDeleteManyCommitResp);
-    if (resp) {
+    const Status outcome =
+        call(plan.value().commit, MsgType::kDeleteManyCommitResp).status();
+    // One commit rotates the key for every deleted item.
+    const Status st = settle(fh, std::move(plan.value().fresh), outcome);
+    if (st) {
       bulk_deletes.inc();
       bulk_items.inc(refs.size());
-      // One commit rotated the key for every deleted item.
-      fh.key = std::move(fresh);
-      fh.cache.invalidate();
-      return Status::ok();
     }
-    if (resp.error().code == Errc::kDuplicateModulator) {
-      continue;  // server-observed collision: re-run with a fresh K'
+    if (st.code() != Errc::kDuplicateModulator) {
+      return st;
     }
-    if (commit_outcome_unknown(resp.error().code)) {
-      poison(fh, std::move(fresh));
-      return Status(Errc::kIndeterminate,
-                    "delete_many: commit outcome unknown (" +
-                        resp.error().to_string() +
-                        "); handle poisoned, resync() required");
-    }
-    return resp.status();
   }
   // Collision bound exhausted on the merged bundle (more targets → more
   // chances for one modulator to collide). Fall back to sequential
@@ -692,17 +716,16 @@ Status Client::erase_batch(std::span<FileHandle* const> files,
     return first_error;
   }
 
-  // Phase 2: plan each deletion locally. The F(K',M_k) collision re-run
-  // is pure client-side compute, so it stays inside this loop; only the
-  // commit round-trips. Every file whose plan verifies gets staged.
+  // Phase 2: plan and verify each deletion locally; only the commits
+  // round-trip. Every file whose plan verifies gets staged.
   struct Staged {
-    std::size_t idx;  // into `singles`
+    const Group* group;
     MasterKey fresh;
-    Bytes frame;
   };
   std::vector<Staged> staged;
+  std::vector<Bytes> commits;
   staged.reserve(singles.size());
-
+  commits.reserve(singles.size());
   for (std::size_t i = 0; i < singles.size(); ++i) {
     const auto& slot = bresps.value()[i];
     if (!slot) {
@@ -715,104 +738,34 @@ Status Client::erase_batch(std::span<FileHandle* const> files,
       note(bresp.status());
       continue;
     }
-    const core::DeleteInfo& info = bresp.value().info;
-    FileHandle& fh = *singles[i]->fh;
-
-    auto plan_one = [&](MasterKey& fresh_out) -> Result<proto::DeleteCommitReq> {
-      CumulativeTimer::Section sec(compute_timer_);
-      obs::Span span("plan_delete");
-      for (int attempt = 0; attempt <= opts_.max_retries; ++attempt) {
-        MasterKey fresh = MasterKey::generate(rnd_, math_.width());
-        auto plan =
-            math_.plan_delete(info, fh.key.value(), fresh.value(), rnd_);
-        if (!plan) {
-          if (plan.error().code == Errc::kInvalidArgument) {
-            continue;  // F(K',M_k) collision: pick another K'
-          }
-          return plan.error();
-        }
-        obs::Span verify_span("verify_target");
-        auto opened = codec_.open(plan.value().old_key, info.ciphertext);
-        if (!opened) {
-          return Error(Errc::kTamperDetected,
-                       "delete: MT(k) does not decrypt the target item");
-        }
-        if (opened.value().r != info.item_id) {
-          return Error(Errc::kTamperDetected,
-                       "delete: counter value mismatch");
-        }
-        proto::DeleteCommitReq creq;
-        creq.file_id = fh.id;
-        creq.commit = std::move(plan.value().commit);
-        fresh_out = std::move(fresh);
-        return creq;
-      }
-      return Error(Errc::kDuplicateModulator,
-                   "delete: retries exhausted picking a fresh key");
-    };
-
-    MasterKey fresh;
-    auto creq = plan_one(fresh);
-    if (!creq) {
-      note(creq.status());
+    auto plan = plan_erase(*singles[i]->fh, bresp.value().info);
+    if (!plan) {
+      note(plan.status());
       continue;
     }
-    staged.push_back(Staged{i, std::move(fresh), creq.value().to_frame()});
+    staged.push_back(Staged{singles[i], std::move(plan.value().fresh)});
+    commits.push_back(std::move(plan.value().commit));
+  }
+  if (staged.empty()) {
+    return first_error;
   }
 
-  // Phase 3: pipeline the commits, then rotate keys for exactly the
-  // files whose commit the server confirmed.
-  if (!staged.empty()) {
-    std::vector<Bytes> commits;
-    commits.reserve(staged.size());
-    for (auto& s : staged) {
-      commits.push_back(std::move(s.frame));
+  // Phase 3: pipeline the commits, then settle each file's key on its own
+  // commit's outcome. A batch that failed as a whole (the transport died
+  // with every commit in flight) gives each file the batch's error.
+  auto cresps = call_batch(std::move(commits), MsgType::kDeleteCommitResp);
+  for (std::size_t k = 0; k < staged.size(); ++k) {
+    FileHandle& fh = *staged[k].group->fh;
+    Status st = settle(fh, std::move(staged[k].fresh),
+                       cresps ? cresps.value()[k].status() : cresps.status());
+    if (st.code() == Errc::kDuplicateModulator) {
+      // The server saw a modulator collision we could not predict
+      // locally; the sequential retry loop handles the re-run.
+      st = erase_item(fh, staged[k].group->refs[0]);
+    } else if (!cresps && st.code() == Errc::kIndeterminate) {
+      first_error = st;  // every staged handle is in doubt: report that
     }
-    auto cresps = call_batch(std::move(commits), MsgType::kDeleteCommitResp);
-    if (!cresps) {
-      if (commit_outcome_unknown(cresps.error().code)) {
-        // The transport died with every staged commit in flight: any
-        // subset may have been applied server-side. Silently assuming
-        // "none landed" would desynchronize client keys from whichever
-        // commits did — so every staged handle keeps both candidate
-        // keys and fails fast until resync().
-        for (auto& s : staged) {
-          poison(*singles[s.idx]->fh, std::move(s.fresh));
-        }
-        return Status(Errc::kIndeterminate,
-                      "erase_batch: commit batch outcome unknown (" +
-                          cresps.error().to_string() +
-                          "); staged handles poisoned, resync() required");
-      }
-      note(cresps.status());
-      return first_error;
-    }
-    for (std::size_t k = 0; k < staged.size(); ++k) {
-      Staged& s = staged[k];
-      FileHandle& fh = *singles[s.idx]->fh;
-      const auto& resp = cresps.value()[k];
-      if (resp) {
-        // Server committed: permanently destroy the old master key.
-        fh.key = std::move(s.fresh);
-        fh.cache.invalidate();
-        continue;
-      }
-      if (resp.error().code == Errc::kDuplicateModulator) {
-        // The server saw a modulator collision we could not predict
-        // locally; the sequential retry loop handles the re-run.
-        note(erase_item(fh, singles[s.idx]->refs[0]));
-      } else if (commit_outcome_unknown(resp.error().code)) {
-        // Transport failures fail the whole batch above; a per-slot
-        // unknown is an unreadable or mismatched response to a commit
-        // the server did receive.
-        poison(fh, std::move(s.fresh));
-        note(Status(Errc::kIndeterminate,
-                    "erase_batch: commit outcome unknown; handle "
-                    "poisoned, resync() required"));
-      } else {
-        note(resp.status());
-      }
-    }
+    note(st);
   }
   return first_error;
 }

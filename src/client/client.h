@@ -44,13 +44,10 @@ class Client {
     // 0 = hardware_concurrency, 1 = the seed's sequential pass. Results
     // are byte-identical at every setting.
     std::size_t threads = 0;
-    // Cache path-prefix chain values per file so repeated single-item
-    // access/modify costs O(1) hashes amortized instead of O(log n).
-    bool use_prefix_cache = true;
     // Wrap every mutating RPC in a tagged envelope with a fresh request
     // id even when no trace is active. Against a durable server
     // (cloud::DurableServer) the id doubles as an idempotency token, so
-    // net::RetryChannel may resend deletions/insertions after transport
+    // net::FailoverChannel may resend deletions/insertions after transport
     // failures with exactly-once semantics (DESIGN.md §13). Off by
     // default: untagged traffic stays byte-identical to the seed wire
     // protocol.
@@ -62,9 +59,11 @@ class Client {
   Client(net::RpcChannel& channel, crypto::RandomSource& rnd, Options opts);
 
   /// Client-held state for one outsourced file: its id, master key, and
-  /// the path-prefix cache bound to the current key epoch. The cache is
-  /// mutable so read-style operations (access) can warm it; the client
-  /// invalidates it on re-key and on structural mutations.
+  /// the path-prefix cache bound to the current key epoch, so repeated
+  /// single-item access/modify costs O(1) hashes amortized instead of
+  /// O(log n). The cache is mutable so read-style operations (access) can
+  /// warm it; the client invalidates it on re-key and on structural
+  /// mutations.
   ///
   /// `poisoned` is set when a key-rotating commit's outcome is unknown
   /// (the transport failed after the request may have been sent): the
@@ -192,13 +191,33 @@ class Client {
   /// Fail-fast guard: kIndeterminate while `fh` is poisoned.
   Status check_handle(const FileHandle& fh) const;
 
-  /// True when an error code means a commit may or may not have been
-  /// applied server-side (transport died after the frame could have been
-  /// sent, or the response was unreadable).
-  static bool commit_outcome_unknown(Errc c);
+  /// A deletion verified against the server's begin response, ready to
+  /// send: the fresh master key K' and the commit frame that installs it.
+  struct ErasePlan {
+    crypto::MasterKey fresh;
+    Bytes commit;
+  };
 
-  /// Marks `fh` indeterminate between its current key and `fresh`.
-  static void poison(FileHandle& fh, crypto::MasterKey&& fresh);
+  /// Plans one deletion: draws K' (again on an F(K',M_k) collision),
+  /// computes the deltas, and accepts the response only if MT(k) opens
+  /// the target to a record echoing its item id (Theorem 2's wrong-leaf
+  /// defence).
+  Result<ErasePlan> plan_erase(const FileHandle& fh,
+                               const core::DeleteInfo& info);
+  /// The same for a merged-cut bundle (DESIGN.md §16): one K' for every
+  /// target, and every target must open.
+  Result<ErasePlan> plan_erase_many(const FileHandle& fh,
+                                    const core::DeleteManyInfo& info);
+
+  /// Applies a key-rotating commit's outcome to `fh`; the only code that
+  /// moves a fresh key into a handle or poisons one. Committed: K' becomes
+  /// the key and K is destroyed. Outcome unknown (the transport died with
+  /// the commit in flight, or the response was unreadable): the handle
+  /// keeps both keys, is poisoned, and kIndeterminate is returned. Any
+  /// other error means the commit did not apply: K stays and the error
+  /// is returned (kDuplicateModulator asks for a re-plan).
+  Status settle(FileHandle& fh, crypto::MasterKey&& fresh,
+                const Status& outcome);
 
   /// Pipelined batch of `call`s: tags each mutating frame with its own
   /// request id, ships all frames through RpcChannel::roundtrip_batch,
@@ -209,17 +228,26 @@ class Client {
   Result<std::vector<Result<Bytes>>> call_batch(std::vector<Bytes> frames,
                                                 proto::MsgType expect);
 
-  /// Verifies one AccessResp payload (path shape, decrypt, counter echo)
-  /// and re-seals `new_content` under the item's data key: the
-  /// crypto half of modify(), shared with modify_batch().
+  /// One item opened under the handle's key: its data key and plaintext.
+  struct OpenedItem {
+    crypto::Md key;
+    Bytes plaintext;
+  };
+
+  /// Verifies one access response (path shape, decrypt, counter echo).
+  /// The data key comes through the prefix cache; if it does not open the
+  /// item, the cache may be stale, so it is dropped and the key
+  /// re-derived from the master key before the server is blamed.
+  Result<OpenedItem> open_item(const FileHandle& fh,
+                               const core::AccessInfo& info);
+
+  /// Verifies one AccessResp payload and re-seals `new_content` under the
+  /// item's data key: the crypto half of modify(), shared with
+  /// modify_batch().
   Result<proto::ModifyReq> build_modify(const FileHandle& fh,
                                         std::uint64_t item_id,
                                         BytesView access_payload,
                                         BytesView new_content);
-
-  /// Data key of one item; goes through the per-file prefix cache when
-  /// Options::use_prefix_cache is set.
-  crypto::Md derive_item_key(const FileHandle& fh, const core::AccessInfo& info);
 
   net::RpcChannel& channel_;
   crypto::RandomSource& rnd_;

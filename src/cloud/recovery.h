@@ -18,7 +18,7 @@
 // mutation after a timeout, a connection reset, *or a server crash* gets
 // the original response back instead of double-folding deletion deltas.
 // This is what lets proto::retryable_request approve tagged mutations for
-// net::RetryChannel.
+// net::FailoverChannel.
 //
 // State directory layout:
 //   checkpoint-<epoch>.ckpt   atomic snapshots, full or delta (the newest

@@ -46,7 +46,7 @@ const char* repl_role_name(ReplRole r);
 const char* repl_ack_mode_name(ReplAckMode m);
 
 // Shared gauges: set by DurableServer (role/term) and the Replicator
-// (lag); read by /readyz and fgad_top.
+// (lag); read by /readyz and fgad_mon.
 obs::Gauge& repl_role_gauge();
 obs::Gauge& repl_term_gauge();
 obs::Gauge& repl_lag_bytes_gauge();

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
 
-#include "common/fsio.h"
 #include "obs/cost.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -505,34 +503,6 @@ Status CloudServer::apply_delta(proto::Reader& r) {
     return Status(Errc::kDecodeError, "delta image: truncated");
   }
   return tables != 0 ? load_tables(r) : Status::ok();
-}
-
-Status CloudServer::save_to_file(const std::string& path) const {
-  proto::Writer w;
-  save(w);
-  // Atomic + durable: a crash mid-save leaves the previous image intact.
-  return fsio::atomic_write_file(path, w.data());
-}
-
-Result<std::unique_ptr<CloudServer>> CloudServer::load_from_file(
-    const std::string& path, Options opts) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Error(Errc::kIoError, "server image: cannot open " + path);
-  }
-  Bytes data;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    data.insert(data.end(), buf, buf + got);
-  }
-  std::fclose(f);
-  proto::Reader r(data);
-  auto server = load(r, opts);
-  if (server && !r.finish()) {
-    return Error(Errc::kDecodeError, "server image: trailing bytes");
-  }
-  return server;
 }
 
 // ---- wire dispatcher --------------------------------------------------------

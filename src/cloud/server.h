@@ -139,9 +139,6 @@ class CloudServer {
   /// Restores a server image produced by save().
   static Result<std::unique_ptr<CloudServer>> load(proto::Reader& r,
                                                    Options opts);
-  Status save_to_file(const std::string& path) const;
-  static Result<std::unique_ptr<CloudServer>> load_from_file(
-      const std::string& path, Options opts);
 
   // ---- delta images (DESIGN.md §13) ----------------------------------------
 

@@ -16,18 +16,12 @@ namespace fgad::net {
 
 namespace {
 
-obs::Counter& failover_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("fgad_failover_total");
-  return c;
+obs::Counter& counter(const char* name) {
+  return obs::Registry::instance().counter(name);
 }
 
-obs::Counter& failover_dials_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("fgad_failover_dials_total");
-  return c;
-}
-
+/// Request id from a tagged frame (0 when untagged), so failover flight
+/// events correlate with the server-side WAL/RPC events for the same rid.
 std::uint64_t frame_rid(BytesView request) {
   const auto tag = proto::split_tagged(request);
   return tag ? tag->first : 0;
@@ -108,13 +102,12 @@ int FailoverChannel::backoff_ms(int attempt) {
   return static_cast<int>(std::max(0.0, static_cast<double>(ms) * factor));
 }
 
-void FailoverChannel::rotate_locked(const char* why, std::uint64_t rid) {
+void FailoverChannel::rotate_locked(const char* why) {
   channel_.reset();
   ++cursor_;
   ++failovers_;
-  failover_counter().inc();
-  obs::FlightRecorder::instance().record(obs::FrEvent::kRetryDial, rid,
-                                         cursor_);
+  static obs::Counter& rotations = counter("fgad_failover_total");
+  rotations.inc();
   // Per-cause breadcrumb (fgad_failover_not_primary_total / _transport_
   // total); looked up by name each time, the registry dedups.
   obs::Registry::instance()
@@ -122,7 +115,7 @@ void FailoverChannel::rotate_locked(const char* why, std::uint64_t rid) {
       .inc();
 }
 
-Status FailoverChannel::connect_locked() {
+Status FailoverChannel::connect_locked(int attempt, std::uint64_t rid) {
   auto eps = resolver_();  // EVERY dial re-resolves (see header)
   if (!eps) {
     return eps.status();
@@ -133,7 +126,10 @@ Status FailoverChannel::connect_locked() {
   }
   const Endpoint& ep = eps.value()[cursor_ % eps.value().size()];
   ++dials_;
-  failover_dials_counter().inc();
+  static obs::Counter& dial_count = counter("fgad_failover_dials_total");
+  dial_count.inc();
+  obs::FlightRecorder::instance().record(obs::FrEvent::kRetryDial, rid,
+                                         static_cast<std::uint64_t>(attempt));
   auto ch = dial_(ep);
   if (!ch) {
     ++cursor_;  // a dead endpoint should not eat every attempt
@@ -145,55 +141,73 @@ Status FailoverChannel::connect_locked() {
 
 Result<Bytes> FailoverChannel::roundtrip(BytesView request) {
   std::lock_guard<std::mutex> lock(mu_);
-  return roundtrip_locked(request);
+  return roundtrip_locked(request, /*sent=*/false);
 }
 
-Result<Bytes> FailoverChannel::roundtrip_locked(BytesView request) {
+Result<Bytes> FailoverChannel::roundtrip_locked(BytesView request,
+                                                bool sent) {
   const bool may_resend = opts_.retryable && opts_.retryable(request);
   const std::uint64_t rid = frame_rid(request);
+  const int attempts = std::max(1, opts_.max_attempts);
   Error last(Errc::kIoError, "failover: no attempt made");
-  bool sent_once = false;
-  for (int attempt = 0; attempt < std::max(1, opts_.max_attempts); ++attempt) {
+  bool refused = false;       // a send was answered with kNotPrimary
+  bool may_have_run = sent;  // a send may have executed (transport failure)
+  for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(backoff_ms(attempt - 1)));
+      const int sleep_ms = backoff_ms(attempt - 1);
+      static obs::Counter& backoff_total =
+          counter("fgad_failover_backoff_ms_total");
+      backoff_total.inc(static_cast<std::uint64_t>(sleep_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     }
     if (!channel_) {
-      if (auto st = connect_locked(); !st) {
+      if (auto st = connect_locked(attempt, rid); !st) {
         last = st.error();
         continue;  // dialing sends nothing; always retryable
       }
     }
-    // Transport-level resend discipline matches RetryChannel; the
-    // kNotPrimary rotation below is exempt from it (definitively not
-    // executed — see header).
-    if (sent_once && !may_resend) {
-      break;
+    if (sent) {
+      ++resends_;
+      static obs::Counter& resend_count =
+          counter("fgad_failover_resends_total");
+      resend_count.inc();
+      obs::FlightRecorder::instance().record(
+          obs::FrEvent::kRetryResend, rid, static_cast<std::uint64_t>(attempt));
     }
-    sent_once = true;
+    sent = true;
     Result<Bytes> resp = channel_->roundtrip(request);
     if (resp) {
-      if (is_not_primary_frame(resp.value())) {
-        rotate_locked("not_primary", rid);
-        last = Error(Errc::kNotPrimary, "failover: endpoint is not primary");
-        sent_once = false;  // not executed: the resend ban does not apply
-        continue;
+      if (!is_not_primary_frame(resp.value())) {
+        return resp;
       }
-      return resp;
+      // Not executed (see header): the resend ban does not apply.
+      rotate_locked("not_primary");
+      refused = true;
+      last = Error(Errc::kNotPrimary, "failover: endpoint is not primary");
+      continue;
     }
     if (!transport_error(resp.error().code)) {
       return resp;  // protocol-level failure: the connection still works
     }
-    last = resp.error();
-    rotate_locked("transport", rid);
+    rotate_locked("transport");
     if (!may_resend) {
       return resp;
     }
+    last = resp.error();
+    may_have_run = true;
   }
-  return Error(Errc::kRetryExhausted,
-               "failover: gave up after " +
-                   std::to_string(std::max(1, opts_.max_attempts)) +
-                   " attempts (last: " + last.to_string() + ")");
+  static obs::Counter& exhausted = counter("fgad_failover_exhausted_total");
+  exhausted.inc();
+  obs::FlightRecorder::instance().record(obs::FrEvent::kRetryExhausted, rid,
+                                         static_cast<std::uint64_t>(attempts));
+  const std::string why = "failover: gave up after " +
+                          std::to_string(attempts) + " attempts (last: " +
+                          last.to_string() + ")";
+  // Every send was refused unexecuted, so the request ran nowhere: say
+  // so, rather than leave a key-rotating commit's outcome in doubt.
+  return Error(refused && !may_have_run ? Errc::kNotPrimary
+                                        : Errc::kRetryExhausted,
+               why);
 }
 
 Result<std::vector<Bytes>> FailoverChannel::roundtrip_batch(
@@ -203,35 +217,40 @@ Result<std::vector<Bytes>> FailoverChannel::roundtrip_batch(
       opts_.retryable &&
       std::all_of(requests.begin(), requests.end(),
                   [&](const Bytes& r) { return opts_.retryable(r); });
-  if (all_resendable) {
+  // Set once the batch reached a connection: from then on any request
+  // of it may have executed, so none may end as "not executed".
+  bool sent = false;
+  if (all_resendable && (channel_ || connect_locked(/*attempt=*/0, 0))) {
     // Fast path: pipeline the whole batch on the live connection. Any
     // failure — transport or a mid-batch kNotPrimary — falls through to
     // the per-request path, which is safe to replay precisely because
     // every request in the batch passed the predicate.
-    if (channel_ || connect_locked()) {
-      if (channel_) {
-        auto resps = channel_->roundtrip_batch(requests);
-        if (resps) {
-          const bool rerouted = std::any_of(
-              resps.value().begin(), resps.value().end(),
-              [](const Bytes& r) { return is_not_primary_frame(r); });
-          if (!rerouted) {
-            return resps;
-          }
-          rotate_locked("not_primary", 0);
-        } else if (transport_error(resps.error().code)) {
-          rotate_locked("transport", 0);
-        } else {
-          return resps.error();
-        }
+    sent = true;
+    auto resps = channel_->roundtrip_batch(requests);
+    if (resps) {
+      const bool rerouted = std::any_of(
+          resps.value().begin(), resps.value().end(),
+          [](const Bytes& r) { return is_not_primary_frame(r); });
+      if (!rerouted) {
+        return resps;
       }
+      rotate_locked("not_primary");
+    } else if (transport_error(resps.error().code)) {
+      rotate_locked("transport");
+    } else {
+      return resps.error();
     }
   }
   std::vector<Bytes> out;
   out.reserve(requests.size());
   for (const Bytes& r : requests) {
-    auto resp = roundtrip_locked(r);
+    auto resp = roundtrip_locked(r, sent);
     if (!resp) {
+      // A refusal proves only that this request ran nowhere; the ones
+      // before it did run, so the batch did not "not execute".
+      if (resp.error().code == Errc::kNotPrimary && !out.empty()) {
+        return Error(Errc::kRetryExhausted, resp.error().message);
+      }
       return resp.error();
     }
     out.push_back(std::move(resp).value());
@@ -239,24 +258,19 @@ Result<std::vector<Bytes>> FailoverChannel::roundtrip_batch(
   return out;
 }
 
-void FailoverChannel::disconnect() {
-  std::lock_guard<std::mutex> lock(mu_);
-  channel_.reset();
-}
-
 std::uint64_t FailoverChannel::dials() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dials_;
 }
 
+std::uint64_t FailoverChannel::resends() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return resends_;
+}
+
 std::uint64_t FailoverChannel::failovers() const {
   std::lock_guard<std::mutex> lock(mu_);
   return failovers_;
-}
-
-std::size_t FailoverChannel::endpoint_cursor() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cursor_;
 }
 
 }  // namespace fgad::net

@@ -1,19 +1,30 @@
-// Endpoint-rotating failover decorator for RpcChannel (DESIGN.md §18).
+// Reconnecting, endpoint-rotating decorator for RpcChannel (DESIGN.md §11,
+// §18). It is the client's only reconnect layer: with one endpoint it
+// redials one server, with two it follows the primary of a replicated
+// pair.
 //
-// A replicated deployment exposes two endpoints; at any moment exactly
-// one of them is the primary. FailoverChannel owns the client side of
-// that arrangement: it dials endpoints from a Resolver, and rotates to
-// the next endpoint when the current one either fails at the transport
-// level (kTimeout / kConnReset / kIoError) or answers with kNotPrimary —
-// the typed refusal a backup (or a freshly demoted primary) returns for
-// every client request.
+// FailoverChannel dials endpoints from a Resolver. When the current
+// connection fails at the transport level (kTimeout / kConnReset /
+// kIoError), or the endpoint answers with kNotPrimary — the typed refusal
+// a backup (or a freshly demoted primary) returns for every client
+// request — it drops the connection, moves to the next endpoint and
+// redials after an exponential backoff with jitter.
 //
-// kNotPrimary is special among retry triggers: it is a *definitive
-// not-executed* signal — the refusing node never touched the WAL — so a
-// resend is always safe, even for untagged mutations that the plain
-// RetryChannel must refuse to replay. Transport-level failures keep the
-// usual discipline: resent only when the retryable predicate approves
-// (idempotent reads, or tagged mutations the durable server dedups).
+// Resend discipline. A transport failure means the request MAY have
+// executed, so it is resent only when the retryable predicate approves:
+// by default nothing is resent; pair with proto::retryable_request so
+// read-only RPCs (access, audit, fetches) and tagged mutations, which a
+// durable server deduplicates by request id (DESIGN.md §13), retry
+// transparently. Untagged mutations surface the typed transport error
+// (DESIGN.md §11 explains why a blind deletion/insert replay is unsafe).
+// kNotPrimary is a *definitive not-executed* signal — the refusing node
+// never touched the WAL — so a refused request is always resent, even an
+// untagged mutation.
+//
+// When the attempt budget runs out the caller gets kRetryExhausted
+// carrying the last underlying error, unless every send was refused with
+// kNotPrimary: then nothing executed anywhere, and the caller gets
+// kNotPrimary, so a key-rotating commit is known not to have applied.
 //
 // The Resolver is invoked on EVERY dial, never cached: if the operator
 // repoints a DNS name (or a test rebinds a port) between dials, the
@@ -47,8 +58,7 @@ class FailoverChannel final : public RpcChannel {
   /// anything in-process for tests.
   using Dial = std::function<Result<std::unique_ptr<RpcChannel>>(
       const Endpoint& ep)>;
-  /// Decides whether a transport-failed request may be resent (same
-  /// contract as RetryChannel::RetryPredicate).
+  /// Decides whether a transport-failed request may be resent.
   using RetryPredicate = std::function<bool(BytesView request)>;
 
   struct Options {
@@ -66,17 +76,14 @@ class FailoverChannel final : public RpcChannel {
 
   /// Pipelines through the live connection when every request in the
   /// batch is resend-safe; otherwise (or after any in-batch failure)
-  /// degrades to the sequential per-request failover path.
+  /// degrades to the sequential per-request failover path. The batch
+  /// ends in kNotPrimary only if none of it may have run.
   Result<std::vector<Bytes>> roundtrip_batch(
       const std::vector<Bytes>& requests) override;
 
-  /// Drops the current connection (next roundtrip re-resolves + redials).
-  void disconnect();
-
   std::uint64_t dials() const;
+  std::uint64_t resends() const;    // sends of a request after its first
   std::uint64_t failovers() const;  // endpoint rotations
-  /// Index into the resolver's list the next dial will try.
-  std::size_t endpoint_cursor() const;
 
  private:
   bool transport_error(Errc c) const {
@@ -84,11 +91,13 @@ class FailoverChannel final : public RpcChannel {
            c == Errc::kIoError;
   }
   int backoff_ms(int attempt);
-  Result<Bytes> roundtrip_locked(BytesView request);
+  /// `sent`: an earlier send of `request` (a pipelined batch) may have
+  /// executed it.
+  Result<Bytes> roundtrip_locked(BytesView request, bool sent);
   /// Dials the cursor's endpoint (resolving first); advances the cursor
   /// on failure so the next attempt tries the other node.
-  Status connect_locked();
-  void rotate_locked(const char* why, std::uint64_t rid);
+  Status connect_locked(int attempt, std::uint64_t rid);
+  void rotate_locked(const char* why);
 
   Resolver resolver_;
   Dial dial_;
@@ -98,6 +107,7 @@ class FailoverChannel final : public RpcChannel {
   std::size_t cursor_ = 0;
   std::uint64_t rng_state_;
   std::uint64_t dials_ = 0;
+  std::uint64_t resends_ = 0;
   std::uint64_t failovers_ = 0;
 };
 
@@ -113,7 +123,8 @@ Result<std::string> resolve_ipv4(const std::string& host);
 /// connects with TcpChannel.
 FailoverChannel::Dial tcp_endpoint_dial(TcpChannel::Options opts = {});
 
-/// Resolver over a fixed list (the common two-node deployment).
+/// Resolver over a fixed list: one endpoint for a single server, two for
+/// a replicated pair.
 FailoverChannel::Resolver static_endpoints(std::vector<Endpoint> eps);
 
 }  // namespace fgad::net

@@ -55,8 +55,8 @@ Status write_frame(int fd, BytesView payload, int timeout_ms = kNoTimeout);
 /// Client-side TCP connection. A failed exchange (timeout, reset, an
 /// oversized or surplus response frame) closes the socket, since a late
 /// response would otherwise answer the next request; every later call
-/// returns kConnReset, on which RetryChannel, FailoverChannel and the
-/// Replicator redial. A request rejected as too large before anything was
+/// returns kConnReset, on which FailoverChannel and the Replicator
+/// redial. A request rejected as too large before anything was
 /// sent leaves the connection open.
 class TcpChannel final : public RpcChannel {
  public:

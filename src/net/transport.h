@@ -12,8 +12,10 @@
 // deployment would move, which is the paper's communication-overhead metric
 // (Table II, Figure 5): payload bytes plus one frame header per message.
 // Two more decorators harden and test the seam (DESIGN.md §11):
-//   * RetryChannel           — reconnect + backoff for idempotent RPCs
-//                              (net/retry.h);
+//   * FailoverChannel        — reconnect + backoff, resending only
+//                              requests that are safe to resend, over
+//                              one server or a replicated pair
+//                              (net/failover.h);
 //   * FaultInjectingChannel  — drop/delay/truncate/bit-flip/disconnect
 //                              fault injection (net/fault.h).
 #pragma once

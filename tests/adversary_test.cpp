@@ -55,10 +55,17 @@ TEST_F(AdversaryTest, WrongLeafDeleteInfoRejected) {
     info.ciphertext = ct;
     info.item_id = id;
   };
+  const crypto::Md key_before = fh_.key.value();
   const Status st = client_.erase_item(fh_, proto::ItemRef::id(3));
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), Errc::kTamperDetected);
+  // The pipelined batch path runs the same check.
+  Client::FileHandle* handles[] = {&fh_};
+  const proto::ItemRef refs[] = {proto::ItemRef::id(3)};
+  EXPECT_EQ(client_.erase_batch(handles, refs).code(), Errc::kTamperDetected);
   // Nothing was deleted.
+  EXPECT_EQ(fh_.key.value(), key_before);
+  EXPECT_EQ(server_.file(1)->item_count(), 16u);
   server_.tamper_delete_info = nullptr;
   EXPECT_TRUE(client_.access(fh_, proto::ItemRef::id(3)).is_ok());
   EXPECT_TRUE(client_.access(fh_, proto::ItemRef::id(9)).is_ok());
@@ -154,9 +161,17 @@ TEST_F(AdversaryTest, AccessPathTamperRejected) {
       info.path.links[0] = rnd.random_md(20);
     }
   };
+  const crypto::Md key_before = fh_.key.value();
   const auto got = client_.access(fh_, proto::ItemRef::id(3));
   EXPECT_FALSE(got.is_ok());
   EXPECT_EQ(got.code(), Errc::kIntegrityMismatch);
+  // modify fetches the item through the same check before re-sealing.
+  EXPECT_EQ(client_.modify(fh_, 3, to_bytes("x")).code(),
+            Errc::kIntegrityMismatch);
+  EXPECT_EQ(fh_.key.value(), key_before);
+  server_.tamper_access_info = nullptr;
+  EXPECT_EQ(client_.access(fh_, proto::ItemRef::id(3)).value(),
+            payload_for(3));
 }
 
 // Access ciphertext substitution: right path, wrong item.

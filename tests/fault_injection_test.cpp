@@ -20,9 +20,9 @@
 #include "client/client.h"
 #include "cloud/server.h"
 #include "common/stopwatch.h"
+#include "net/failover.h"
 #include "net/fault.h"
 #include "net/inmemory.h"
-#include "net/retry.h"
 #include "net/tcp.h"
 #include "proto/messages.h"
 #include "support/harness.h"
@@ -35,13 +35,18 @@ using cloud::CloudServer;
 using crypto::SystemRandom;
 using test::payload_for;
 
-/// RetryChannel dialer producing a fresh fault-injecting channel over an
-/// in-process connection to `server`. Each dial gets a distinct seed so a
-/// redial does not replay the previous connection's fault pattern.
-net::RetryChannel::Dialer faulty_direct_dialer(
+/// The one endpoint of a single server; the dials below ignore it.
+net::FailoverChannel::Resolver one_endpoint() {
+  return net::static_endpoints({{"127.0.0.1", 0}});
+}
+
+/// Dial producing a fresh fault-injecting channel over an in-process
+/// connection to `server`. Each dial gets a distinct seed so a redial
+/// does not replay the previous connection's fault pattern.
+net::FailoverChannel::Dial faulty_direct_dialer(
     CloudServer& server, net::FaultInjectingChannel::Options opts) {
   auto dial_count = std::make_shared<std::atomic<std::uint64_t>>(0);
-  return [&server, opts, dial_count]() mutable
+  return [&server, opts, dial_count](const net::Endpoint&) mutable
              -> Result<std::unique_ptr<net::RpcChannel>> {
     auto direct = std::make_unique<net::DirectChannel>(
         [&server](BytesView req) { return server.handle(req); });
@@ -53,8 +58,8 @@ net::RetryChannel::Dialer faulty_direct_dialer(
   };
 }
 
-net::RetryChannel::Options retry_options(int max_attempts) {
-  net::RetryChannel::Options opts;
+net::FailoverChannel::Options retry_options(int max_attempts) {
+  net::FailoverChannel::Options opts;
   opts.max_attempts = max_attempts;
   opts.base_backoff_ms = 1;
   opts.max_backoff_ms = 5;
@@ -130,8 +135,9 @@ TEST(FaultInjection, IdempotentOpsSucceedUnderDropAndDisconnect) {
   faults.drop_request = 0.2;
   faults.disconnect = 0.1;
   faults.seed = 7;
-  net::RetryChannel retry(faulty_direct_dialer(server, faults),
-                          retry_options(/*max_attempts=*/8));
+  net::FailoverChannel retry(one_endpoint(),
+                             faulty_direct_dialer(server, faults),
+                             retry_options(/*max_attempts=*/8));
   Client faulty(retry, rnd);
 
   Stopwatch sw;
@@ -165,8 +171,9 @@ TEST(FaultInjection, MutatingOpsAreNeverResent) {
   // Every request is dropped on this channel.
   net::FaultInjectingChannel::Options faults;
   faults.drop_request = 1.0;
-  net::RetryChannel retry(faulty_direct_dialer(server, faults),
-                          retry_options(/*max_attempts=*/3));
+  net::FailoverChannel retry(one_endpoint(),
+                             faulty_direct_dialer(server, faults),
+                             retry_options(/*max_attempts=*/3));
   Client faulty(retry, rnd);
 
   // Idempotent op: retried to exhaustion, then the typed give-up error.
@@ -252,9 +259,10 @@ TEST(FaultInjection, FullFaultMixOverRealTcpStaysBounded) {
   net::TcpChannel::Options tcp_opts;
   tcp_opts.io_timeout_ms = 2000;
   auto dial_count = std::make_shared<std::atomic<std::uint64_t>>(0);
-  net::RetryChannel::Dialer dialer =
-      [port, tcp_opts, dial_count]() -> Result<std::unique_ptr<net::RpcChannel>> {
-    auto ch = net::TcpChannel::connect("127.0.0.1", port, tcp_opts);
+  net::FailoverChannel::Dial dialer =
+      [tcp_opts, dial_count](const net::Endpoint& ep)
+      -> Result<std::unique_ptr<net::RpcChannel>> {
+    auto ch = net::TcpChannel::connect(ep.host, ep.port, tcp_opts);
     if (!ch) return ch.error();
     net::FaultInjectingChannel::Options faults;
     faults.drop_request = 0.1;
@@ -269,7 +277,8 @@ TEST(FaultInjection, FullFaultMixOverRealTcpStaysBounded) {
         std::make_unique<net::FaultInjectingChannel>(std::move(ch).value(),
                                                      faults));
   };
-  net::RetryChannel retry(dialer, retry_options(/*max_attempts=*/8));
+  net::FailoverChannel retry(net::static_endpoints({{"127.0.0.1", port}}),
+                             dialer, retry_options(/*max_attempts=*/8));
   Client faulty(retry, rnd);
 
   // Every RPC must terminate promptly with ok or a typed error — and a
@@ -433,6 +442,61 @@ TEST(FaultInjection, EraseItemsLostCommitOnEmptiedFileResyncs) {
   auto left = client.list_items(fh.value());
   ASSERT_TRUE(left.is_ok());
   EXPECT_TRUE(left.value().empty());
+}
+
+TEST(FailoverCommit, RefusedEverywhereLeavesKeyAndFileIntact) {
+  // kNotPrimary proves a commit ran nowhere. A one-endpoint channel whose
+  // server refuses every delete commit with it must end each key-rotating
+  // call in kNotPrimary: no poisoned handle, the old key, every item.
+  CloudServer server;
+  SystemRandom rnd;
+  net::DirectChannel clean(
+      [&server](BytesView req) { return server.handle(req); });
+  Client setup(clean, rnd);
+  std::vector<Bytes> items;
+  for (int i = 0; i < 8; ++i) items.push_back(payload_for(i));
+  auto fh = setup.outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+
+  proto::ErrorMsg bounce;
+  bounce.code = Errc::kNotPrimary;
+  bounce.message = "backup";
+  const Bytes bounce_frame = bounce.to_frame();
+  net::FailoverChannel channel(
+      one_endpoint(),
+      [&server, bounce_frame](const net::Endpoint&)
+          -> Result<std::unique_ptr<net::RpcChannel>> {
+        return std::unique_ptr<net::RpcChannel>(
+            std::make_unique<net::DirectChannel>(
+                [&server, bounce_frame](BytesView req) {
+                  const auto type = proto::peek_type(req);
+                  const bool commit =
+                      type && (*type == proto::MsgType::kDeleteCommitReq ||
+                               *type == proto::MsgType::kDeleteManyCommitReq);
+                  return commit ? bounce_frame : server.handle(req);
+                }));
+      },
+      retry_options(/*max_attempts=*/3));
+  Client client(channel, rnd);
+
+  const crypto::Md key_before = fh.value().key.value();
+  const auto expect_refused = [&](const Status& st) {
+    EXPECT_EQ(st.code(), Errc::kNotPrimary) << st.to_string();
+    EXPECT_FALSE(fh.value().poisoned);
+    EXPECT_EQ(fh.value().key.value(), key_before);
+  };
+  expect_refused(client.erase_item(fh.value(), proto::ItemRef::id(3)));
+  const std::vector<proto::ItemRef> two{proto::ItemRef::id(1),
+                                        proto::ItemRef::id(5)};
+  expect_refused(client.erase_items(fh.value(), two));
+  std::vector<Client::FileHandle*> handles{&fh.value()};
+  const std::vector<proto::ItemRef> one{proto::ItemRef::id(3)};
+  expect_refused(client.erase_batch(handles, one));
+  EXPECT_EQ(server.file(1)->item_count(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(client.access(fh.value(), proto::ItemRef::id(i)).value(),
+              items[i]);
+  }
 }
 
 // ---- one-way partitions & reordering (DESIGN.md §18 failover suite) --------

@@ -24,6 +24,7 @@
 #include "net/inmemory.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "proto/messages.h"
 
@@ -889,6 +890,90 @@ class FlakyEchoChannel final : public RpcChannel {
   std::shared_ptr<std::atomic<bool>> dead_;
 };
 
+/// Channel that fails with kConnReset while `*failures` is positive
+/// (counting it down across every channel sharing it), then echoes.
+class CountdownChannel final : public RpcChannel {
+ public:
+  explicit CountdownChannel(std::shared_ptr<std::atomic<int>> failures)
+      : failures_(std::move(failures)) {}
+
+  Result<Bytes> roundtrip(BytesView request) override {
+    if (failures_->fetch_sub(1) > 0) {
+      return Error(Errc::kConnReset, "test: connection reset");
+    }
+    return Bytes(request.begin(), request.end());
+  }
+
+ private:
+  std::shared_ptr<std::atomic<int>> failures_;
+};
+
+TEST(Failover, OneEndpointCountsResendsAndExhaustion) {
+  // One endpoint is the plain reconnect case: the channel redials the
+  // same server, resends what the predicate approves, and accounts for
+  // it in the fgad_failover_* counters and the flight recorder.
+  obs::FlightRecorder& fr = obs::FlightRecorder::instance();
+  fr.configure(256);
+  obs::Counter& resends_total =
+      obs::Registry::instance().counter("fgad_failover_resends_total");
+  obs::Counter& exhausted_total =
+      obs::Registry::instance().counter("fgad_failover_exhausted_total");
+  const auto events = [&fr](obs::FrEvent type, std::uint64_t rid) {
+    std::vector<std::uint64_t> as;
+    for (const auto& e : fr.snapshot()) {
+      if (e.type == type && e.rid == rid) {
+        as.push_back(e.a);
+      }
+    }
+    return as;
+  };
+  const auto one_endpoint = [](std::shared_ptr<std::atomic<int>> failures) {
+    FailoverChannel::Options opts;
+    opts.max_attempts = 4;
+    opts.base_backoff_ms = 1;
+    opts.max_backoff_ms = 2;
+    opts.retryable = [](BytesView f) { return proto::retryable_request(f); };
+    return std::make_unique<FailoverChannel>(
+        static_endpoints({{"127.0.0.1", 1}}),
+        [failures](const Endpoint&) -> Result<std::unique_ptr<RpcChannel>> {
+          return std::unique_ptr<RpcChannel>(
+              std::make_unique<CountdownChannel>(failures));
+        },
+        opts);
+  };
+  proto::AccessReq areq;
+  areq.file_id = 1;
+  areq.ref = proto::ItemRef::id(0);
+  constexpr std::uint64_t kRid = 0x5eed0001;
+  const Bytes frame = proto::seal_tagged(kRid, areq.to_frame());
+  ASSERT_TRUE(proto::retryable_request(frame));
+
+  // Two resets, then an answer.
+  auto flaky = one_endpoint(std::make_shared<std::atomic<int>>(2));
+  const std::uint64_t resends_before = resends_total.value();
+  auto resp = flaky->roundtrip(frame);
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  EXPECT_EQ(resp.value(), frame);
+  EXPECT_EQ(flaky->resends(), 2u);
+  EXPECT_EQ(flaky->dials(), 3u);
+  EXPECT_EQ(resends_total.value() - resends_before, 2u);
+  EXPECT_EQ(events(obs::FrEvent::kRetryResend, kRid),
+            (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(events(obs::FrEvent::kRetryDial, kRid),
+            (std::vector<std::uint64_t>{0, 1, 2}));
+
+  // Never answers: the budget runs out.
+  auto dead = one_endpoint(std::make_shared<std::atomic<int>>(1000));
+  const std::uint64_t exhausted_before = exhausted_total.value();
+  auto gave_up = dead->roundtrip(frame);
+  ASSERT_FALSE(gave_up.is_ok());
+  EXPECT_EQ(gave_up.error().code, Errc::kRetryExhausted);
+  EXPECT_EQ(dead->resends(), 3u);
+  EXPECT_EQ(exhausted_total.value() - exhausted_before, 1u);
+  EXPECT_EQ(events(obs::FrEvent::kRetryExhausted, kRid),
+            (std::vector<std::uint64_t>{4}));
+}
+
 TEST(Failover, RedialReResolvesInsteadOfCachingTheFirstResolution) {
   // Regression: the Resolver must run on EVERY dial. A client that
   // caches the first resolution keeps redialing the dead primary's old
@@ -969,6 +1054,55 @@ TEST(Failover, NotPrimaryRotatesAndResendsEvenWithoutRetryPredicate) {
   EXPECT_EQ(backup_hits.load(), 1);
   EXPECT_EQ(ch.failovers(), 1u);
   EXPECT_EQ(ch.dials(), 2u);
+}
+
+TEST(Failover, RefusedEverywhereEndsInNotPrimaryUnlessItMayHaveRun) {
+  // A request every endpoint refused ran nowhere, so the give-up code is
+  // kNotPrimary, not kRetryExhausted. A batch keeps that answer only if
+  // none of it may have run: not when a request before the refused one
+  // was answered, nor when the pipelined batch failed in transport.
+  proto::ErrorMsg bounce;
+  bounce.code = Errc::kNotPrimary;
+  bounce.message = "backup";
+  const Bytes bounce_frame = bounce.to_frame();
+  const auto one_endpoint = [&](bool first_dial_resets,
+                                FailoverChannel::RetryPredicate retryable) {
+    FailoverChannel::Options opts;
+    opts.max_attempts = 3;
+    opts.base_backoff_ms = 1;
+    opts.max_backoff_ms = 2;
+    opts.retryable = std::move(retryable);
+    auto dials = std::make_shared<int>(0);
+    return std::make_unique<FailoverChannel>(
+        static_endpoints({{"127.0.0.1", 1}}),
+        [bounce_frame, first_dial_resets,
+         dials](const Endpoint&) -> Result<std::unique_ptr<RpcChannel>> {
+          if (first_dial_resets && (*dials)++ == 0) {
+            return std::unique_ptr<RpcChannel>(
+                std::make_unique<CountdownChannel>(
+                    std::make_shared<std::atomic<int>>(1)));
+          }
+          return std::unique_ptr<RpcChannel>(std::make_unique<DirectChannel>(
+              [bounce_frame](BytesView req) {
+                return to_string(req) == "refuse"
+                           ? bounce_frame
+                           : Bytes(req.begin(), req.end());
+              }));
+        },
+        opts);
+  };
+
+  auto strict = one_endpoint(false, nullptr);  // no resend after transport
+  EXPECT_EQ(strict->roundtrip(to_bytes("refuse")).code(), Errc::kNotPrimary);
+  EXPECT_EQ(strict->roundtrip_batch({to_bytes("refuse")}).code(),
+            Errc::kNotPrimary);
+  EXPECT_EQ(
+      strict->roundtrip_batch({to_bytes("run"), to_bytes("refuse")}).code(),
+      Errc::kRetryExhausted);
+
+  auto resendable = one_endpoint(true, [](BytesView) { return true; });
+  EXPECT_EQ(resendable->roundtrip_batch({to_bytes("refuse")}).code(),
+            Errc::kRetryExhausted);
 }
 
 TEST(Failover, TransportErrorWithoutPredicateIsNotResent) {

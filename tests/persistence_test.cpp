@@ -23,7 +23,7 @@
 #include "cloud/wal.h"
 #include "common/fsio.h"
 #include "common/rng.h"
-#include "net/retry.h"
+#include "net/failover.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -117,23 +117,6 @@ TEST(Persistence, ServerImageRoundtripAndContinue) {
   auto id = client2.insert(fh2, payload_for(500));
   ASSERT_TRUE(id.is_ok());
   EXPECT_TRUE(client2.access(fh2, proto::ItemRef::id(id.value())).is_ok());
-}
-
-TEST(Persistence, FileRoundtripOnDisk) {
-  CloudServer server;
-  SystemRandom rnd;
-  net::DirectChannel ch([&server](BytesView req) { return server.handle(req); });
-  Client client(ch, rnd);
-  auto fh = client.outsource(1, 8, [](std::size_t i) { return payload_for(i); });
-  ASSERT_TRUE(fh.is_ok());
-
-  const std::string path = ::testing::TempDir() + "/fgad_server_image.bin";
-  ASSERT_TRUE(server.save_to_file(path));
-  auto reloaded = CloudServer::load_from_file(path, CloudServer::Options{true});
-  ASSERT_TRUE(reloaded.is_ok());
-  EXPECT_TRUE(reloaded.value()->has_file(1));
-  EXPECT_EQ(reloaded.value()->file(1)->item_count(), 8u);
-  std::remove(path.c_str());
 }
 
 TEST(Persistence, CorruptImageRejected) {
@@ -683,7 +666,7 @@ class AckDropChannel final : public net::RpcChannel {
   std::atomic<int>& drops_;
 };
 
-TEST(DurableRecovery, RetryChannelConvergesExactlyOnce) {
+TEST(DurableRecovery, FailoverChannelConvergesExactlyOnce) {
   DurableServer::Options dopts;
   dopts.dir = fresh_state_dir("durable_retry");
   dopts.checkpoint_every_n = 0;
@@ -692,11 +675,12 @@ TEST(DurableRecovery, RetryChannelConvergesExactlyOnce) {
   DurableServer& ds = *opened.value();
 
   std::atomic<int> drops{1};
-  net::RetryChannel::Options ropts;
+  net::FailoverChannel::Options ropts;
   ropts.base_backoff_ms = 1;
   ropts.retryable = [](BytesView f) { return proto::retryable_request(f); };
-  net::RetryChannel retry(
-      [&]() -> Result<std::unique_ptr<net::RpcChannel>> {
+  net::FailoverChannel retry(
+      net::static_endpoints({{"127.0.0.1", 0}}),
+      [&](const net::Endpoint&) -> Result<std::unique_ptr<net::RpcChannel>> {
         return std::unique_ptr<net::RpcChannel>(
             new AckDropChannel(ds, drops));
       },
@@ -712,7 +696,7 @@ TEST(DurableRecovery, RetryChannelConvergesExactlyOnce) {
   auto fh = client.outsource(1, items);
   ASSERT_TRUE(fh.is_ok());
 
-  // The commit's ACK is dropped once; RetryChannel resends, the dedup
+  // The commit's ACK is dropped once; the channel resends, the dedup
   // table returns the original response, and the client's key rotation
   // completes as if nothing happened.
   ASSERT_TRUE(client.erase_item(fh.value(), proto::ItemRef::id(3)));

@@ -38,7 +38,7 @@
 #include "client/client.h"
 #include "client/keystore.h"
 #include "mon_util.h"
-#include "net/retry.h"
+#include "net/failover.h"
 #include "net/tcp.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
@@ -313,21 +313,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Everything else talks to the server — through a reconnecting retry
-  // channel, so transient stalls/resets only fail read-style commands
-  // after the bounded backoff budget, and mutating commands (put/rm/...)
-  // surface a typed error instead of being resent blind.
+  // Everything else talks to the server — through a reconnecting channel
+  // over its one endpoint, so transient stalls/resets only fail read-style
+  // commands after the bounded backoff budget, and mutating commands
+  // (put/rm/...) surface a typed error instead of being resent blind.
   {
     net::TcpChannel::Options tcp_opts;
     tcp_opts.connect_timeout_ms = timeout_ms;
     tcp_opts.io_timeout_ms = timeout_ms;
-    net::RetryChannel::Options retry_opts;
+    net::FailoverChannel::Options retry_opts;
     retry_opts.max_attempts = retries;
     retry_opts.retryable = [](BytesView frame) {
       return proto::retryable_request(frame);
     };
-    auto retry = std::make_unique<net::RetryChannel>(
-        net::tcp_dialer(host, port, tcp_opts), retry_opts);
+    auto retry = std::make_unique<net::FailoverChannel>(
+        net::static_endpoints({{host, port}}),
+        net::tcp_endpoint_dial(tcp_opts), retry_opts);
     // Dial eagerly so an unreachable server fails fast and obviously.
     auto probe = net::TcpChannel::connect(host, port, tcp_opts);
     if (!probe) {

@@ -10,7 +10,9 @@
 // and the worst follower lag. Between polls it diffs each node's
 // role/term and flags transitions loudly — a failover shows up as one
 // line naming the node, the role flip, and the term bump, without
-// grepping two servers' logs.
+// grepping two servers' logs. Below the cluster table, the table mode
+// prints two tables per reachable node: windowed qps and p50/p95/p99 of
+// every fgad_server_* histogram, and the SLO tracker's burn rates.
 //
 // Flagged conditions:
 //   FAILOVER   a node's role or fencing term changed between polls
@@ -64,6 +66,8 @@ struct NodeState {
   double err_per_s = 0;
   double p99_ms = 0;
   double covered_s = 0;
+  std::string histograms;  // this poll's /vars.json "histograms" object
+  std::string slo;         // ... and its "slo" object
 
   // previous poll, for transition detection
   bool seen_before = false;
@@ -101,7 +105,8 @@ bool poll(NodeState& n, unsigned window_s) {
       n.lag_bytes = number_field(e.obj, "value");
     }
   }
-  for (const Entry& e : entries_of(object_after(vars, "histograms"))) {
+  n.histograms = object_after(vars, "histograms");
+  for (const Entry& e : entries_of(n.histograms)) {
     if (e.name == "fgad_server_handle_ns") {
       n.p99_ms = number_field(e.obj, "p99_ns") / 1e6;
     }
@@ -121,8 +126,8 @@ bool poll(NodeState& n, unsigned window_s) {
       n.lag_bytes = number_field(gauges, "fgad_repl_lag_bytes");
     }
   }
-  const std::string slo = object_after(vars, "slo");
-  n.overloaded = slo.find("\"overloaded\":true") != std::string::npos;
+  n.slo = object_after(vars, "slo");
+  n.overloaded = n.slo.find("\"overloaded\":true") != std::string::npos;
   // /readyz answers {"ready":true,...} with 200, or the blocking
   // reasons with 503 — the body carries the verdict either way.
   const std::string readyz = http_get(n.host, n.port, "/readyz");
@@ -161,6 +166,48 @@ std::string flags_of(const NodeState& n, double lag_threshold) {
   return f.empty() ? "-" : f;
 }
 
+/// One node's per-RPC histogram table and SLO burn-rate table.
+void render_node(const NodeState& n) {
+  std::printf("\n[%s]\n%-44s %10s %10s %10s %10s\n", n.endpoint.c_str(),
+              "histogram", "qps", "p50(ms)", "p95(ms)", "p99(ms)");
+  for (const Entry& e : entries_of(n.histograms)) {
+    if (e.name.rfind("fgad_server_", 0) != 0) {
+      continue;
+    }
+    std::printf("%-44s %10.1f %10.3f %10.3f %10.3f\n", e.name.c_str(),
+                number_field(e.obj, "rate_per_s"),
+                number_field(e.obj, "p50_ns") / 1e6,
+                number_field(e.obj, "p95_ns") / 1e6,
+                number_field(e.obj, "p99_ns") / 1e6);
+  }
+  if (n.slo.empty()) {
+    return;
+  }
+  std::printf("\n%-28s %12s %12s %10s %9s\n", "slo objective", "burn(short)",
+              "burn(long)", "breached", "breaches");
+  // Objectives are an array of objects: scan for their "name" fields.
+  std::size_t pos = 0;
+  while ((pos = n.slo.find("{\"name\":\"", pos)) != std::string::npos) {
+    const std::size_t n1 = pos + 9;
+    const std::size_t n2 = n.slo.find('"', n1);
+    if (n2 == std::string::npos) {
+      break;
+    }
+    std::size_t end = n.slo.find('}', n2);
+    if (end == std::string::npos) {
+      end = n.slo.size();
+    }
+    const std::string obj = n.slo.substr(pos, end - pos + 1);
+    std::printf("%-28s %12.3f %12.3f %10s %9.0f\n",
+                n.slo.substr(n1, n2 - n1).c_str(),
+                number_field(obj, "short_burn"), number_field(obj, "long_burn"),
+                obj.find("\"breached\":true") != std::string::npos ? "YES"
+                                                                   : "no",
+                number_field(obj, "breaches"));
+    pos = end + 1;
+  }
+}
+
 void render_table(std::vector<NodeState>& nodes, double lag_threshold,
                   bool clear) {
   if (clear) {
@@ -197,6 +244,11 @@ void render_table(std::vector<NodeState>& nodes, double lag_threshold,
   if (primaries > 1) {
     std::printf("*** SPLIT: %d nodes claim primary — fencing in progress\n",
                 primaries);
+  }
+  for (const NodeState& n : nodes) {
+    if (n.up) {
+      render_node(n);
+    }
   }
   std::fflush(stdout);
 }

@@ -1,6 +1,6 @@
 // fgad_server — run the cloud side as a standalone TCP daemon.
 //
-//   fgad_server [--port N] [--image PATH] [--no-integrity]
+//   fgad_server [--port N] [--no-integrity]
 //               [--state-dir DIR] [--checkpoint-every-n N]
 //               [--max-connections N] [--io-workers N] [--idle-timeout-ms N]
 //               [--metrics-port N] [--audit-log PATH]
@@ -12,7 +12,8 @@
 // on startup). The process runs until stdin reaches EOF or SIGTERM/SIGINT
 // arrives; SIGTERM triggers a clean final checkpoint before exit.
 //
-// Durability (DESIGN.md §13):
+// Durability (DESIGN.md §13). Without --state-dir the state lives in
+// memory only and is gone when the process exits.
 //   --state-dir DIR         crash-consistent operation: every mutating RPC
 //                           is WAL-logged (fsync before ACK) and the full
 //                           image is checkpointed atomically; startup
@@ -40,9 +41,6 @@
 //                           fencing term, checkpoints it durably, starts
 //                           serving; the old primary gets STALE_TERM and
 //                           demotes itself
-//
-// --image PATH is the legacy whole-image mode: state is loaded from PATH
-// at startup and saved back only on clean shutdown (no crash safety).
 //
 // Server core (DESIGN.md §15): an epoll reactor with request pipelining.
 // --max-connections bounds concurrent connections (overflow queues in the
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 4270;
   bool metrics_enabled = false;
   std::uint16_t metrics_port = 0;
-  std::string image;
   std::string audit_path;
   std::string log_level = "info";
   int slow_op_ms = 0;
@@ -152,8 +149,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--port" && i + 1 < argc) {
       port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--image" && i + 1 < argc) {
-      image = argv[++i];
     } else if (arg == "--state-dir" && i + 1 < argc) {
       dur_opts.dir = argv[++i];
     } else if (arg == "--checkpoint-every-n" && i + 1 < argc) {
@@ -217,7 +212,7 @@ int main(int argc, char** argv) {
       repl_heartbeat_ms = std::atoi(argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: fgad_server [--port N] [--image PATH] [--state-dir DIR]\n"
+          "usage: fgad_server [--port N] [--state-dir DIR]\n"
           "                   [--checkpoint-every-n N]\n"
           "                   [--no-integrity] [--max-connections N] "
           "[--io-workers N] [--idle-timeout-ms N]\n"
@@ -235,10 +230,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (!image.empty() && !dur_opts.dir.empty()) {
-    std::fprintf(stderr, "--image and --state-dir are mutually exclusive\n");
-    return 2;
   }
   if ((!replicate_to.empty() || dur_opts.role == cloud::ReplRole::kBackup) &&
       dur_opts.dir.empty()) {
@@ -364,20 +355,7 @@ int main(int argc, char** argv) {
     // stitched view reads client / primary / backup, not pid numbers.
     obs::trace_set_process_label(
         durable->role() == cloud::ReplRole::kBackup ? "backup" : "primary");
-  } else if (!image.empty()) {
-    auto loaded = cloud::CloudServer::load_from_file(image, opts);
-    if (loaded) {
-      server = std::move(loaded).value();
-      std::printf("loaded server image from %s\n", image.c_str());
-    } else if (loaded.code() == Errc::kIoError) {
-      std::printf("no image at %s yet; starting fresh\n", image.c_str());
-    } else {
-      std::fprintf(stderr, "refusing corrupt image %s: %s\n", image.c_str(),
-                   loaded.status().to_string().c_str());
-      return 1;
-    }
-  }
-  if (!durable && !server) {
+  } else {
     server = std::make_unique<cloud::CloudServer>(opts);
   }
 
@@ -542,14 +520,6 @@ int main(int argc, char** argv) {
       std::printf("final checkpoint written to %s\n", dur_opts.dir.c_str());
     } else {
       std::fprintf(stderr, "final checkpoint failed: %s\n",
-                   st.to_string().c_str());
-      return 1;
-    }
-  } else if (!image.empty()) {
-    if (auto st = server->save_to_file(image); st) {
-      std::printf("saved server image to %s\n", image.c_str());
-    } else {
-      std::fprintf(stderr, "image save failed: %s\n",
                    st.to_string().c_str());
       return 1;
     }

@@ -1,5 +1,5 @@
-// Shared helpers for the operator-side monitoring tools (fgad_top,
-// fgad_mon, fgad's --stitch): a one-shot HTTP GET against a metrics
+// Shared helpers for the operator-side monitoring tools (fgad_mon and
+// fgad's --stitch): a one-shot HTTP GET against a metrics
 // endpoint and a purpose-built scanner for the flat /vars.json shape
 // (DESIGN.md §17). This is deliberately not a general JSON library —
 // names are taken verbatim from the document, numeric fields via strtod.

@@ -15,6 +15,5 @@ fgad_tool(fgad_server_tool fgad_server.cpp fgad_server)
 target_link_options(fgad_server_tool PRIVATE -rdynamic)
 fgad_tool(fgad_cli fgad_cli.cpp fgad)
 fgad_tool(bench_compare bench_compare.cpp bench_compare)
-fgad_tool(fgad_top fgad_top.cpp fgad_top)
 fgad_tool(fgad_mon fgad_mon.cpp fgad_mon)
 fgad_tool(fgad_repl_smoke fgad_repl_smoke.cpp fgad_repl_smoke)
