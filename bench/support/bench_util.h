@@ -10,11 +10,15 @@
 //   FGAD_SAMPLES — operations averaged per data point (default 200)
 #pragma once
 
+#include <sys/statfs.h>
+#include <sys/utsname.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -254,6 +258,27 @@ class BenchJson {
   std::vector<Obj> rows_;
   bool written_ = false;
 };
+
+/// Records the host a snapshot was captured on: cores, the filesystem
+/// holding `dir` and the kernel release.
+inline void set_host_meta(BenchJson::Obj& meta, const std::string& dir) {
+  const char* fs = "unknown";
+  struct statfs sf {};
+  if (::statfs(dir.c_str(), &sf) == 0) {
+    switch (static_cast<unsigned long>(sf.f_type)) {
+      case 0xEF53: fs = "ext2/3/4"; break;
+      case 0x01021994: fs = "tmpfs"; break;
+      case 0x58465342: fs = "xfs"; break;
+      case 0x9123683E: fs = "btrfs"; break;
+      case 0x794c7630: fs = "overlayfs"; break;
+      default: fs = "other"; break;
+    }
+  }
+  struct utsname u {};
+  meta.set("cores", std::thread::hardware_concurrency())
+      .set("fs", fs)
+      .set("kernel", ::uname(&u) == 0 ? std::string(u.release) : "unknown");
+}
 
 // ---- per-operation latency quantiles ------------------------------------
 //

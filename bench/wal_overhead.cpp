@@ -3,13 +3,15 @@
 // without its log —
 //
 //   off      enable_wal = false   checkpoint-only durability (no log)
-//   fsync    enable_wal = true    group-committed fsync before every ACK
+//   fsync    enable_wal = true    group-committed flush (fdatasync) before
+//                                 every ACK; the mode keeps its row key
 //
 // Reported per mode: p50/p95/p99 latency for erase_item and insert through
 // the real wire protocol, plus mean throughput. One client drives it, so
 // every mutation's group commit flushes alone. The state directory lives
-// in $TMPDIR, so on a tmpfs the fsync numbers are a lower bound for real
-// disks — the *relative* cost of the modes is the portable result.
+// in $TMPDIR, so on a tmpfs the flush numbers are a lower bound for real
+// disks — the *relative* cost of the modes is the portable result. The
+// meta block records the cores, the filesystem and the kernel.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -35,11 +37,14 @@ constexpr Mode kModes[] = {
     {"fsync", true},
 };
 
-std::string fresh_dir(const char* mode) {
+std::string state_base() {
   const char* base = std::getenv("TMPDIR");
-  std::string d = (base != nullptr && *base != '\0') ? base : "/tmp";
-  d += "/fgad_wal_bench_" + std::string(mode) + "." +
-       std::to_string(::getpid());
+  return (base != nullptr && *base != '\0') ? base : "/tmp";
+}
+
+std::string fresh_dir(const char* mode) {
+  std::string d = state_base() + "/fgad_wal_bench_" + std::string(mode) +
+                  "." + std::to_string(::getpid());
   ::mkdir(d.c_str(), 0755);
   return d;
 }
@@ -59,6 +64,7 @@ void run() {
   BenchJson json("wal_overhead");
   json.meta().set("n", n).set("item_bytes", 16).set(
       "note", "latency through the wire protocol; state dir in TMPDIR");
+  set_host_meta(json.meta(), state_base());
 
   std::printf("WAL overhead: %zu-item file, %zu delete+insert pairs/mode\n\n",
               n, samples);

@@ -17,7 +17,7 @@ namespace {
 
 /// True when an error code means a commit may or may not have been
 /// applied server-side (transport died after the frame could have been
-/// sent, or the response was unreadable).
+/// sent, the response was unreadable, or the server itself cannot tell).
 bool commit_outcome_unknown(Errc c) {
   switch (c) {
     case Errc::kTimeout:
@@ -25,6 +25,7 @@ bool commit_outcome_unknown(Errc c) {
     case Errc::kIoError:
     case Errc::kRetryExhausted:
     case Errc::kDecodeError:  // response unreadable: cannot prove either way
+    case Errc::kIndeterminate:  // fenced mid-commit by a newer primary
       return true;
     default:
       return false;

@@ -146,12 +146,17 @@ Bytes not_primary_frame() {
 }
 
 /// Maps a durability/replication failure to the client-visible error
-/// frame: a fencing loss mid-commit means "we are not the primary any
-/// more" (so the failover channel re-routes); everything else keeps its
-/// code so kTimeout stays in the client's indeterminate-commit set.
+/// frame. A fencing loss mid-commit is outcome-unknown, not "ran nowhere":
+/// this node applied the record, and the promoted backup may hold it too
+/// (its ack lost before the promotion), so the client must resync rather
+/// than resend or keep its old key. Everything else keeps its code so
+/// kTimeout stays in the client's indeterminate-commit set.
 Bytes commit_fail_frame(const Status& st) {
   if (st.code() == Errc::kStaleTerm) {
-    return not_primary_frame();
+    return proto::error_frame(Error(
+        Errc::kIndeterminate,
+        "commit fenced by a newer primary; outcome unknown: " +
+            st.to_string()));
   }
   return proto::error_frame(
       Error(st.code(), "commit failed: " + st.to_string()));

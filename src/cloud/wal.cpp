@@ -26,6 +26,13 @@ constexpr std::size_t kHeaderSize = 4 + 2 + 8;
 // bound rejects absurd lengths from a corrupted length prefix without
 // attempting the allocation.
 constexpr std::uint32_t kMaxRecordPayload = 1u << 30;
+// Zeros kept written ahead of the appends (DESIGN.md §13): a sync that
+// finds less than half a chunk of them writes the next chunk first, so
+// only that sync commits a size change and the ones after it flush data
+// pages alone.
+constexpr std::size_t kZeroChunk = 256 * 1024;
+// Never written to; not const, so it costs .bss rather than binary size.
+std::uint8_t zero_chunk[kZeroChunk];
 
 Status errno_status(const std::string& what) {
   return Status(Errc::kIoError, what + ": " + std::strerror(errno));
@@ -36,6 +43,8 @@ obs::Counter& appends_counter() {
       obs::Registry::instance().counter("fgad_wal_appends_total");
   return c;
 }
+// The fsync counter and histogram count and time the fdatasync flush; the
+// names stay because dashboards and perfbench's wal.fsync_us read them.
 obs::Counter& fsyncs_counter() {
   static obs::Counter& c =
       obs::Registry::instance().counter("fgad_wal_fsyncs_total");
@@ -175,13 +184,17 @@ Wal::Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size,
       opts_(opts),
       fd_(fd),
       written_(size),
-      durable_(size) {
+      durable_(size),
+      zeroed_end_(size) {
   wal_epoch_gauge().set(static_cast<std::int64_t>(epoch_));
   wal_size_gauge().set(static_cast<std::int64_t>(written_));
 }
 
 Wal::~Wal() {
   if (fd_ >= 0) {
+    if (zeroed_end_ > written_) {
+      (void)::ftruncate(fd_, static_cast<off_t>(written_));
+    }
     ::close(fd_);
   }
 }
@@ -241,6 +254,9 @@ Result<Wal::ScanResult> Wal::scan(
     proto::Reader fr(BytesView(buf.data() + pos, 8));
     const std::uint32_t len = fr.u32();
     const std::uint32_t crc = fr.u32();
+    if (len == 0 && crc == 0) {
+      break;  // the zeros an open log keeps ahead of its appends
+    }
     if (len < 8 + 4 || len > kMaxRecordPayload ||
         len > buf.size() - pos - 8) {
       out.torn_tail = true;  // truncated payload or corrupted length
@@ -328,26 +344,39 @@ Status Wal::sync_to(std::uint64_t ticket) {
 }
 
 Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
-  // Precondition: `lock` holds mu_. It is released around fsync(2) so that
-  // appends (and other syncs) proceed while the disk flushes.
+  // Precondition: `lock` holds mu_. It is released around fdatasync(2) so
+  // that appends (and other syncs) proceed while the disk flushes.
   if (durable_ >= upto) {
     return Status::ok();
   }
   if (!sync_error_.is_ok()) {
-    return sync_error_;  // sticky: a failed fsync may have dropped pages
+    return sync_error_;  // sticky: a failed flush may have dropped pages
   }
-  // fsync covers every byte written before it starts, so note the end of
-  // the log now; concurrent syncs each advance durable_ to their own mark.
+  // Keep zeros ahead of the appends. Appends write(2) at the file offset,
+  // over the zeros, and mu_ keeps them from interleaving with this pwrite.
+  // A record past the zeros grows the file as before; fdatasync then
+  // flushes the size with it. A failed fill is not an error: this flush
+  // still runs, and the next sync retries the fill.
+  if (zeroed_end_ < written_ + kZeroChunk / 2) {
+    const std::uint64_t at = std::max(zeroed_end_, written_);
+    if (::pwrite(fd_, zero_chunk, kZeroChunk, static_cast<off_t>(at)) ==
+        static_cast<ssize_t>(kZeroChunk)) {
+      zeroed_end_ = at + kZeroChunk;
+    }
+  }
+  // fdatasync covers every byte written before it starts, so note the end
+  // of the log now; concurrent syncs each advance durable_ to their own
+  // mark.
   const std::uint64_t target = written_;
   lock.unlock();
   const std::uint64_t t0 = obs::now_ns();
-  const int rc = ::fsync(fd_);
+  const int rc = ::fdatasync(fd_);
   const int err = errno;
   const std::uint64_t dur = obs::now_ns() - t0;
   lock.lock();
   if (rc != 0) {
-    sync_error_ =
-        Status(Errc::kIoError, std::string("wal fsync: ") + std::strerror(err));
+    sync_error_ = Status(Errc::kIoError,
+                         std::string("wal fdatasync: ") + std::strerror(err));
   }
   if (!sync_error_.is_ok()) {
     return sync_error_;

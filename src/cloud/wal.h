@@ -20,12 +20,16 @@
 // truncated final record — the expected shape of a mid-append crash — ends
 // the scan cleanly; anything after the first invalid frame is ignored and
 // the file is truncated back to the last valid boundary before appends
-// resume.
+// resume. A frame header of zeros (len 0, crc 0; no record is shorter than
+// 12 bytes) is the clean end of the log, not a torn tail.
 //
 // Durability: append() only stages a record (write(2), no fsync). The one
 // way to make it durable is sync_to()/sync_now(), which the group committer
-// (cloud::GroupCommitter) and checkpoints call: one fsync covers every
-// record staged before it started.
+// (cloud::GroupCommitter) and checkpoints call: one fdatasync covers every
+// record staged before it started. An open log keeps a stretch of written
+// zeros ahead of its appends, so a flush of records inside that stretch
+// writes data pages only, with no size change to commit; closing the log
+// trims the zeros, so a cleanly closed log ends at its last record.
 #pragma once
 
 #include <atomic>
@@ -105,7 +109,7 @@ class CrashPoint {
 class Wal {
  public:
   struct Options {
-    // 0: sync_to()/sync_now() fsync; <0: they never do (bench-only).
+    // 0: sync_to()/sync_now() flush; <0: they never do (bench-only).
     int sync_ms = 0;
   };
 
@@ -131,17 +135,20 @@ class Wal {
                                              Options opts);
 
   /// Reads every valid record of `path` in order, invoking `fn` for each;
-  /// tolerates a torn/truncated tail. kIoError when the file cannot be
-  /// read, kDecodeError when the header itself is invalid.
+  /// tolerates a torn/truncated tail and stops cleanly at a zero frame
+  /// header. kIoError when the file cannot be read, kDecodeError when the
+  /// header itself is invalid.
   static Result<ScanResult> scan(
       const std::string& path, const std::function<void(const Record&)>& fn);
 
   /// Reopens `path` for appending after a scan: truncates to
-  /// `scan.valid_end` (discarding any torn tail) and positions at the end.
+  /// `scan.valid_end` (discarding any torn tail or zeros a crash left
+  /// behind) and positions at the end.
   static Result<std::unique_ptr<Wal>> reopen(const std::string& path,
                                              const ScanResult& scan,
                                              Options opts);
 
+  /// Trims the zeros kept ahead of the appends, then closes the file.
   ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -150,18 +157,18 @@ class Wal {
   /// hand to sync_to() before anything is acknowledged on its strength.
   Result<std::uint64_t> append(std::uint64_t lsn, BytesView request);
 
-  /// fsyncs through `ticket` on the caller's thread (no-op when sync_ms <
+  /// Flushes through `ticket` on the caller's thread (no-op when sync_ms <
   /// 0 or already durable). One call covers every record staged at or
   /// below the ticket: this is the group-commit flush primitive.
   Status sync_to(std::uint64_t ticket);
 
-  /// fsyncs everything appended so far.
+  /// Flushes everything appended so far.
   Status sync_now();
 
   std::uint64_t epoch() const { return epoch_; }
   const std::string& path() const { return path_; }
   std::uint64_t appended_bytes() const;
-  /// Bytes known fsynced (the durable prefix of the ticket space).
+  /// Bytes known flushed (the durable prefix of the ticket space).
   std::uint64_t durable_bytes() const;
 
  private:
@@ -169,7 +176,7 @@ class Wal {
       Options opts);
 
   /// Makes every byte up to `upto` durable. `lock` holds mu_ on entry and
-  /// exit but not during the fsync itself.
+  /// exit but not during the fdatasync itself.
   Status sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto);
 
   const std::string path_;
@@ -179,8 +186,9 @@ class Wal {
 
   mutable std::mutex mu_;
   std::uint64_t written_ = 0;   // bytes appended (ticket space)
-  std::uint64_t durable_ = 0;   // bytes known fsynced; never decreases
-  Status sync_error_ = Status::ok();  // first fsync failure, sticky
+  std::uint64_t durable_ = 0;   // bytes known flushed; never decreases
+  std::uint64_t zeroed_end_ = 0;  // end of the zeros written past written_
+  Status sync_error_ = Status::ok();  // first flush failure, sticky
 };
 
 }  // namespace fgad::cloud

@@ -19,7 +19,8 @@
 // (DESIGN.md §11 explains why a blind deletion/insert replay is unsafe).
 // kNotPrimary is a *definitive not-executed* signal — the refusing node
 // never touched the WAL — so a refused request is always resent, even an
-// untagged mutation.
+// untagged mutation. A primary fenced mid-commit answers kIndeterminate
+// instead (it applied the record); that frame passes through unresent.
 //
 // When the attempt budget runs out the caller gets kRetryExhausted
 // carrying the last underlying error, unless every send was refused with

@@ -1625,6 +1625,51 @@ TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
   EXPECT_GT(deltas_loaded, 0u);
 }
 
+// A kill -9 leaves the log ending in the zeros an open log keeps ahead of
+// its appends. Recovery reads them as the clean end of the log: every
+// ACKed mutation is back, and a mutation after recovery is kept too.
+TEST(DurableRecovery, ZeroTailLeftByCrashKeepsEveryAck) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_zero_tail");
+  dopts.checkpoint_every_n = 0;  // everything lives in the WAL
+  DurableRig rig(dopts);
+  LiveFile f = outsource_file(rig, 1, 16);
+  ASSERT_TRUE(rig.client->erase_item(f.fh, proto::ItemRef::id(f.ids[3])));
+  ASSERT_TRUE(rig.client->modify(f.fh, f.ids[5], payload_for(905, 256)));
+  ASSERT_TRUE(rig.client->insert(f.fh, payload_for(906, 256)).is_ok());
+  ASSERT_FALSE(is_error_frame(
+      rig.ch->roundtrip(tagged_kv_put(81000, 7, payload_for(7))).value()));
+  const Bytes live = image_of(rig.ds->server());
+
+  // The kill -9: a copy of the live server's state directory.
+  DurableServer::Options copy = dopts;
+  copy.dir = copy_state_dir(dopts.dir);
+  const Bytes log = fsio::read_file(copy.dir + "/wal-000000.log").value();
+  ASSERT_GE(log.size(), 8u);
+  ASSERT_EQ(Bytes(log.end() - 8, log.end()), Bytes(8, 0))
+      << "the copied log has no zero tail";
+  {
+    auto reopened = DurableServer::open(copy);
+    ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+    const auto& info = reopened.value()->recovery_info();
+    EXPECT_FALSE(info.torn_tail);
+    EXPECT_EQ(info.replayed, 5u);  // outsource, delete, modify, insert, put
+    EXPECT_EQ(image_of(reopened.value()->server()), live);
+    EXPECT_TRUE(fsck(reopened.value()->server()));
+    ASSERT_FALSE(is_error_frame(
+        reopened.value()->handle(tagged_kv_put(81001, 8, payload_for(8)))));
+  }
+  auto again = DurableServer::open(copy);
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_FALSE(again.value()->recovery_info().torn_tail);
+  EXPECT_EQ(again.value()->recovery_info().replayed, 6u);
+  auto kept = again.value()->server().kv_get(1, 8);
+  ASSERT_TRUE(kept.is_ok());
+  EXPECT_EQ(kept.value(), payload_for(8));
+  again.value().reset();
+  remove_state_dir(copy.dir);
+}
+
 /// Builds a state directory whose newest checkpoint (4) is a delta on the
 /// full image 2, with full image 1 as the fallback, plus ACKed mutations
 /// logged after checkpoint 4. Returns the live image.

@@ -42,7 +42,8 @@ std::string fresh_state_dir(const std::string& name) {
 /// fails like a dead TCP link while `up` is false.
 class LinkChannel final : public net::RpcChannel {
  public:
-  LinkChannel(std::function<Bytes(BytesView)> handler, std::atomic<bool>& up)
+  LinkChannel(std::function<Result<Bytes>(BytesView)> handler,
+              std::atomic<bool>& up)
       : handler_(std::move(handler)), up_(up) {}
 
   Result<Bytes> roundtrip(BytesView request) override {
@@ -53,7 +54,7 @@ class LinkChannel final : public net::RpcChannel {
   }
 
  private:
-  std::function<Bytes(BytesView)> handler_;
+  std::function<Result<Bytes>(BytesView)> handler_;
   std::atomic<bool>& up_;
 };
 
@@ -98,7 +99,7 @@ struct ReplPair {
             return Error(Errc::kConnReset, "test link down");
           }
           return std::unique_ptr<net::RpcChannel>(new LinkChannel(
-              [this](BytesView req) { return backup->handle(req); }, link_up));
+              [this](BytesView req) { return ship(req); }, link_up));
         },
         ropts);
     if (attach) {
@@ -126,6 +127,19 @@ struct ReplPair {
     repl->stop();  // ship thread references backup; stop it first
   }
 
+  /// Delivers one replication frame to the backup. When armed, the next
+  /// ReplAppend reaches the backup, the backup is promoted, and the ack
+  /// is lost on the way back.
+  Result<Bytes> ship(BytesView req) {
+    Bytes resp = backup->handle(req);
+    if (proto::peek_type(req) == proto::MsgType::kReplAppend &&
+        promote_after_next_append.exchange(false)) {
+      EXPECT_TRUE(backup->promote());
+      return Error(Errc::kConnReset, "test link: ack lost");
+    }
+    return resp;
+  }
+
   /// kill -9 of the primary + SIGHUP promotion of the backup, in-process.
   void failover() {
     repl->stop();
@@ -138,6 +152,7 @@ struct ReplPair {
   std::unique_ptr<DurableServer> backup;
   std::shared_ptr<Replicator> repl;
   std::atomic<bool> link_up{true};
+  std::atomic<bool> promote_after_next_append{false};
   DurableServer* target = nullptr;
   std::unique_ptr<net::DirectChannel> ch;
   crypto::DeterministicRandom rnd{1234};
@@ -281,8 +296,10 @@ TEST(Replication, FencedPrimaryDemotesAndBouncesClients) {
   // kStaleTerm; the replicator's demote hook flips it to backup. In sync
   // ack mode the in-flight mutation itself fails — applied locally but
   // never acknowledged, exactly the divergence a rejoin snapshot erases.
+  // Its outcome is unknown to the client, so the handle is poisoned.
   auto st = pair.client->erase_item(fh.value(), proto::ItemRef::id(3));
-  EXPECT_FALSE(st.is_ok());
+  EXPECT_EQ(st.code(), Errc::kIndeterminate);
+  EXPECT_TRUE(fh.value().poisoned);
   EXPECT_TRUE(wait_until([&] { return pair.repl->demoted(); }));
   EXPECT_TRUE(
       wait_until([&] { return pair.primary->role() == ReplRole::kBackup; }));
@@ -296,9 +313,43 @@ TEST(Replication, FencedPrimaryDemotesAndBouncesClients) {
   EXPECT_EQ(pair.primary->term(), 2u) << "...then adopts it";
 
   // Once demoted, client traffic bounces without touching state.
-  auto st2 = pair.client->erase_item(fh.value(), proto::ItemRef::id(4));
+  auto st2 = pair.client->resync(fh.value());
   ASSERT_FALSE(st2.is_ok());
   EXPECT_EQ(st2.code(), Errc::kNotPrimary);
+  EXPECT_TRUE(fh.value().poisoned);
+}
+
+TEST(Replication, FencedCommitWhoseAckWasLostResyncsOnThePromotedBackup) {
+  ReplPair pair(ReplAckMode::kSync);
+  auto fh = pair.client->outsource(1, 8,
+                                   [](std::size_t i) { return payload_for(i); });
+  ASSERT_TRUE(fh.is_ok());
+
+  // The link delivers the delete commit's record to the backup, which
+  // is then promoted; the ack is lost. The primary's reship bounces with
+  // kStaleTerm, yet the promoted backup holds the deletion.
+  pair.promote_after_next_append = true;
+  auto st = pair.client->erase_item(fh.value(), proto::ItemRef::id(3));
+  EXPECT_EQ(st.code(), Errc::kIndeterminate) << st.to_string();
+  ASSERT_TRUE(fh.value().poisoned);
+  EXPECT_TRUE(wait_until([&] { return pair.repl->demoted(); }));
+
+  // Re-aim at the promoted backup: resync finds the server at K'.
+  pair.repl->stop();
+  pair.target = pair.backup.get();
+  ASSERT_TRUE(pair.client->resync(fh.value()));
+  EXPECT_FALSE(fh.value().poisoned);
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    auto got = pair.client->access(fh.value(), proto::ItemRef::id(id));
+    if (id == 3) {
+      EXPECT_EQ(got.code(), Errc::kNotFound);
+    } else {
+      ASSERT_TRUE(got.is_ok()) << "survivor " << id << ": "
+                               << got.status().to_string();
+      EXPECT_EQ(got.value(), payload_for(id));
+    }
+  }
+  EXPECT_TRUE(fsck(pair.backup->server()));
 }
 
 // ---- ack modes -------------------------------------------------------------

@@ -363,6 +363,148 @@ TEST(Wal, ConcurrentAppendAndSyncKeepTicketsDurable) {
   std::remove(path.c_str());
 }
 
+// ---- the zeros an open log keeps ahead of its appends -----------------------
+
+/// A record whose request is `size` bytes derived from `lsn`.
+Bytes sized_request(std::uint64_t lsn, std::size_t size) {
+  Bytes b(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    b[i] = static_cast<std::uint8_t>(lsn * 31 + i);
+  }
+  return b;
+}
+
+// What a crash leaves behind: a copy taken while the log is open ends in
+// zeros, and the scan reads them as the clean end of the log.
+TEST(Wal, ZeroTailIsCleanEnd) {
+  const std::string path = temp_path("wal_zero_tail");
+  const std::string copy = path + ".copy";
+  std::vector<std::uint64_t> tickets;
+  Bytes live;
+  std::uint64_t appended = 0;
+  {
+    auto wal = Wal::create(path, 3, Wal::Options{0});
+    ASSERT_TRUE(wal.is_ok());
+    for (std::uint64_t i = 1; i <= 10; ++i) {
+      auto t = wal.value()->append(i, request_frame(i));
+      ASSERT_TRUE(t.is_ok());
+      tickets.push_back(t.value());
+    }
+    ASSERT_TRUE(wal.value()->sync_to(tickets.back()));
+    appended = wal.value()->appended_bytes();
+    live = file_bytes(path);
+  }
+  ASSERT_GT(live.size(), appended) << "no zeros ahead of the appends";
+  write_raw(copy, live);
+  auto scan = Wal::scan(copy, [](const Wal::Record&) {});
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_EQ(scan.value().records, 10u);
+  EXPECT_EQ(scan.value().max_lsn, 10u);
+  EXPECT_FALSE(scan.value().torn_tail);
+  EXPECT_EQ(scan.value().valid_end, appended);
+
+  // A torn last record over the zeros: its header and the start of its
+  // payload reached the disk, the rest did not.
+  Bytes torn = live;
+  std::fill(torn.begin() + static_cast<std::ptrdiff_t>(tickets[8] + 12),
+            torn.begin() + static_cast<std::ptrdiff_t>(appended), 0);
+  write_raw(copy, torn);
+  std::vector<Wal::Record> got;
+  scan = Wal::scan(copy, [&](const Wal::Record& r) { got.push_back(r); });
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_TRUE(scan.value().torn_tail);
+  EXPECT_EQ(scan.value().valid_end, tickets[8]);
+  ASSERT_EQ(got.size(), 9u);
+  for (std::uint64_t i = 1; i <= 9; ++i) {
+    EXPECT_EQ(got[i - 1].lsn, i);
+    EXPECT_EQ(got[i - 1].request, request_frame(i));
+  }
+  std::remove(copy.c_str());
+  std::remove(path.c_str());
+}
+
+// Closing trims the zeros: the file is byte-identical to a log that never
+// flushed (and so never wrote zeros).
+TEST(Wal, CleanCloseTrimsZeroTail) {
+  const std::string path = temp_path("wal_trim");
+  const std::string plain = temp_path("wal_trim_plain");
+  std::uint64_t appended = 0;
+  {
+    auto wal = Wal::create(path, 2, Wal::Options{0});
+    auto never = Wal::create(plain, 2, Wal::Options{/*sync_ms=*/-1});
+    ASSERT_TRUE(wal.is_ok());
+    ASSERT_TRUE(never.is_ok());
+    for (std::uint64_t i = 1; i <= 6; ++i) {
+      ASSERT_TRUE(wal.value()->append(i, request_frame(i)).is_ok());
+      ASSERT_TRUE(never.value()->append(i, request_frame(i)).is_ok());
+      ASSERT_TRUE(wal.value()->sync_now());
+    }
+    appended = wal.value()->appended_bytes();
+    ASSERT_GT(file_bytes(path).size(), appended);
+  }
+  const Bytes closed = file_bytes(path);
+  EXPECT_EQ(closed.size(), appended);
+  EXPECT_EQ(closed, file_bytes(plain));
+  std::remove(plain.c_str());
+  std::remove(path.c_str());
+}
+
+// Appends from four threads cross several zero chunks, and one record is
+// larger than a chunk, while a fifth thread flushes in a loop: each zero
+// fill lands past every staged record, never over one (a TSan target).
+TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
+  const std::string path = temp_path("wal_zero_chunks");
+  auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
+  ASSERT_TRUE(created.is_ok());
+  Wal& wal = *created.value();
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 150;
+  // ~1.2 MB in all, over three 256 KiB chunks' worth.
+  const auto size_of = [](std::uint64_t lsn) -> std::size_t {
+    return lsn == 1000 + 70 ? 300 * 1024 : 600 + (lsn * 37) % 1800;
+  };
+  std::atomic<bool> done{false};
+  std::thread syncer([&] {
+    while (!done.load()) {
+      ASSERT_TRUE(wal.sync_to(wal.appended_bytes()));
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t lsn = 1000 * (t + 1) + i;
+        ASSERT_TRUE(wal.append(lsn, sized_request(lsn, size_of(lsn))).is_ok());
+      }
+    });
+  }
+  for (auto& w : writers) {
+    w.join();
+  }
+  done = true;
+  syncer.join();
+  ASSERT_TRUE(wal.sync_now());
+
+  std::map<std::uint64_t, int> seen;
+  auto scan = Wal::scan(path, [&](const Wal::Record& rec) {
+    ++seen[rec.lsn];
+    EXPECT_EQ(rec.request, sized_request(rec.lsn, size_of(rec.lsn)))
+        << rec.lsn;
+  });
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_FALSE(scan.value().torn_tail);
+  EXPECT_EQ(scan.value().valid_end, wal.appended_bytes());
+  EXPECT_GT(wal.appended_bytes(), 3u * 256 * 1024);
+  ASSERT_EQ(seen.size(), kThreads * kPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      EXPECT_EQ(seen[1000 * (t + 1) + i], 1) << 1000 * (t + 1) + i;
+    }
+  }
+  created.value().reset();
+  std::remove(path.c_str());
+}
+
 // ---- CrashPoint -------------------------------------------------------------
 
 TEST(CrashPointTest, ArmThrowFiresOnceArmed) {
