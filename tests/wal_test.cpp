@@ -1,10 +1,12 @@
 // Durability primitives (DESIGN.md §13): fsio atomic writes and CRC32, WAL
-// framing + torn-tail / bit-flip tolerance, group commit, the CrashPoint
-// harness, and the rid-dedup table.
+// framing + torn-tail / bit-flip tolerance, the zeros an open log keeps
+// ahead of its appends, group commit, the CrashPoint harness, and the
+// rid-dedup table.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
