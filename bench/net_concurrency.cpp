@@ -74,7 +74,8 @@ Bytes tagged_put(std::uint64_t key, BytesView value) {
   put.table = 1;
   put.key = key;
   put.value = Bytes(value.begin(), value.end());
-  return proto::seal_tagged(obs::generate_request_id(), put.to_frame());
+  return proto::seal_tagged_v2(obs::generate_request_id(), 0, 0, {},
+                               put.to_frame());
 }
 
 struct RunResult {

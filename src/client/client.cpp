@@ -50,6 +50,28 @@ auto plan_with_fresh_key(crypto::RandomSource& rnd, std::size_t width,
                "delete: retries exhausted picking a fresh key");
 }
 
+/// The one sealer of tagged requests (DESIGN.md §19): the request id, and
+/// under a trace the current span's id, 0 otherwise. The server keys
+/// exactly-once on both and returns its timing trailer only for a span.
+Bytes seal_request(std::uint64_t rid, BytesView frame) {
+  return proto::seal_tagged_v2(rid, obs::trace_current_span_id(), 0, {},
+                               frame);
+}
+
+/// The payload of one reply to a request sealed under `rid` (0: untagged).
+/// A tagged reply must echo the rid; an untagged one is accepted.
+Result<Bytes> open_reply(BytesView resp, std::uint64_t rid, MsgType expect) {
+  auto env = proto::open_message(resp);
+  if (!env) {
+    return env.error();
+  }
+  if (rid != 0 && env.value().request_id.value_or(rid) != rid) {
+    return Error(Errc::kDecodeError,
+                 "client: response carries a different request id");
+  }
+  return proto::response_payload(std::move(env).value(), expect);
+}
+
 }  // namespace
 
 Client::Client(net::RpcChannel& channel, crypto::RandomSource& rnd,
@@ -83,48 +105,32 @@ Result<Bytes> Client::call(BytesView frame, MsgType expect) {
   const auto req_type = proto::peek_type(frame);
   obs::Span span(req_type ? proto::msg_type_name(*req_type) : "rpc");
   // Under an active trace, wrap the frame in a tagged envelope so the
-  // server's audit lines carry this request id. Untagged traffic is
-  // byte-identical to the pre-tagging protocol. With tag_mutations on,
-  // mutating RPCs outside a trace get a fresh id per RPC — the durable
-  // server's idempotency token for crash-safe retries.
+  // server's audit lines and spans carry this request id and parent under
+  // this RPC's span. Untagged traffic is byte-identical to the
+  // pre-tagging protocol. With tag_mutations on, mutating RPCs outside a
+  // trace get a fresh id per RPC — the durable server's idempotency token
+  // for crash-safe retries.
   std::uint64_t rid = obs::current_request_id();
   if (rid == 0 && opts_.tag_mutations && req_type &&
       proto::is_mutating(*req_type)) {
     rid = obs::generate_request_id();
   }
-  // Under an active trace the envelope is the V2 form, carrying this RPC
-  // span's id so the server's spans parent under it and the response can
-  // return the server-timing trailer. tag_mutations alone (no trace)
-  // stays on the V1 envelope — byte-identical to the pre-§19 wire.
-  const bool traced = rid != 0 && obs::trace_active();
-  Result<Bytes> resp =
-      traced ? channel_.roundtrip(proto::seal_tagged_v2(
-                   rid, obs::trace_current_span_id(), 0, {}, frame))
-      : rid != 0 ? channel_.roundtrip(proto::seal_tagged(rid, frame))
-                 : channel_.roundtrip(frame);
+  Result<Bytes> resp = rid != 0
+                           ? channel_.roundtrip(seal_request(rid, frame))
+                           : channel_.roundtrip(frame);
   if (!resp) {
     rpc_errors.inc();
     return resp;
   }
-  if (traced) {
-    // The V2 response's trailer is the server's cost breakdown for this
-    // rid; keep the latest one for tools (fgad_cli --trace).
+  if (rid != 0 && obs::trace_active()) {
+    // A traced reply's trailer is the server's cost breakdown for this
+    // RPC; keep the latest one for tools (fgad_cli --trace).
     if (const auto rtag = proto::open_tagged(resp.value());
-        rtag && rtag->v2 && !rtag->timings.empty()) {
+        rtag && !rtag->timings.empty()) {
       last_server_timing_ = rtag->timings;
     }
   }
-  auto env = proto::open_message(resp.value());
-  if (!env) {
-    rpc_errors.inc();
-    return env.error();
-  }
-  if (rid != 0 && env.value().request_id.value_or(rid) != rid) {
-    rpc_errors.inc();
-    return Error(Errc::kDecodeError,
-                 "client: response carries a different request id");
-  }
-  auto payload = proto::response_payload(std::move(env).value(), expect);
+  auto payload = open_reply(resp.value(), rid, expect);
   if (!payload) {
     rpc_errors.inc();
   }
@@ -152,7 +158,7 @@ Result<std::vector<Result<Bytes>>> Client::call_batch(
       // trace — a shared rid would dedup-collapse the whole batch.
       rid = obs::generate_request_id();
       rids[i] = rid;
-      frames[i] = proto::seal_tagged(rid, frames[i]);
+      frames[i] = seal_request(rid, frames[i]);
     }
   }
   auto resps = channel_.roundtrip_batch(frames);
@@ -163,19 +169,7 @@ Result<std::vector<Result<Bytes>>> Client::call_batch(
   std::vector<Result<Bytes>> out;
   out.reserve(frames.size());
   for (std::size_t i = 0; i < resps.value().size(); ++i) {
-    auto env = proto::open_message(resps.value()[i]);
-    if (!env) {
-      rpc_errors.inc();
-      out.push_back(env.error());
-      continue;
-    }
-    if (rids[i] != 0 && env.value().request_id.value_or(rids[i]) != rids[i]) {
-      rpc_errors.inc();
-      out.push_back(Error(Errc::kDecodeError,
-                          "client: response carries a different request id"));
-      continue;
-    }
-    out.push_back(proto::response_payload(std::move(env).value(), expect));
+    out.push_back(open_reply(resps.value()[i], rids[i], expect));
     if (!out.back()) {
       rpc_errors.inc();
     }

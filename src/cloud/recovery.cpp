@@ -323,6 +323,20 @@ Result<LoadedCheckpoint> load_checkpoint(const DurableServer::Options& opts,
 
 }  // namespace
 
+// ---- exactly-once ----------------------------------------------------------
+
+std::uint64_t exactly_once_key(std::uint64_t rid, std::uint64_t span_id) {
+  if (rid == 0 || span_id == 0) {
+    return rid;
+  }
+  // splitmix64's finalizer spreads the span id over all 64 bits.
+  std::uint64_t z = span_id + 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  const std::uint64_t key = rid ^ z ^ (z >> 31);
+  return key != 0 ? key : rid;  // 0 would read as untagged
+}
+
 // ---- RidDedup --------------------------------------------------------------
 
 const Bytes* RidDedup::find(std::uint64_t rid) const {
@@ -363,12 +377,18 @@ Status RidDedup::deserialize(proto::Reader& r) {
     return Status(Errc::kDecodeError, "dedup table: bad entry count");
   }
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rid = r.u64();
+    std::uint64_t key = r.u64();
     Bytes resp = r.bytes();
     if (!r.ok()) {
       return Status(Errc::kDecodeError, "dedup table: truncated");
     }
-    put(rid, std::move(resp));
+    // Older tables hold sealed replies under the bare rid; an inner reply
+    // is never tagged.
+    if (const auto tag = proto::open_tagged(resp)) {
+      key = exactly_once_key(key, tag->span_id);
+      resp = Bytes(tag->inner.begin(), tag->inner.end());
+    }
+    put(key, std::move(resp));
   }
   return Status::ok();
 }
@@ -448,79 +468,20 @@ Status fsck(const CloudServer& server) {
 
 namespace {
 
-/// Owns the rid's trace capture for the durability layer when no outer
-/// capture is active: spans opened anywhere below (WAL append, the apply
-/// inside CloudServer::handle) land on one timeline that is stored to the
-/// TraceStore on scope exit. `parent` is the client's RPC span id from the
-/// V2 envelope, so the stored segment stitches under the client's tree
-/// (DESIGN.md §19).
-class TraceCaptureGuard {
- public:
-  TraceCaptureGuard(std::uint64_t rid, std::uint64_t parent) {
-    if (rid != 0 && obs::TraceStore::instance().capture_enabled() &&
-        !obs::trace_active()) {
-      rid_ = rid;
-      obs::trace_begin(rid, parent);
-    }
+/// A logged mutation's reply as it leaves, sealed once: the request's
+/// total is charged, then seal_reply takes its whole ledger row. Untagged
+/// requests get the reply as it is.
+Bytes seal_mutation_reply(const std::optional<proto::TaggedInfo>& tag,
+                          std::uint64_t t0, Bytes reply) {
+  if (!tag) {
+    return reply;
   }
-  ~TraceCaptureGuard() {
-    if (rid_ != 0) {
-      obs::TraceStore::instance().put(rid_, obs::trace_render_chrome_json());
-      obs::trace_stop();
-    }
-  }
-  TraceCaptureGuard(const TraceCaptureGuard&) = delete;
-  TraceCaptureGuard& operator=(const TraceCaptureGuard&) = delete;
-
- private:
-  std::uint64_t rid_ = 0;
-};
-
-/// Folds the rid's residual CostLedger row (fsync share, replication
-/// wait, total — buckets charged after CloudServer sealed the response)
-/// into the response's V2 timing trailer. No-op for V1/untagged
-/// responses or when nothing residual accrued, so the dedup-stored bytes
-/// pass through unchanged on resends.
-Bytes reseal_with_costs(std::uint64_t rid, Bytes resp) {
   auto& ledger = obs::CostLedger::instance();
-  if (rid == 0 || !ledger.enabled()) {
-    return resp;
+  if (ledger.enabled()) {
+    ledger.add(tag->request_id, obs::CostKind::kTotal, obs::now_ns() - t0);
   }
-  const auto tag = proto::open_tagged(resp);
-  if (!tag || !tag->v2) {
-    return resp;
-  }
-  const auto residual = ledger.take(rid);
-  if (!residual.any()) {
-    return resp;
-  }
-  auto merged = residual.ns;
-  for (const auto& t : tag->timings) {
-    if (t.kind < merged.size()) {
-      merged[t.kind] += t.ns;
-    }
-  }
-  std::vector<proto::TimingEntry> out;
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (merged[i] != 0) {
-      out.push_back({static_cast<std::uint8_t>(i), merged[i]});
-    }
-  }
-  return proto::seal_tagged_v2(tag->request_id, tag->span_id,
-                               tag->parent_span_id, out, tag->inner);
+  return seal_reply(*tag, reply);
 }
-
-/// RAII for the audit log's thread-local commit context: audit lines
-/// written during the bracketed apply carry this term/LSN.
-class CommitContextGuard {
- public:
-  CommitContextGuard(std::uint64_t term, std::uint64_t lsn) {
-    obs::AuditLog::set_commit_context(term, lsn);
-  }
-  ~CommitContextGuard() { obs::AuditLog::clear_commit_context(); }
-  CommitContextGuard(const CommitContextGuard&) = delete;
-  CommitContextGuard& operator=(const CommitContextGuard&) = delete;
-};
 
 }  // namespace
 
@@ -761,14 +722,22 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
     break;
   }
 
+  // A primary with no persisted term starts at 1 so term 0 can never
+  // appear on the wire (a follower uses 0 to mean "adopt whatever the
+  // primary says"); the records replayed below were logged under it. A
+  // backup keeps whatever term its newest checkpoint carried and waits for
+  // the primary's stream.
+  if (opts.role == ReplRole::kPrimary && ds->term_ == 0) {
+    ds->term_ = 1;
+  }
+
   // 2. Replay every WAL file in epoch order. LSN skipping makes this
   //    correct under any crash interleaving: records already covered by
   //    the chosen checkpoint are skipped, everything younger re-executes
-  //    through the exact same dispatch path as live traffic.
+  //    through the apply step live traffic takes.
   obs::FlightRecorder::instance().record(
       obs::FrEvent::kRecoveryBegin, 0, ds->recovery_.checkpoint_epoch);
 
-  std::uint64_t max_lsn = base_lsn;
   Wal::ScanResult last_scan;
   std::uint64_t last_wal_epoch = 0;
   bool have_wal_file = false;
@@ -781,16 +750,9 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
             ++ds->recovery_.skipped;
             return;
           }
-          const auto tag = proto::split_tagged(rec.request);
-          const std::uint64_t rid = tag ? tag->first : 0;
-          if (rid != 0 && ds->dedup_.find(rid) != nullptr) {
-            ++ds->recovery_.skipped;  // duplicate record; already applied
-            return;
-          }
-          Bytes resp = ds->server_->handle(rec.request);
-          ds->dedup_.put(rid, std::move(resp));
+          ds->apply_logged(rec.lsn, proto::open_tagged(rec.request),
+                           rec.request, "replay");
           ++ds->recovery_.replayed;
-          max_lsn = std::max(max_lsn, rec.lsn);
         });
     if (!scan) {
       // Unreadable/invalid-header WAL file: records in it (if any) were
@@ -807,7 +769,8 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
     last_wal_epoch = e;
     have_wal_file = true;
   }
-  ds->next_lsn_ = max_lsn + 1;
+  ds->next_lsn_ = std::max(ds->next_lsn_, base_lsn + 1);
+  ds->mutations_since_checkpoint_ = 0;  // the interval counts from boot
   // A snapshot rotates the log before its image is durable, so a crash
   // mid-write-out leaves a log one epoch past the newest checkpoint. The
   // next checkpoint must take an epoch past every log on disk, or its
@@ -851,13 +814,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
     }
   }
 
-  // 5. Replication role. A primary with no persisted term starts at 1 so
-  //    term 0 can never appear on the wire (a follower uses 0 to mean
-  //    "adopt whatever the primary says"). A backup keeps whatever term
-  //    its newest checkpoint carried and waits for the primary's stream.
-  if (opts.role == ReplRole::kPrimary && ds->term_ == 0) {
-    ds->term_ = 1;
-  }
+  // 5. Replication role, under the term settled before replay.
   ds->set_role_locked(opts.role, ds->term_);
 
   ds->recovery_.duration_ns = obs::now_ns() - recover_t0;
@@ -921,15 +878,12 @@ void DurableServer::handle_async(Bytes request, Done done) {
     done(server_->handle(request));  // reads never touch the log
     return;
   }
-  const auto tag = proto::open_tagged(request);
+  // The edge of a logged mutation: its envelope is opened here, once, and
+  // its reply sealed once, as it leaves. The log and the replication
+  // stream keep the request as it arrived.
+  auto tag = proto::open_tagged(request);
   const std::uint64_t rid = tag ? tag->request_id : 0;
-  // Bind the rid to this thread before touching the durability layer so
-  // the WAL append and crash-point flight events it emits carry it.
-  obs::RequestScope rid_scope(rid);
-  // Captures the dispatch-side spans (wal_append + apply); the group
-  // committer splices its amortized fsync share into the stored trace
-  // later via TraceStore::append_event.
-  TraceCaptureGuard trace_guard(rid, tag ? tag->span_id : 0);
+  const std::uint64_t key = tag ? exactly_once_key(rid, tag->span_id) : 0;
   const std::uint64_t total_t0 = obs::now_ns();
 
   std::shared_ptr<Wal> wal;
@@ -941,36 +895,41 @@ void DurableServer::handle_async(Bytes request, Done done) {
   bool durable_already = false;
   bool dedup_hit = false;
   {
+    // Binds the rid before the durability layer is touched, so the WAL
+    // append's span, cost and flight event carry it, and captures the
+    // dispatch-side spans. The scope ends before the ack is parked, so the
+    // group committer finds the stored trace when it splices in the
+    // amortized fsync share (TraceStore::append_event).
+    RequestScope scope(tag);
     std::lock_guard<std::mutex> lock(mu_);
     repl = repl_;
     mode = repl_mode_;
-    if (rid != 0) {
-      if (const Bytes* cached = dedup_.find(rid)) {
-        // Exactly-once: the mutation already applied (possibly replayed
-        // from the WAL after a crash); hand back the original response
-        // instead of double-applying it.
-        dedup_hits_counter().inc();
-        obs::FlightRecorder::instance().record(obs::FrEvent::kDedupHit, rid);
-        resp = *cached;
-        durable_already = true;
-        dedup_hit = true;
-        // The cached response was first acked under the sync contract, but
-        // a resend after failover-and-failback could race a still-catching-
-        // up backup, so sync ack mode gates it on everything logged so far.
-        lsn = next_lsn_ - 1;
-      }
-    }
-    if (!durable_already) {
+    if (const Bytes* cached = key != 0 ? dedup_.find(key) : nullptr) {
+      // Exactly-once: the mutation already applied (possibly replayed
+      // from the WAL after a crash); hand back the original reply instead
+      // of double-applying it.
+      dedup_hits_counter().inc();
+      obs::FlightRecorder::instance().record(obs::FrEvent::kDedupHit, rid);
+      resp = *cached;
+      durable_already = true;
+      dedup_hit = true;
+      // The cached reply was first acked under the sync contract, but a
+      // resend after failover-and-failback could race a still-catching-up
+      // backup, so sync ack mode gates it on everything logged so far.
+      lsn = next_lsn_ - 1;
+    } else {
       CrashPoint::instance().fire(CrashSite::kBeforeWalAppend);
       if (wal_) {
         obs::Span wal_span("wal_append");
         obs::ScopedCost wal_cost(obs::CostKind::kWalAppend);
-        lsn = next_lsn_++;
+        lsn = next_lsn_;
         // Staged, not yet durable: the group committer below performs
         // the fsync for the whole cross-connection batch at once.
         auto t = wal_->append(lsn, request);
         if (!t) {
-          done(io_error_frame("wal append failed: " + t.error().message));
+          done(seal_mutation_reply(
+              tag, total_t0,
+              io_error_frame("wal append failed: " + t.error().message)));
           return;
         }
         ticket = t.value();
@@ -983,11 +942,9 @@ void DurableServer::handle_async(Bytes request, Done done) {
         }
       }
       {
-        CommitContextGuard commit_ctx(term_, lsn);
-        resp = server_->handle(request);
+        obs::ScopedCost apply_cost(obs::CostKind::kApply);
+        resp = apply_logged(lsn, tag, request, "apply");
       }
-      dedup_.put(rid, resp);
-      ++mutations_since_checkpoint_;
       if (opts_.checkpoint_every_n > 0 &&
           mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
         // The snapshot fsyncs the log first, so the staged record is
@@ -1001,10 +958,11 @@ void DurableServer::handle_async(Bytes request, Done done) {
   }
   const bool sync_repl = repl && mode == ReplAckMode::kSync && lsn > 0;
   if ((wal == nullptr || durable_already) && !sync_repl) {
+    obs::RequestScope rid_scope(rid);
     if (!dedup_hit) {
       CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
     }
-    done(std::move(resp));
+    done(seal_mutation_reply(tag, total_t0, std::move(resp)));
     return;
   }
   if (wal == nullptr || durable_already) {
@@ -1014,15 +972,18 @@ void DurableServer::handle_async(Bytes request, Done done) {
     wal = nullptr;
     ticket = 0;
   }
+  if (tag) {
+    tag->inner = {};  // the seal needs the ids only, not the request bytes
+  }
   committer_.enqueue(
       wal, ticket, lsn,
-      [rid, dedup_hit, total_t0, resp = std::move(resp),
+      [tag = std::move(tag), dedup_hit, total_t0, resp = std::move(resp),
        done = std::move(done)](Status st) mutable {
         if (!st) {
-          done(commit_fail_frame(st));
+          done(seal_mutation_reply(tag, total_t0, commit_fail_frame(st)));
           return;
         }
-        obs::RequestScope rid_scope(rid);
+        obs::RequestScope rid_scope(tag ? tag->request_id : 0);
         if (!dedup_hit) {
           try {
             CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
@@ -1030,16 +991,29 @@ void DurableServer::handle_async(Bytes request, Done done) {
             return;  // simulated death before the ACK: drop the response
           }
         }
-        // Fold the flush's amortized buckets (queue wait, fsync share,
-        // gate share — charged by GroupCommitter::flush just before this
-        // release ran) plus the total into the V2 trailer.
-        if (rid != 0 && obs::CostLedger::instance().enabled()) {
-          obs::CostLedger::instance().add(rid, obs::CostKind::kTotal,
-                                          obs::now_ns() - total_t0);
-        }
-        done(reseal_with_costs(rid, std::move(resp)));
+        // The flush charged its amortized buckets (queue wait, fsync
+        // share, gate share) just before this release ran; the seal takes
+        // them with the rest of the row.
+        done(seal_mutation_reply(tag, total_t0, std::move(resp)));
       },
       rid);
+}
+
+Bytes DurableServer::apply_logged(std::uint64_t lsn,
+                                  const std::optional<proto::TaggedInfo>& tag,
+                                  BytesView request, const char* span) {
+  Bytes reply;
+  {
+    RequestScope scope(tag, term_, lsn);
+    obs::Span apply_span(span);
+    reply = server_->dispatch(tag ? tag->inner : request);
+  }
+  if (tag) {
+    dedup_.put(exactly_once_key(tag->request_id, tag->span_id), reply);
+  }
+  next_lsn_ = std::max(next_lsn_, lsn + 1);
+  ++mutations_since_checkpoint_;
+  return reply;
 }
 
 Status DurableServer::checkpoint() {

@@ -11,13 +11,14 @@
 // delta against the newest durable full image, its base: the files and
 // ciphertexts that changed since the base was taken.
 //
-// Exactly-once: a mutating request that arrives in a tagged envelope
-// (proto::kTaggedEnvelope) is deduplicated by its request id. The dedup
-// table — a bounded FIFO of (rid -> response) — is persisted in every
-// checkpoint and rebuilt by WAL replay, so a client that resends a
-// mutation after a timeout, a connection reset, *or a server crash* gets
-// the original response back instead of double-folding deletion deltas.
-// This is what lets proto::retryable_request approve tagged mutations for
+// Exactly-once: a mutating request that arrives in a tagged envelope is
+// deduplicated by its exactly-once key (the request id, mixed with the
+// span id when the request carries one). The dedup table — a bounded FIFO
+// of (key -> inner reply) — is persisted in every checkpoint and rebuilt
+// by WAL replay, so a client that resends a mutation after a timeout, a
+// connection reset, *or a server crash* gets the original reply back,
+// sealed for the resend, instead of double-folding deletion deltas. This
+// is what lets proto::retryable_request approve tagged mutations for
 // net::FailoverChannel.
 //
 // State directory layout:
@@ -50,22 +51,31 @@
 
 namespace fgad::cloud {
 
-/// Bounded FIFO map: request id -> the response produced the first time
-/// the mutation was applied. Deterministic (insertion-ordered eviction)
-/// so checkpoint images stay byte-identical across re-executions.
+/// The exactly-once key of a tagged mutation (DESIGN.md §13): its request
+/// id, mixed with its span id when that is nonzero. Every RPC of a trace
+/// carries the trace's rid but a span id of its own, and a resend repeats
+/// the frame, so the key names one RPC. 0 for an untagged request (rid 0).
+std::uint64_t exactly_once_key(std::uint64_t rid, std::uint64_t span_id);
+
+/// Bounded FIFO map: exactly-once key -> the inner (unsealed) reply
+/// produced the first time the mutation was applied. Deterministic (no
+/// per-attempt timings, insertion-ordered eviction), so the table is
+/// byte-identical on the primary, the backup and replay.
 class RidDedup {
  public:
   explicit RidDedup(std::size_t capacity = 4096) : capacity_(capacity) {}
 
-  /// The cached response for `rid`, or nullptr.
-  const Bytes* find(std::uint64_t rid) const;
-  /// Records a response; evicts the oldest entry past capacity. rid 0
+  /// The cached reply for `key`, or nullptr.
+  const Bytes* find(std::uint64_t key) const;
+  /// Records a reply; evicts the oldest entry past capacity. Key 0
   /// (untagged) is never stored.
-  void put(std::uint64_t rid, Bytes response);
+  void put(std::uint64_t key, Bytes response);
 
   std::size_t size() const { return order_.size(); }
 
   void serialize(proto::Writer& w) const;
+  /// Also loads tables stored with sealed replies: each is unwrapped and
+  /// re-keyed by the span id it echoes.
   Status deserialize(proto::Reader& r);
 
  private:
@@ -272,6 +282,15 @@ class DurableServer {
   std::uint64_t wal_bytes_from(std::uint64_t epoch) const;
   std::string checkpoint_path(std::uint64_t epoch) const;
   std::string wal_path(std::uint64_t epoch) const;
+
+  /// The one apply step of a logged mutation for the primary, the backup
+  /// stream and replay (under mu_, or inside open()): opens the request's
+  /// scope at `lsn`, dispatches the inner frame under a `span` span, stores
+  /// the inner reply under the exactly-once key, and advances the LSN and
+  /// the checkpoint count. Returns the inner reply.
+  Bytes apply_logged(std::uint64_t lsn,
+                     const std::optional<proto::TaggedInfo>& tag,
+                     BytesView request, const char* span);
 
   Bytes handle_repl_append(const proto::ReplAppend& req);
   Bytes handle_repl_snapshot(const proto::ReplSnapshot& req);

@@ -6,7 +6,6 @@
 #include "cloud/recovery.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/trace.h"
 
 namespace fgad::cloud {
 
@@ -623,40 +622,20 @@ Bytes DurableServer::handle_repl_append(const proto::ReplAppend& req) {
       return ack.to_frame();
     }
     if (wal_) {
+      // A failed append latches the log (Wal::append), so this record and
+      // everything after it stays unapplied and unacked.
       auto t = wal_->append(rec.lsn, rec.request);
       if (!t) {
         return error_frame(Errc::kIoError,
                            "repl wal append: " + t.error().message);
       }
     }
-    const auto tag = proto::open_tagged(rec.request);
-    const std::uint64_t rid = tag ? tag->request_id : 0;
     // The backup's apply becomes its own trace segment under the client's
     // rid, parented on the wire-carried span id, so the primary's
     // stitched GET /trace.json?rid= shows the replication hop
-    // (DESIGN.md §19). The shipped frame is applied verbatim — never
-    // rewritten — so the dedup table stays byte-identical with the
-    // primary's.
-    const bool capture = rid != 0 &&
-                         obs::TraceStore::instance().capture_enabled() &&
-                         !obs::trace_active();
-    if (capture) {
-      obs::trace_begin(rid, tag->span_id);
-    }
-    Bytes resp;
-    {
-      obs::Span repl_span("repl_apply");
-      obs::AuditLog::set_commit_context(term_, rec.lsn);
-      resp = server_->handle(rec.request);
-      obs::AuditLog::clear_commit_context();
-    }
-    if (capture) {
-      obs::TraceStore::instance().put(rid, obs::trace_render_chrome_json());
-      obs::trace_stop();
-    }
-    dedup_.put(rid, std::move(resp));
-    next_lsn_ = rec.lsn + 1;
-    ++mutations_since_checkpoint_;
+    // (DESIGN.md §19).
+    apply_logged(rec.lsn, proto::open_tagged(rec.request), rec.request,
+                 "repl_apply");
   }
   // One fsync covers the whole shipped batch — the follower mirrors the
   // primary's group-commit discipline.

@@ -571,19 +571,6 @@ obs::Counter& rpc_type_counter(MsgType t) {
   return *c;
 }
 
-/// Non-zero CostLedger buckets as wire timing entries (kind = CostKind
-/// ordinal), the payload of a kTaggedEnvelopeV2 response trailer.
-std::vector<proto::TimingEntry> timings_of(
-    const obs::CostLedger::Breakdown& b) {
-  std::vector<proto::TimingEntry> out;
-  for (std::size_t i = 0; i < b.ns.size(); ++i) {
-    if (b.ns[i] != 0) {
-      out.push_back({static_cast<std::uint8_t>(i), b.ns[i]});
-    }
-  }
-  return out;
-}
-
 // Streaming responses (FetchItems, KvGetRange) stop adding entries once
 // their payload reaches this soft budget and set `more` instead, keeping
 // every response frame far below net::kMaxFrameSize regardless of how
@@ -592,7 +579,64 @@ constexpr std::size_t kSoftResponseBudget = 64u << 20;  // 64 MiB
 
 }  // namespace
 
+RequestScope::RequestScope(const std::optional<proto::TaggedInfo>& tag,
+                           std::uint64_t term, std::uint64_t lsn)
+    : rid_(tag ? tag->request_id : 0), commit_(term != 0 || lsn != 0) {
+  if (tag && tag->request_id != 0 &&
+      obs::TraceStore::instance().capture_enabled() && !obs::trace_active()) {
+    capture_ = tag->request_id;
+    obs::trace_begin(capture_, tag->span_id);
+  }
+  if (commit_) {
+    obs::AuditLog::set_commit_context(term, lsn);
+  }
+}
+
+RequestScope::~RequestScope() {
+  if (commit_) {
+    obs::AuditLog::clear_commit_context();
+  }
+  if (capture_ != 0) {
+    obs::TraceStore::instance().put(capture_, obs::trace_render_chrome_json());
+    obs::trace_stop();
+  }
+}
+
+Bytes seal_reply(const proto::TaggedInfo& tag, BytesView reply) {
+  auto& ledger = obs::CostLedger::instance();
+  const auto row = ledger.enabled() ? ledger.take(tag.request_id)
+                                    : obs::CostLedger::Breakdown{};
+  std::vector<proto::TimingEntry> timings;
+  if (tag.span_id != 0) {
+    for (std::size_t i = 0; i < row.ns.size(); ++i) {
+      if (row.ns[i] != 0) {
+        timings.push_back({static_cast<std::uint8_t>(i), row.ns[i]});
+      }
+    }
+  }
+  return proto::seal_tagged_v2(tag.request_id, tag.span_id,
+                               tag.parent_span_id, timings, reply);
+}
+
 Bytes CloudServer::handle(BytesView request) {
+  // A tagged request adopts the client's request id for the duration of
+  // the handler (audit lines, slow-op warnings, spans) and is answered
+  // with a reply sealed for it. Untagged requests are handled
+  // byte-identically to the pre-tagging protocol.
+  const auto tag = proto::open_tagged(request);
+  if (!tag) {
+    return dispatch(request);
+  }
+  RequestScope scope(tag);
+  Bytes reply;
+  {
+    obs::ScopedCost apply_cost(obs::CostKind::kApply);
+    reply = dispatch(tag->inner);
+  }
+  return seal_reply(*tag, reply);
+}
+
+Bytes CloudServer::dispatch(BytesView frame) {
   static obs::Counter& rpcs =
       obs::Registry::instance().counter("fgad_server_rpcs_total");
   static obs::Counter& errors =
@@ -601,75 +645,30 @@ Bytes CloudServer::handle(BytesView request) {
       obs::Registry::instance().histogram("fgad_server_handle_ns");
   obs::ScopedTimer timer(handle_ns);
   rpcs.inc();
-
-  // A tagged request adopts the client's request id for the duration of
-  // the handler (audit lines, slow-op warnings) and is answered with a
-  // response tagged with the same id. Untagged requests are handled
-  // byte-identically to the pre-tagging protocol.
-  const auto tag = proto::open_tagged(request);
-  const std::uint64_t rid = tag ? tag->request_id : 0;
-  const BytesView inner = tag ? tag->inner : request;
-  const auto inner_type = proto::peek_type(inner);
+  const std::uint64_t rid = obs::current_request_id();
+  const auto type = proto::peek_type(frame);
   const std::uint64_t type_ord =
-      inner_type ? static_cast<std::uint64_t>(*inner_type) : 0;
+      type ? static_cast<std::uint64_t>(*type) : 0;
   obs::FlightRecorder::instance().record(obs::FrEvent::kRpcStart, rid,
                                          type_ord);
   Bytes resp;
-  if (tag) {
-    obs::RequestScope scope(rid);
-    // With --trace-capture on, collect this handler's span tree and
-    // park it in the TraceStore under the client's rid, where
-    // GET /trace.json?rid=... can fetch it for Perfetto. When an outer
-    // layer (DurableServer) already opened a capture for this rid —
-    // so its WAL/fsync spans share the timeline — this layer only
-    // contributes spans and leaves ownership (put + stop) to it. A V2
-    // tag carries the client's RPC span id; depth-0 spans here parent
-    // under it so the stitched document forms one tree.
-    const bool own_trace = rid != 0 &&
-                           obs::TraceStore::instance().capture_enabled() &&
-                           !obs::trace_active();
-    if (own_trace) {
-      obs::trace_begin(rid, tag->span_id);
-    }
-    {
-      obs::Span rpc_span(inner_type ? proto::msg_type_name(*inner_type)
-                                    : "decode-error");
-      obs::ScopedCost apply_cost(obs::CostKind::kApply);
-      resp = dispatch(inner);
-    }
-    if (own_trace) {
-      obs::TraceStore::instance().put(rid, obs::trace_render_chrome_json());
-      obs::trace_stop();
-    }
-  } else {
-    resp = dispatch(inner);
+  {
+    obs::Span rpc_span(type ? proto::msg_type_name(*type) : "decode-error");
+    resp = execute(frame);
   }
   if (proto::peek_type(resp) == proto::MsgType::kError) {
     errors.inc();
   }
   obs::FlightRecorder::instance().record(obs::FrEvent::kRpcEnd, rid, type_ord,
                                          timer.elapsed_ns());
-  if (inner_type) {
-    obs::Logger::instance().slow_op(proto::msg_type_name(*inner_type),
+  if (type) {
+    obs::Logger::instance().slow_op(proto::msg_type_name(*type),
                                     timer.elapsed_ns(), rid);
   }
-  if (!tag) {
-    return resp;
-  }
-  if (!tag->v2) {
-    return proto::seal_tagged(rid, resp);
-  }
-  // V2 responses echo the client's span ids and carry the server-timing
-  // trailer: whatever the CostLedger accumulated for this rid so far
-  // (apply; plus wal_append when the durability layer staged it before
-  // dispatching here). The durability layer reseals afterwards to fold
-  // in fsync/replication waits that happen after this return.
-  return proto::seal_tagged_v2(rid, tag->span_id, tag->parent_span_id,
-                               timings_of(obs::CostLedger::instance().take(rid)),
-                               resp);
+  return resp;
 }
 
-Bytes CloudServer::dispatch(BytesView request) {
+Bytes CloudServer::execute(BytesView request) {
   auto env = proto::open_message(request);
   if (!env) {
     static obs::Counter& decode_errors = obs::Registry::instance().counter(

@@ -31,9 +31,36 @@
 #include "cloud/file_store.h"
 #include "common/shared_mutex.h"
 #include "common/thread_pool.h"
+#include "obs/trace.h"
 #include "proto/messages.h"
 
 namespace fgad::cloud {
+
+/// The server side of one request (DESIGN.md §19), opened where its tagged
+/// envelope is opened: binds the request id to this thread (none for an
+/// untagged request); when trace capture is on and no outer capture is
+/// active, collects the spans opened below into the TraceStore under the
+/// rid, parented on the sender's span; and, given a term or LSN, stamps
+/// them on the audit lines of a logged mutation's apply.
+class RequestScope {
+ public:
+  explicit RequestScope(const std::optional<proto::TaggedInfo>& tag,
+                        std::uint64_t term = 0, std::uint64_t lsn = 0);
+  ~RequestScope();
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+
+ private:
+  obs::RequestScope rid_;
+  std::uint64_t capture_ = 0;  // rid whose capture this scope owns
+  bool commit_ = false;
+};
+
+/// Seals `reply` for the tagged request `tag` was opened from, once, as it
+/// leaves: echoes the request's ids and takes the request's CostLedger
+/// row, which becomes the timing trailer only when the request carries a
+/// span id.
+Bytes seal_reply(const proto::TaggedInfo& tag, BytesView reply);
 
 /// What changed since a base image, gathered one snapshot at a time by
 /// CloudServer::fold_changes (DESIGN.md §13). It holds its own copies, so a
@@ -157,10 +184,20 @@ class CloudServer {
 
   // ---- wire dispatcher -----------------------------------------------------
 
-  /// Handles one framed request and produces the framed response.
+  /// Handles one framed request and produces the framed response: the
+  /// edge for reads and for an in-memory server, where a tagged request's
+  /// envelope is opened (RequestScope) and its reply sealed (seal_reply).
   /// Thread-safe: the reactor calls it from every io worker at once, and
   /// requests on different files do not wait for each other.
   Bytes handle(BytesView request);
+
+  /// Serves one frame below the edge, under whatever RequestScope the
+  /// caller holds: counts and times it (fgad_server_handle_ns), records
+  /// its flight events and span, and produces the reply. The durability
+  /// layer applies logged mutations through it. The apply's cost is
+  /// charged by the edge that seals the reply, so a backup's apply or a
+  /// replay leaves no ledger row behind.
+  Bytes dispatch(BytesView frame);
 
   // ---- adversarial hooks ---------------------------------------------------
 
@@ -197,7 +234,7 @@ class CloudServer {
 
   /// Locks `file_id` for one request; kNotFound when no such file exists.
   Result<LockedFile> lock_file(std::uint64_t file_id) const;
-  Bytes dispatch(BytesView request);
+  Bytes execute(BytesView request);
   void save_tables(proto::Writer& w) const;
   Status load_tables(proto::Reader& r);
 

@@ -320,9 +320,15 @@ Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request) {
   fw.patch_u32(4, fsio::crc32(payload));
 
   std::lock_guard<std::mutex> lock(mu_);
+  if (!error_.is_ok()) {
+    return error_.error();
+  }
   {
     obs::ScopedTimer timer(append_hist());
     if (auto st = fsio::write_all(fd_, fw.data()); !st) {
+      // The file offset may now sit past a partial frame, which ends a
+      // scan: a record written behind it would be acked and then lost.
+      error_ = st;
       return st.error();
     }
   }
@@ -337,20 +343,17 @@ Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request) {
 
 Status Wal::sync_to(std::uint64_t ticket) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (opts_.sync_ms < 0) {
-    return Status::ok();  // durability disabled (bench-only)
-  }
   return sync_upto(lock, ticket);
 }
 
 Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
   // Precondition: `lock` holds mu_. It is released around fdatasync(2) so
   // that appends (and other syncs) proceed while the disk flushes.
-  if (durable_ >= upto) {
-    return Status::ok();
+  if (!error_.is_ok()) {
+    return error_;  // sticky: a failed flush may have dropped pages
   }
-  if (!sync_error_.is_ok()) {
-    return sync_error_;  // sticky: a failed flush may have dropped pages
+  if (opts_.sync_ms < 0 || durable_ >= upto) {
+    return Status::ok();  // sync_ms < 0: durability disabled (bench-only)
   }
   // Keep zeros ahead of the appends. Appends write(2) at the file offset,
   // over the zeros, and mu_ keeps them from interleaving with this pwrite.
@@ -375,11 +378,11 @@ Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
   const std::uint64_t dur = obs::now_ns() - t0;
   lock.lock();
   if (rc != 0) {
-    sync_error_ = Status(Errc::kIoError,
-                         std::string("wal fdatasync: ") + std::strerror(err));
+    error_ = Status(Errc::kIoError,
+                    std::string("wal fdatasync: ") + std::strerror(err));
   }
-  if (!sync_error_.is_ok()) {
-    return sync_error_;
+  if (!error_.is_ok()) {
+    return error_;
   }
   fsyncs_counter().inc();
   fsync_hist().observe(dur);
@@ -391,9 +394,6 @@ Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
 
 Status Wal::sync_now() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (opts_.sync_ms < 0) {
-    return Status::ok();
-  }
   return sync_upto(lock, written_);
 }
 

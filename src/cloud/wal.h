@@ -155,6 +155,9 @@ class Wal {
 
   /// Stages one record: write(2), not yet durable. Returns the ticket to
   /// hand to sync_to() before anything is acknowledged on its strength.
+  /// A failed write may leave part of the frame behind, where a scan
+  /// stops, so the first failure latches: this and every later append,
+  /// sync_to and sync_now return it.
   Result<std::uint64_t> append(std::uint64_t lsn, BytesView request);
 
   /// Flushes through `ticket` on the caller's thread (no-op when sync_ms <
@@ -188,7 +191,9 @@ class Wal {
   std::uint64_t written_ = 0;   // bytes appended (ticket space)
   std::uint64_t durable_ = 0;   // bytes known flushed; never decreases
   std::uint64_t zeroed_end_ = 0;  // end of the zeros written past written_
-  Status sync_error_ = Status::ok();  // first flush failure, sticky
+  // First append or flush failure, sticky: every later append and sync
+  // returns it.
+  Status error_ = Status::ok();
 };
 
 }  // namespace fgad::cloud

@@ -23,8 +23,8 @@ obs::Counter& counter(const char* name) {
 /// Request id from a tagged frame (0 when untagged), so failover flight
 /// events correlate with the server-side WAL/RPC events for the same rid.
 std::uint64_t frame_rid(BytesView request) {
-  const auto tag = proto::split_tagged(request);
-  return tag ? tag->first : 0;
+  const auto tag = proto::open_tagged(request);
+  return tag ? tag->request_id : 0;
 }
 
 }  // namespace

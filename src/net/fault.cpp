@@ -34,8 +34,8 @@ Result<Bytes> FaultInjectingChannel::roundtrip(BytesView request) {
     if (dead_) {
       return Error(Errc::kConnReset, "fault: connection is down");
     }
-    const auto tag = proto::split_tagged(request);
-    const std::uint64_t rid = tag ? tag->first : 0;
+    const auto tag = proto::open_tagged(request);
+    const std::uint64_t rid = tag ? tag->request_id : 0;
     // `code` is the stable FrEvent::kFaultInjected `a` value for this
     // fault kind (documented in DESIGN.md §14), independent of the local
     // Fault enum so dumps stay decodable if that enum is reordered.

@@ -37,7 +37,7 @@ enum class CostKind : std::uint8_t {
   kWalAppend = 1,   // WAL append (buffer write, CRC, no fsync)
   kFsyncShare = 2,  // amortized share of one group-commit fsync
   kReplWait = 3,    // sync replication: wait for the follower's ack share
-  kApply = 4,       // state-machine apply (CloudServer::handle_locked)
+  kApply = 4,       // state-machine apply (CloudServer::dispatch)
   kKeyDerive = 5,   // client-side modulated-chain key derivation
   kTotal = 6,       // dispatch -> response ready (informational)
   kCount = 7,

@@ -3,8 +3,8 @@
 // A trace is a tree of named, timed spans collected on one thread. The
 // client starts one per user operation (`trace_begin` with a fresh
 // request id), the Client tags every RPC frame with that id
-// (proto::seal_tagged), and the server adopts it for the duration of the
-// handler (RequestScope) so its audit-log lines and slow-op warnings
+// (proto::seal_tagged_v2), and the server adopts it for the duration of
+// the handler (RequestScope) so its audit-log lines and slow-op warnings
 // carry the same id — one grep correlates both parties.
 //
 // When no trace is active every Span is a single thread-local load and a

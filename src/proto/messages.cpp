@@ -52,14 +52,6 @@ bool is_replication(MsgType t) {
   return (type_info(t).traits & kReplication) != 0;
 }
 
-Bytes seal_tagged(std::uint64_t request_id, BytesView inner_frame) {
-  Writer w;
-  w.u16(static_cast<std::uint16_t>(MsgType::kTaggedEnvelope));
-  w.u64(request_id);
-  w.raw(inner_frame);
-  return std::move(w).take();
-}
-
 Bytes seal_tagged_v2(std::uint64_t request_id, std::uint64_t span_id,
                      std::uint64_t parent_span_id,
                      const std::vector<TimingEntry>& timings,
@@ -132,17 +124,9 @@ std::optional<TaggedInfo> open_tagged(BytesView framed) {
   return info;
 }
 
-std::optional<std::pair<std::uint64_t, BytesView>> split_tagged(
-    BytesView framed) {
-  if (auto info = open_tagged(framed)) {
-    return std::make_pair(info->request_id, info->inner);
-  }
-  return std::nullopt;
-}
-
 std::optional<MsgType> peek_type(BytesView framed) {
-  if (auto tag = split_tagged(framed)) {
-    framed = tag->second;
+  if (const auto tag = open_tagged(framed)) {
+    framed = tag->inner;
   }
   if (framed.size() < 2) {
     return std::nullopt;
@@ -167,7 +151,7 @@ bool retryable_request(BytesView framed) {
   // A tagged mutation carries its request id as an idempotency token: the
   // durable server dedups it, so a resend of the identical frame is
   // applied at most once and replays the original response.
-  return is_mutating(*t) && split_tagged(framed).has_value();
+  return is_mutating(*t) && open_tagged(framed).has_value();
 }
 
 Result<Envelope> open_message(BytesView framed) {

@@ -41,17 +41,18 @@ namespace fgad::proto {
 //   100-103 primary–backup WAL replication (DESIGN.md §18), only on the
 //           server-to-server link; a plain CloudServer rejects them
 //
-// kTaggedEnvelope (DESIGN.md §12) wraps any other frame with a
-// client-generated request id for cross-party log/trace correlation:
-// u16 kTaggedEnvelope | u64 request_id | inner frame (u16 type + payload).
-// kTaggedEnvelopeV2 (DESIGN.md §19) also carries the sender's span context
-// and, on responses, a server-timing trailer: u16 kTaggedEnvelopeV2 | u64
-// request_id | u64 span_id | u64 parent_span_id | u8 n_timing | n_timing ×
-// (u8 kind | u64 ns) | inner frame. Requests set n_timing = 0; a server
-// response echoes the request id, sets span_id to the request's span_id,
-// and appends one timing entry per cost-ledger bucket (obs::CostKind).
-// Untagged and V1-tagged traffic is untouched on the wire, so peers that
-// never tag see byte-identical frames.
+// The tagged envelope (DESIGN.md §12, §19) wraps any other frame with a
+// client-generated request id, the exactly-once token of a mutation and
+// the id that correlates both parties' logs and traces. One layout is
+// written: u16 kTaggedEnvelopeV2 | u64 request_id | u64 span_id | u64
+// parent_span_id | u8 n_timing | n_timing × (u8 kind | u64 ns) | inner
+// frame (u16 type + payload). A request carries the sender's span id
+// under a trace and 0 otherwise, and sets n_timing = 0; a reply echoes
+// the request's ids and, only when span_id is nonzero, carries one timing
+// entry per cost-ledger bucket (obs::CostKind). The older kTaggedEnvelope
+// (u16 | u64 request_id | inner frame) is still read, because logs
+// written before it was retired hold such requests; a server answers one
+// in the layout above. Untagged traffic is untouched on the wire.
 #define FGAD_MSG_TYPES(X)                                        \
   X(kError, 0, error, 0)                                         \
   X(kOutsourceReq, 1, outsource_req, kMutating)                  \
@@ -124,10 +125,6 @@ enum class MsgType : std::uint16_t {
 /// Frames a payload with its message type (u16 prefix).
 Bytes seal_message(MsgType type, BytesView payload);
 
-/// Wraps an already-sealed frame in a kTaggedEnvelope carrying
-/// `request_id` (see MsgType::kTaggedEnvelope).
-Bytes seal_tagged(std::uint64_t request_id, BytesView inner_frame);
-
 /// One server-timing trailer entry on a kTaggedEnvelopeV2 response.
 /// `kind` is a stable wire code (obs::CostKind ordinal), `ns` the
 /// attributed nanoseconds.
@@ -142,14 +139,14 @@ struct TaggedInfo {
   std::uint64_t request_id = 0;
   std::uint64_t span_id = 0;         // sender's active span (0 = none)
   std::uint64_t parent_span_id = 0;  // its parent (0 = root)
-  bool v2 = false;                   // arrived as kTaggedEnvelopeV2
+  bool v2 = false;  // arrived as kTaggedEnvelopeV2, as every frame written
   std::vector<TimingEntry> timings;  // responses only; empty on requests
   BytesView inner;
 };
 
-/// Wraps an already-sealed frame in a kTaggedEnvelopeV2 carrying the
-/// request id, the sender's span context, and (for responses) a
-/// server-timing trailer.
+/// Wraps an already-sealed frame in the tagged envelope: the one layout
+/// written, carrying the request id, the sender's span context, and (for
+/// responses) a server-timing trailer.
 Bytes seal_tagged_v2(std::uint64_t request_id, std::uint64_t span_id,
                      std::uint64_t parent_span_id,
                      const std::vector<TimingEntry>& timings,
@@ -159,12 +156,6 @@ Bytes seal_tagged_v2(std::uint64_t request_id, std::uint64_t span_id,
 /// truncated headers, or a V2 header whose timing table overruns the
 /// frame.
 std::optional<TaggedInfo> open_tagged(BytesView framed);
-
-/// If `framed` is a tagged envelope (either version), returns
-/// {request_id, inner frame view}; nullopt for untagged or too-short
-/// frames.
-std::optional<std::pair<std::uint64_t, BytesView>> split_tagged(
-    BytesView framed);
 
 /// Peeks the message type of a sealed frame, looking through one tagged
 /// envelope; nullopt on frames too short to carry a type.
@@ -200,7 +191,7 @@ bool retryable_request(BytesView framed);
 struct Envelope {
   MsgType type;
   Bytes payload;
-  /// Present when the frame arrived wrapped in a kTaggedEnvelope;
+  /// Present when the frame arrived wrapped in a tagged envelope;
   /// open_message unwraps the tag transparently.
   std::optional<std::uint64_t> request_id;
 };

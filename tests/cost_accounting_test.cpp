@@ -185,6 +185,40 @@ TEST(CostAcct, DurableDeletesStampTermAndLsn) {
   EXPECT_NE(text.find(" lsn="), std::string::npos) << text;
 }
 
+TEST(CostAcct, ReplayedDeletesStampTermAndLsn) {
+  cloud::DurableServer::Options opts;
+  opts.dir = fresh_state_dir("costacct_replay_audit");
+  opts.checkpoint_every_n = 0;
+  {
+    auto opened = cloud::DurableServer::open(opts);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+    auto durable = std::move(opened).value();
+    net::DirectChannel ch(
+        [&durable](BytesView req) { return durable->handle(req); });
+    crypto::DeterministicRandom rnd{9};
+    Client client(ch, rnd, Client::Options{});
+    auto fh = client.outsource(9, 8, [](std::size_t i) {
+      return Bytes(16, static_cast<std::uint8_t>(i));
+    });
+    ASSERT_TRUE(fh.is_ok());
+    ASSERT_TRUE(client.erase_item(fh.value(), proto::ItemRef::ordinal(0)));
+  }
+
+  // Recovery replays the outsource (LSN 1) and the delete commit (LSN 2)
+  // through the apply step live traffic takes, so the replayed deletion's
+  // audit line carries the term and LSN too.
+  MemSink audit;
+  obs::AuditLog::instance().set_sink(audit.file());
+  auto reopened = cloud::DurableServer::open(opts);
+  obs::AuditLog::instance().set_sink(nullptr);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ(reopened.value()->recovery_info().replayed, 2u);
+  const std::string text = audit.text();
+  const std::size_t line = text.find("op=delete_commit");
+  ASSERT_NE(line, std::string::npos) << text;
+  EXPECT_NE(text.find(" term=1 lsn=2 ", line), std::string::npos) << text;
+}
+
 TEST(CostAcct, InMemoryDeletesOmitTermAndLsn) {
   // Without a durable commit there is no term/LSN; the line must stay
   // byte-identical to the pre-§19 format (obs_test pins it exactly).
@@ -236,8 +270,6 @@ TEST(CostAcct, V2ResponseCarriesServerTimingTrailer) {
   auto ids = client.list_items(fh.value());
   ASSERT_TRUE(ids.is_ok());
 
-  // One traced operation = one rid (the durable dedup table would treat
-  // a second mutation under the same rid as a resend).
   obs::trace_begin(obs::generate_request_id());
   ASSERT_TRUE(client.erase_item(fh.value(),
                                 proto::ItemRef::id(ids.value().front())));
@@ -268,6 +300,16 @@ TEST(CostAcct, V2ResponseCarriesServerTimingTrailer) {
       << "parts " << parts << " total " << total;
 }
 
+/// A request in the retired V1 envelope, as a client built before the
+/// envelope was retired still sends it: u16 tag | u64 rid | inner frame.
+Bytes v1_frame(std::uint64_t rid, BytesView inner) {
+  proto::Writer w;
+  w.u16(static_cast<std::uint16_t>(proto::MsgType::kTaggedEnvelope));
+  w.u64(rid);
+  w.raw(inner);
+  return std::move(w).take();
+}
+
 TEST(CostAcct, V1AndUntaggedResponsesCarryNoTrailer) {
   LedgerOn on;
   cloud::DurableServer::Options opts;
@@ -276,8 +318,7 @@ TEST(CostAcct, V1AndUntaggedResponsesCarryNoTrailer) {
   ASSERT_TRUE(opened.is_ok());
   auto durable = std::move(opened).value();
 
-  // V1-tagged mutation (tag_mutations without a trace): the response
-  // must be the V1 echo — same envelope, no timing table.
+  // A tagged mutation without a trace (tag_mutations): no timing table.
   net::DirectChannel ch(
       [&durable](BytesView req) { return durable->handle(req); });
   crypto::DeterministicRandom rnd{12};
@@ -290,19 +331,95 @@ TEST(CostAcct, V1AndUntaggedResponsesCarryNoTrailer) {
   ASSERT_TRUE(fh.is_ok());
   EXPECT_TRUE(client.last_server_timing().empty());
 
-  // Hand-rolled check on the raw frames: a V1 request gets a V1 reply.
+  // Hand-rolled check on the raw frames: a V1 request, from a client
+  // built before V1 was retired, is answered in the one layout, echoing
+  // its rid with no span id and no trailer.
   proto::StatReq stat;
   stat.file_id = fh.value().id;
-  const Bytes v1 = proto::seal_tagged(1234, stat.to_frame());
-  const Bytes resp = durable->handle(v1);
+  const Bytes resp = durable->handle(v1_frame(1234, stat.to_frame()));
   const auto rtag = proto::open_tagged(resp);
   ASSERT_TRUE(rtag.has_value());
-  EXPECT_FALSE(rtag->v2);
+  EXPECT_TRUE(rtag->v2);
+  EXPECT_EQ(rtag->request_id, 1234u);
+  EXPECT_EQ(rtag->span_id, 0u);
   EXPECT_TRUE(rtag->timings.empty());
+  EXPECT_FALSE(CostLedger::instance().take(1234).any());
 
   // An untagged request gets an untagged reply.
   const Bytes plain_resp = durable->handle(stat.to_frame());
   EXPECT_FALSE(proto::open_tagged(plain_resp).has_value());
+}
+
+TEST(CostAcct, UntracedTaggedMutationLeavesNoLedgerRow) {
+  LedgerOn on;
+  cloud::DurableServer::Options opts;
+  opts.dir = fresh_state_dir("costacct_norow");
+  auto opened = cloud::DurableServer::open(opts);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  auto durable = std::move(opened).value();
+
+  // The channel notes the rid the client put on each request.
+  std::uint64_t last_rid = 0;
+  net::DirectChannel ch([&](BytesView req) {
+    const auto tag = proto::open_tagged(req);
+    last_rid = tag ? tag->request_id : 0;
+    return durable->handle(req);
+  });
+  crypto::DeterministicRandom rnd{14};
+  Client::Options copts;
+  copts.tag_mutations = true;
+  Client client(ch, rnd, copts);
+  auto fh = client.outsource(7, 8, [](std::size_t i) {
+    return Bytes(16, static_cast<std::uint8_t>(i));
+  });
+  ASSERT_TRUE(fh.is_ok());
+  ASSERT_NE(last_rid, 0u);
+  EXPECT_FALSE(CostLedger::instance().take(last_rid).any());
+
+  auto ids = client.list_items(fh.value());
+  ASSERT_TRUE(ids.is_ok());
+  ASSERT_TRUE(client.erase_item(fh.value(),
+                                proto::ItemRef::id(ids.value().front())));
+  ASSERT_NE(last_rid, 0u);
+  // The reply's seal took the commit's whole row (queue wait, WAL append,
+  // fsync share, apply, total), although it carried no trailer.
+  EXPECT_FALSE(CostLedger::instance().take(last_rid).any());
+  EXPECT_TRUE(client.last_server_timing().empty());
+}
+
+TEST(CostAcct, ResentTracedMutationCarriesOnlyItsOwnCosts) {
+  LedgerOn on;
+  cloud::DurableServer::Options opts;
+  opts.dir = fresh_state_dir("costacct_resend");
+  auto opened = cloud::DurableServer::open(opts);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  auto durable = std::move(opened).value();
+
+  // A traced mutation (nonzero span id), then a resend of the very same
+  // frame, as FailoverChannel resends it after a lost reply.
+  proto::KvPutReq put;
+  put.table = 1;
+  put.key = 3;
+  put.value = to_bytes("once");
+  const Bytes frame =
+      proto::seal_tagged_v2(0x5eed, 0xa1, 0, {}, put.to_frame());
+  const Bytes first_reply = durable->handle(frame);
+  const auto first = proto::open_tagged(first_reply);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_GT(ns_of(first->timings, CostKind::kWalAppend), 0u);
+  EXPECT_GT(ns_of(first->timings, CostKind::kApply), 0u);
+
+  const Bytes resent_reply = durable->handle(frame);
+  const auto resent = proto::open_tagged(resent_reply);
+  ASSERT_TRUE(resent.has_value());
+  EXPECT_EQ(resent->request_id, 0x5eedu);
+  EXPECT_EQ(resent->span_id, 0xa1u);
+  EXPECT_EQ(Bytes(resent->inner.begin(), resent->inner.end()),
+            Bytes(first->inner.begin(), first->inner.end()));
+  // The resend neither appended nor applied, so its trailer says so.
+  EXPECT_EQ(ns_of(resent->timings, CostKind::kWalAppend), 0u);
+  EXPECT_EQ(ns_of(resent->timings, CostKind::kApply), 0u);
+  EXPECT_GT(ns_of(resent->timings, CostKind::kTotal), 0u);
 }
 
 TEST(CostAcct, GroupCommitPathAttributesSharesAndQueueWait) {
@@ -333,8 +450,6 @@ TEST(CostAcct, GroupCommitPathAttributesSharesAndQueueWait) {
   auto ids = client.list_items(fh.value());
   ASSERT_TRUE(ids.is_ok());
 
-  // One traced operation = one rid (the durable dedup table would treat
-  // a second mutation under the same rid as a resend).
   obs::trace_begin(obs::generate_request_id());
   ASSERT_TRUE(client.erase_item(fh.value(),
                                 proto::ItemRef::id(ids.value().front())));

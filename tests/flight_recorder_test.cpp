@@ -285,7 +285,7 @@ void mutate_until_crash(cloud::DurableServer& ds, std::uint64_t rid) {
   put.table = 1;
   put.key = 7;
   put.value = to_bytes("forensics");
-  const Bytes tagged = proto::seal_tagged(rid, put.to_frame());
+  const Bytes tagged = proto::seal_tagged_v2(rid, 0, 0, {}, put.to_frame());
   EXPECT_THROW(ds.handle(tagged), cloud::CrashError);
 }
 
@@ -372,7 +372,8 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
     put.table = 1;
     put.key = 7;
     put.value = to_bytes("forensics");
-    opened.value()->handle(proto::seal_tagged(0xDEAD0001ull, put.to_frame()));
+    opened.value()->handle(
+        proto::seal_tagged_v2(0xDEAD0001ull, 0, 0, {}, put.to_frame()));
     ::_exit(6);  // the crash site should have exited already
   }
 

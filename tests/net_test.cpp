@@ -945,7 +945,7 @@ TEST(Failover, OneEndpointCountsResendsAndExhaustion) {
   areq.file_id = 1;
   areq.ref = proto::ItemRef::id(0);
   constexpr std::uint64_t kRid = 0x5eed0001;
-  const Bytes frame = proto::seal_tagged(kRid, areq.to_frame());
+  const Bytes frame = proto::seal_tagged_v2(kRid, 0, 0, {}, areq.to_frame());
   ASSERT_TRUE(proto::retryable_request(frame));
 
   // Two resets, then an answer.

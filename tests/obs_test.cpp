@@ -225,19 +225,24 @@ TEST(ObsRegistry, ConcurrentWritersAndRenderers) {
 
 // ---- request-id propagation on the wire ---------------------------------
 
+/// A tagged request as an untraced client seals it (span id 0).
+Bytes tag_frame(std::uint64_t rid, BytesView inner) {
+  return proto::seal_tagged_v2(rid, 0, 0, {}, inner);
+}
+
 TEST(ObsTaggedWire, SealSplitRoundtrip) {
   const Bytes inner = proto::StatReq{7}.to_frame();
-  const Bytes tagged = proto::seal_tagged(0xabcdef0123456789ull, inner);
-  ASSERT_EQ(tagged.size(), inner.size() + 10);
+  const Bytes tagged = tag_frame(0xabcdef0123456789ull, inner);
+  ASSERT_EQ(tagged.size(), inner.size() + 27);
 
-  const auto split = proto::split_tagged(tagged);
-  ASSERT_TRUE(split.has_value());
-  EXPECT_EQ(split->first, 0xabcdef0123456789ull);
-  EXPECT_EQ(Bytes(split->second.begin(), split->second.end()), inner);
+  const auto opened = proto::open_tagged(tagged);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(opened->request_id, 0xabcdef0123456789ull);
+  EXPECT_EQ(Bytes(opened->inner.begin(), opened->inner.end()), inner);
 
-  // Untagged frames do not split and are byte-identical to the seed
+  // Untagged frames do not open and are byte-identical to the seed
   // protocol: the tag is strictly additive.
-  EXPECT_FALSE(proto::split_tagged(inner).has_value());
+  EXPECT_FALSE(proto::open_tagged(inner).has_value());
   EXPECT_EQ(proto::seal_message(proto::MsgType::kStatReq, BytesView(inner).
             subspan(2)), inner);
 }
@@ -245,10 +250,10 @@ TEST(ObsTaggedWire, SealSplitRoundtrip) {
 TEST(ObsTaggedWire, PeekTypeLooksThroughOneTagOnly) {
   const Bytes inner = proto::AccessReq{1, proto::ItemRef::id(2)}.to_frame();
   EXPECT_EQ(proto::peek_type(inner), proto::MsgType::kAccessReq);
-  const Bytes tagged = proto::seal_tagged(42, inner);
+  const Bytes tagged = tag_frame(42, inner);
   EXPECT_EQ(proto::peek_type(tagged), proto::MsgType::kAccessReq);
   // Nested tags are invalid, truncated frames yield nothing.
-  EXPECT_FALSE(proto::peek_type(proto::seal_tagged(43, tagged)).has_value());
+  EXPECT_FALSE(proto::peek_type(tag_frame(43, tagged)).has_value());
   EXPECT_FALSE(proto::peek_type(BytesView(tagged).first(9)).has_value());
   EXPECT_FALSE(proto::peek_type(BytesView()).has_value());
 }
@@ -259,7 +264,7 @@ TEST(ObsTaggedWire, OpenMessageUnwrapsRequestId) {
   ASSERT_TRUE(plain.is_ok());
   EXPECT_FALSE(plain.value().request_id.has_value());
 
-  auto tagged = proto::open_message(proto::seal_tagged(0x1122, inner));
+  auto tagged = proto::open_message(tag_frame(0x1122, inner));
   ASSERT_TRUE(tagged.is_ok());
   EXPECT_EQ(tagged.value().type, proto::MsgType::kStatReq);
   ASSERT_TRUE(tagged.value().request_id.has_value());
@@ -267,9 +272,9 @@ TEST(ObsTaggedWire, OpenMessageUnwrapsRequestId) {
 
   // Nested tag and truncated envelope are decode errors.
   EXPECT_FALSE(proto::open_message(
-                   proto::seal_tagged(1, proto::seal_tagged(2, inner)))
+                   tag_frame(1, tag_frame(2, inner)))
                    .is_ok());
-  const Bytes tag_only = proto::seal_tagged(3, inner);
+  const Bytes tag_only = tag_frame(3, inner);
   EXPECT_FALSE(proto::open_message(BytesView(tag_only).first(10)).is_ok());
 }
 
@@ -277,9 +282,9 @@ TEST(ObsTaggedWire, RetryPredicateSeesThroughTag) {
   const Bytes access = proto::AccessReq{1, proto::ItemRef::id(0)}.to_frame();
   const Bytes del = proto::DeleteBeginReq{1, proto::ItemRef::id(0)}.to_frame();
   EXPECT_TRUE(proto::retryable_request(access));
-  EXPECT_TRUE(proto::retryable_request(proto::seal_tagged(5, access)));
+  EXPECT_TRUE(proto::retryable_request(tag_frame(5, access)));
   EXPECT_FALSE(proto::retryable_request(del));
-  EXPECT_FALSE(proto::retryable_request(proto::seal_tagged(5, del)));
+  EXPECT_FALSE(proto::retryable_request(tag_frame(5, del)));
 }
 
 TEST(ObsServerRid, ResponseEchoesRequestTag) {
@@ -288,16 +293,16 @@ TEST(ObsServerRid, ResponseEchoesRequestTag) {
 
   // Untagged request -> untagged response (legacy peers see no change).
   const Bytes plain_resp = server.handle(req);
-  EXPECT_FALSE(proto::split_tagged(plain_resp).has_value());
+  EXPECT_FALSE(proto::open_tagged(plain_resp).has_value());
 
   // Tagged request -> response tagged with the same id, even for errors
   // (StatReq on a missing file fails but must stay correlated).
   const std::uint64_t rid = 0xfeedface12345678ull;
-  const Bytes resp = server.handle(proto::seal_tagged(rid, req));
-  const auto split = proto::split_tagged(resp);
-  ASSERT_TRUE(split.has_value());
-  EXPECT_EQ(split->first, rid);
-  EXPECT_EQ(Bytes(split->second.begin(), split->second.end()), plain_resp);
+  const Bytes resp = server.handle(tag_frame(rid, req));
+  const auto opened = proto::open_tagged(resp);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(opened->request_id, rid);
+  EXPECT_EQ(Bytes(opened->inner.begin(), opened->inner.end()), plain_resp);
 }
 
 // ---- audit log -----------------------------------------------------------

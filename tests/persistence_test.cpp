@@ -23,10 +23,12 @@
 #include "cloud/wal.h"
 #include "common/fsio.h"
 #include "common/rng.h"
+#include "fskeys/meta.h"
 #include "net/failover.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/file_size_cap.h"
 #include "support/harness.h"
 
 namespace fgad::cloud {
@@ -368,7 +370,7 @@ void run_crash_case(CrashSite site, MutOp op) {
   CrashPoint::instance().reset();
   ASSERT_EQ(rig.crashed, !ckpt_site);
   const Bytes crashed_frame = rig.frames.back();
-  ASSERT_TRUE(proto::split_tagged(crashed_frame).has_value());
+  ASSERT_TRUE(proto::open_tagged(crashed_frame).has_value());
   ASSERT_TRUE(proto::retryable_request(crashed_frame));
 
   // Recover from disk alone; open() runs fsck before serving.
@@ -613,7 +615,7 @@ TEST(DurableRecovery, RidDedupSurvivesRestart) {
   // The delete-commit is the last mutating exchange.
   const Bytes frame = rig.frames.back();
   const Bytes original_resp = rig.responses.back();
-  ASSERT_TRUE(proto::split_tagged(frame).has_value());
+  ASSERT_TRUE(proto::open_tagged(frame).has_value());
   const Bytes before = image_of(rig.ds->server());
 
   auto reopened = rig.restart();
@@ -636,7 +638,8 @@ TEST(DurableRecovery, UntaggedMutationsAreNotRetryable) {
   put.value = to_bytes("v");
   const Bytes untagged = put.to_frame();
   EXPECT_FALSE(proto::retryable_request(untagged));
-  EXPECT_TRUE(proto::retryable_request(proto::seal_tagged(7, untagged)));
+  EXPECT_TRUE(
+      proto::retryable_request(proto::seal_tagged_v2(7, 0, 0, {}, untagged)));
   // Read-only requests retry either way.
   proto::KvGetReq get;
   get.table = 1;
@@ -761,7 +764,7 @@ Bytes tagged_kv_put(std::uint64_t rid, std::uint64_t key, BytesView value) {
   put.table = 1;
   put.key = key;
   put.value = Bytes(value.begin(), value.end());
-  return proto::seal_tagged(rid, put.to_frame());
+  return proto::seal_tagged_v2(rid, 0, 0, {}, put.to_frame());
 }
 
 TEST(GroupCommit, AsyncMutationsShareFsyncsAndSurviveRestart) {
@@ -955,7 +958,8 @@ TEST(GroupCommit, BulkDeleteCrashBeforeFsyncThenExactlyOnceResend) {
   }
   ASSERT_TRUE(planned);
   const Bytes tagged =
-      proto::seal_tagged(obs::generate_request_id(), creq.to_frame());
+      proto::seal_tagged_v2(obs::generate_request_id(), 0, 0, {},
+                            creq.to_frame());
 
   // Crash before the group fsync: the staged WAL record vanishes with
   // the page cache, so the commit must not be acknowledged.
@@ -1497,7 +1501,7 @@ Bytes tagged_kv_delete(std::uint64_t rid, std::uint64_t key) {
   proto::KvDeleteReq del;
   del.table = 1;
   del.key = key;
-  return proto::seal_tagged(rid, del.to_frame());
+  return proto::seal_tagged_v2(rid, 0, 0, {}, del.to_frame());
 }
 
 /// One outsourced file as the test's client knows it.
@@ -1860,7 +1864,11 @@ TEST(DurableRecovery, V1AndV2CheckpointsStillLoad) {
     EXPECT_EQ(ds.term(), version >= 2 ? 3u : 1u);
     EXPECT_EQ(ds.last_lsn(), 9u);
     EXPECT_EQ(image_of(ds.server()), image);
-    EXPECT_EQ(ds.handle(put), put_resp);  // dedup hit
+    // A dedup hit: the stored reply, sealed for the resend.
+    const Bytes hit_reply = ds.handle(put);
+    const auto hit = proto::open_tagged(hit_reply);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(Bytes(hit->inner.begin(), hit->inner.end()), put_resp);
 
     ds.handle(tagged_kv_put(78, 6, to_bytes("new")));
     ASSERT_TRUE(ds.checkpoint());
@@ -1900,6 +1908,204 @@ TEST(DurableRecovery, CheckpointStallCountsWaitForPreviousWriteOut) {
   const auto waited_ns = static_cast<std::uint64_t>(
       std::chrono::nanoseconds(kSlowWriteOut).count());
   EXPECT_GE(stalls.sum() - sum_before, waited_ns * 3 / 4);
+}
+
+// ---- exactly-once keys (DESIGN.md §13) ------------------------------------
+
+TEST(DurableExactlyOnce, TwoMutationsUnderOneTraceEachApply) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("exactly_once_trace");
+  DurableRig rig(dopts);
+  std::vector<Bytes> items;
+  for (int i = 0; i < 8; ++i) items.push_back(payload_for(i));
+  auto fh = rig.client->outsource(1, items);
+  ASSERT_TRUE(fh.is_ok());
+
+  // Both insert commits carry the trace's rid; each has a span id of its
+  // own, so the second is not answered with the first one's reply.
+  obs::trace_begin(obs::generate_request_id());
+  const auto a = rig.client->insert(fh.value(), payload_for(100));
+  const auto b = rig.client->insert(fh.value(), payload_for(101));
+  obs::trace_stop();
+  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  EXPECT_NE(a.value(), b.value());
+
+  const auto ids = rig.client->list_items(fh.value());
+  ASSERT_TRUE(ids.is_ok());
+  EXPECT_EQ(ids.value().size(), 10u);
+  const auto got_a =
+      rig.client->access(fh.value(), proto::ItemRef::id(a.value()));
+  const auto got_b =
+      rig.client->access(fh.value(), proto::ItemRef::id(b.value()));
+  ASSERT_TRUE(got_a.is_ok()) << got_a.status().to_string();
+  ASSERT_TRUE(got_b.is_ok()) << got_b.status().to_string();
+  EXPECT_EQ(got_a.value(), payload_for(100));
+  EXPECT_EQ(got_b.value(), payload_for(101));
+}
+
+TEST(DurableExactlyOnce, SectionVEraseUnderOneTraceKeepsEveryKey) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("exactly_once_fs");
+  DurableRig rig(dopts);
+  fskeys::FileSystemClient fs(*rig.client, 1000);
+  ASSERT_TRUE(fs.init());
+  std::vector<Bytes> items_a, items_b;
+  for (int i = 0; i < 6; ++i) {
+    items_a.push_back(payload_for(i));
+    items_b.push_back(payload_for(50 + i));
+  }
+  ASSERT_TRUE(fs.create_file(1, items_a));
+  ASSERT_TRUE(fs.create_file(2, items_b));
+
+  // One user operation, several mutations (F's delete commit, then the
+  // meta tree's delete and insert commits) under one trace rid.
+  obs::trace_begin(obs::generate_request_id());
+  const Status erased = fs.erase_item(1, proto::ItemRef::id(2));
+  obs::trace_stop();
+  ASSERT_TRUE(erased) << erased.to_string();
+
+  EXPECT_EQ(fs.access(1, proto::ItemRef::id(2)).code(), Errc::kNotFound);
+  const auto survivor = fs.access(1, proto::ItemRef::id(4));
+  ASSERT_TRUE(survivor.is_ok()) << survivor.status().to_string();
+  EXPECT_EQ(survivor.value(), payload_for(4));
+  const auto untouched = fs.access(2, proto::ItemRef::ordinal(0));
+  ASSERT_TRUE(untouched.is_ok()) << untouched.status().to_string();
+  EXPECT_EQ(untouched.value(), payload_for(50));
+}
+
+TEST(DurableExactlyOnce, ResentTracedFrameIsADedupHit) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("exactly_once_resend");
+  DurableRig rig(dopts);
+  auto& hits = obs::Registry::instance().counter("fgad_dedup_hits_total");
+
+  proto::KvPutReq put;
+  put.table = 1;
+  put.key = 4;
+  put.value = to_bytes("first");
+  const Bytes frame = proto::seal_tagged_v2(0x7777, 0xb1, 0xb0, {},
+                                            put.to_frame());
+  const Bytes reply = rig.ds->handle(frame);
+  ASSERT_FALSE(is_error_frame(reply));
+  const std::uint64_t lsn = rig.ds->last_lsn();
+  const std::uint64_t hits_before = hits.value();
+
+  // The identical frame again: answered from the table, not logged.
+  EXPECT_EQ(rig.ds->handle(frame), reply);
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  EXPECT_EQ(rig.ds->last_lsn(), lsn);
+
+  // The same rid under another span is another RPC of the trace: applied.
+  const Bytes other = proto::seal_tagged_v2(0x7777, 0xb2, 0xb0, {},
+                                            put.to_frame());
+  ASSERT_FALSE(is_error_frame(rig.ds->handle(other)));
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  EXPECT_EQ(rig.ds->last_lsn(), lsn + 1);
+
+  // Both keys survive a restart (replay rebuilds them).
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ(reopened.value()->handle(frame), reply);
+  EXPECT_EQ(hits.value(), hits_before + 2);
+  EXPECT_EQ(reopened.value()->last_lsn(), lsn + 1);
+}
+
+/// A request in the retired V1 envelope: u16 tag | u64 rid | inner frame.
+Bytes v1_frame(std::uint64_t rid, BytesView inner) {
+  proto::Writer w;
+  w.u16(static_cast<std::uint16_t>(proto::MsgType::kTaggedEnvelope));
+  w.u64(rid);
+  w.raw(inner);
+  return std::move(w).take();
+}
+
+TEST(DurableExactlyOnce, V1LoggedMutationReplaysAndRebuildsItsDedupEntry) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("exactly_once_v1");
+  dopts.checkpoint_every_n = 0;
+  DurableRig rig(dopts);
+  std::vector<Bytes> items;
+  for (int i = 0; i < 4; ++i) items.push_back(payload_for(i));
+  ASSERT_TRUE(rig.client->outsource(7, items).is_ok());
+  // The log keeps requests as they arrive, so a V1 request lands in it
+  // exactly as a server from before V1 was retired logged it.
+  proto::DropFileReq drop;
+  drop.file_id = 7;
+  const Bytes v1 = v1_frame(0xd209, drop.to_frame());
+  const Bytes first = rig.ds->handle(v1);
+  ASSERT_FALSE(is_error_frame(first));
+
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ(reopened.value()->recovery_info().replayed, 2u);
+  EXPECT_FALSE(reopened.value()->server().has_file(7));
+
+  // A resend is answered from the rebuilt entry (a second drop would be
+  // NOT_FOUND), in the one layout, and nothing is logged.
+  auto& hits = obs::Registry::instance().counter("fgad_dedup_hits_total");
+  const std::uint64_t hits_before = hits.value();
+  const Bytes again = reopened.value()->handle(v1);
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  EXPECT_EQ(reopened.value()->last_lsn(), 2u);
+  const auto tag = proto::open_tagged(again);
+  ASSERT_TRUE(tag.has_value());
+  EXPECT_TRUE(tag->v2);
+  EXPECT_EQ(tag->request_id, 0xd209u);
+  EXPECT_EQ(proto::peek_type(again), proto::MsgType::kDropFileResp);
+}
+
+// ---- a failed WAL append stops the log ------------------------------------
+
+/// End of the last whole record in the log at `path`.
+std::uint64_t wal_valid_end(const std::string& path) {
+  auto scan = Wal::scan(path, nullptr);
+  EXPECT_TRUE(scan.is_ok()) << scan.status().to_string();
+  return scan.is_ok() ? scan.value().valid_end : 0;
+}
+
+TEST(DurableRecovery, FailedAppendRefusesLaterMutationsAndKeepsEveryAck) {
+  DurableServer::Options dopts;
+  dopts.dir = fresh_state_dir("durable_append_fail");
+  dopts.checkpoint_every_n = 0;
+  DurableRig rig(dopts);
+  const std::string wal = dopts.dir + "/wal-000000.log";
+  std::vector<std::uint64_t> acked;
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    ASSERT_FALSE(is_error_frame(
+        rig.ds->handle(tagged_kv_put(9000 + k, k, payload_for(k)))));
+    acked.push_back(k);
+  }
+
+  // The next record is cut short 40 bytes in.
+  const Bytes big(512, 0x5a);
+  {
+    test::FileSizeCap cap(wal_valid_end(wal) + 40);
+    const Bytes resp = rig.ds->handle(tagged_kv_put(9004, 4, big));
+    ASSERT_TRUE(is_error_frame(resp));
+    auto env = proto::open_message(resp);
+    ASSERT_TRUE(env.is_ok());
+    EXPECT_EQ(proto::response_payload(std::move(env).value(),
+                                      proto::MsgType::kKvPutResp)
+                  .code(),
+              Errc::kIoError);
+  }
+  // With the cap lifted, the log stays stopped: a record written behind
+  // the partial frame would be acked and then dropped by recovery.
+  for (std::uint64_t k = 5; k <= 6; ++k) {
+    const Bytes resp = rig.ds->handle(tagged_kv_put(9000 + k, k, big));
+    if (!is_error_frame(resp)) {
+      acked.push_back(k);
+    }
+  }
+  EXPECT_EQ(acked.size(), 3u) << "mutations were acked after a failed append";
+
+  auto reopened = rig.restart();
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  for (std::uint64_t k : acked) {
+    EXPECT_TRUE(reopened.value()->server().kv_get(1, k).is_ok())
+        << "acked key " << k << " lost";
+  }
 }
 
 }  // namespace

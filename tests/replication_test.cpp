@@ -112,7 +112,7 @@ struct ReplPair {
     target = primary.get();
     ch = std::make_unique<net::DirectChannel>([this](BytesView req) -> Bytes {
       Bytes resp = target->handle(req);
-      if (proto::split_tagged(req)) {
+      if (proto::open_tagged(req)) {
         frames.emplace_back(req.begin(), req.end());
         responses.push_back(resp);
       }

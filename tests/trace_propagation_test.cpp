@@ -3,8 +3,8 @@
 //
 // Three layers under test:
 //   * wire — seal_tagged_v2 / open_tagged roundtrips, and the backward-
-//     compatibility guarantee: untagged and V1-tagged frames are
-//     byte-identical to the pre-§19 protocol;
+//     compatibility guarantee: untagged frames are byte-identical to the
+//     pre-§19 protocol, and V1-tagged frames still decode;
 //   * math — the NTP-style midpoint offset estimate and the stitched
 //     timestamp rewrite, against hand-computed fixtures;
 //   * system — an in-process client / primary / backup trio where one
@@ -48,16 +48,20 @@ Bytes inner_frame() {
 TEST(TraceProp, UntaggedFramesAreNotTagged) {
   const Bytes frame = inner_frame();
   EXPECT_FALSE(proto::open_tagged(frame).has_value());
-  EXPECT_FALSE(proto::split_tagged(frame).has_value());
   ASSERT_TRUE(proto::peek_type(frame).has_value());
   EXPECT_EQ(*proto::peek_type(frame), proto::MsgType::kStatReq);
 }
 
 TEST(TraceProp, V1EnvelopeLayoutUnchanged) {
-  // The pre-§19 envelope: exactly u16 tag + u64 rid prepended. Nothing
-  // about the V2 extension may change these bytes.
+  // The pre-§19 envelope: exactly u16 tag + u64 rid prepended. It is no
+  // longer written, but logs from before it was retired hold it, so it
+  // must still decode.
   const Bytes frame = inner_frame();
-  const Bytes tagged = proto::seal_tagged(0x1122334455667788ull, frame);
+  proto::Writer w;
+  w.u16(static_cast<std::uint16_t>(proto::MsgType::kTaggedEnvelope));
+  w.u64(0x1122334455667788ull);
+  w.raw(frame);
+  const Bytes tagged = std::move(w).take();
   ASSERT_EQ(tagged.size(), frame.size() + 10);
   EXPECT_TRUE(std::equal(frame.begin(), frame.end(), tagged.begin() + 10));
 
@@ -93,11 +97,7 @@ TEST(TraceProp, V2SealOpenRoundtrip) {
   ASSERT_EQ(tag->inner.size(), frame.size());
   EXPECT_TRUE(std::equal(frame.begin(), frame.end(), tag->inner.begin()));
 
-  // split_tagged and peek_type look through both envelope versions.
-  const auto split = proto::split_tagged(tagged);
-  ASSERT_TRUE(split.has_value());
-  EXPECT_EQ(split->first, 0xAAu);
-  EXPECT_EQ(split->second.size(), frame.size());
+  // peek_type looks through the envelope.
   ASSERT_TRUE(proto::peek_type(tagged).has_value());
   EXPECT_EQ(*proto::peek_type(tagged), proto::MsgType::kStatReq);
 }
@@ -326,9 +326,7 @@ TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
   ASSERT_TRUE(ids.is_ok());
   ASSERT_FALSE(ids.value().empty());
 
-  // One traced user operation = one rid: the dedup table treats a second
-  // mutating RPC under the same rid as a resend, so (like fgad --trace)
-  // the trace covers exactly one deletion.
+  // One traced user operation = one rid, carried by every RPC of it.
   const std::uint64_t rid = obs::generate_request_id();
   obs::trace_begin(rid);
   ASSERT_TRUE(client.erase_item(fh.value(),

@@ -1,7 +1,7 @@
 // Durability primitives (DESIGN.md §13): fsio atomic writes and CRC32, WAL
 // framing + torn-tail / bit-flip tolerance, the zeros an open log keeps
-// ahead of its appends, group commit, the CrashPoint harness, and the
-// rid-dedup table.
+// ahead of its appends, the latch on a failed append, group commit, the
+// CrashPoint harness, and the rid-dedup table.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +19,7 @@
 #include "cloud/wal.h"
 #include "common/fsio.h"
 #include "proto/wire.h"
+#include "support/file_size_cap.h"
 
 namespace fgad::cloud {
 namespace {
@@ -507,6 +508,42 @@ TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
   std::remove(path.c_str());
 }
 
+// A write cut short leaves part of a frame at the end of the log, where a
+// scan stops. The log then refuses everything: a record appended behind the
+// partial frame would be flushed and acknowledged, and recovery would drop
+// it.
+TEST(Wal, FailedAppendLatchesAndKeepsFlushedRecords) {
+  const std::string path = temp_path("wal_failed_append");
+  {
+    auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
+    ASSERT_TRUE(created.is_ok());
+    Wal& wal = *created.value();
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(wal.append(i, request_frame(i)).is_ok());
+    }
+    ASSERT_TRUE(wal.sync_now());
+    const std::uint64_t flushed = wal.appended_bytes();
+    {
+      test::FileSizeCap cap(flushed + 40);
+      const auto cut = wal.append(4, Bytes(512, 0x5a));
+      ASSERT_FALSE(cut.is_ok());
+      EXPECT_EQ(cut.error().code, Errc::kIoError);
+    }
+    const auto later = wal.append(5, request_frame(5));
+    EXPECT_FALSE(later.is_ok()) << "append after a failed one succeeded";
+    EXPECT_FALSE(wal.sync_now());
+    EXPECT_FALSE(wal.sync_to(flushed));
+    EXPECT_EQ(wal.appended_bytes(), flushed);
+  }
+  std::vector<std::uint64_t> lsns;
+  auto scan = Wal::scan(path, [&](const Wal::Record& r) {
+    lsns.push_back(r.lsn);
+  });
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2, 3}));
+  std::remove(path.c_str());
+}
+
 // ---- CrashPoint -------------------------------------------------------------
 
 TEST(CrashPointTest, ArmThrowFiresOnceArmed) {
@@ -606,6 +643,42 @@ TEST(RidDedupTest, DeserializeRejectsGarbage) {
   RidDedup d(4);
   proto::Reader r(w.data());
   EXPECT_FALSE(d.deserialize(r));
+}
+
+TEST(RidDedupTest, SealedRepliesLoadUnwrappedAndRekeyed) {
+  // A dedup table as stored before replies were kept unsealed: a V1 reply
+  // and a traced V2 reply with its trailer, each under the bare rid.
+  const Bytes inner1 = proto::empty_frame(proto::MsgType::kKvPutResp);
+  const Bytes inner2 = proto::empty_frame(proto::MsgType::kDropFileResp);
+  proto::Writer w;
+  w.u64(3);
+  w.u64(11);
+  proto::Writer v1;  // the retired V1 layout: u16 tag | u64 rid | inner
+  v1.u16(static_cast<std::uint16_t>(proto::MsgType::kTaggedEnvelope));
+  v1.u64(11);
+  v1.raw(inner1);
+  w.bytes(v1.data());
+  w.u64(22);
+  w.bytes(proto::seal_tagged_v2(22, 0xc3, 0, {{1, 500}, {4, 700}}, inner2));
+  w.u64(33);
+  w.bytes(inner1);  // already unsealed: kept as it is
+  RidDedup dedup;
+  proto::Reader r(w.data());
+  ASSERT_TRUE(dedup.deserialize(r));
+  ASSERT_EQ(dedup.size(), 3u);
+  ASSERT_NE(dedup.find(11), nullptr);
+  EXPECT_EQ(*dedup.find(11), inner1);
+  EXPECT_EQ(dedup.find(22), nullptr);
+  ASSERT_NE(dedup.find(exactly_once_key(22, 0xc3)), nullptr);
+  EXPECT_EQ(*dedup.find(exactly_once_key(22, 0xc3)), inner2);
+  ASSERT_NE(dedup.find(33), nullptr);
+  EXPECT_EQ(*dedup.find(33), inner1);
+
+  // The key: the bare rid without a span, never 0 for a tagged request.
+  EXPECT_EQ(exactly_once_key(0, 5), 0u);
+  EXPECT_EQ(exactly_once_key(9, 0), 9u);
+  EXPECT_NE(exactly_once_key(9, 5), 9u);
+  EXPECT_NE(exactly_once_key(9, 5), exactly_once_key(9, 6));
 }
 
 }  // namespace
