@@ -1,14 +1,18 @@
 // Ablation A4: google-benchmark micro suite for the core primitives —
 // chain steps, key derivation by depth, delete planning by tree size, item
 // sealing by payload size. These are the constants behind Figures 5/6.
+// Two server-side rows time what the durable server does under its
+// dispatch lock: a tracked tree's delete apply and a whole outsource.
 // Unless the caller passes its own --benchmark_out, results are also written
 // to BENCH_micro_core.json (google-benchmark's native JSON format).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cloud/server.h"
 #include "core/batch_derive.h"
 #include "core/client_math.h"
 #include "core/item_codec.h"
@@ -16,6 +20,7 @@
 #include "core/tree.h"
 #include "crypto/random.h"
 #include "crypto/secure_buffer.h"
+#include "proto/messages.h"
 
 namespace {
 
@@ -195,6 +200,92 @@ void BM_TreeDeleteInfo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeDeleteInfo)->Arg(1 << 10)->Arg(1 << 20);
+
+// One delete commit applied to a tree with duplicate tracking on (the
+// server's configuration): modulator adjustment on the cut, balancing, and
+// the duplicate table's removals and additions. Each delete is followed,
+// untimed, by an insert, so the tree keeps its size. The apply alone is
+// timed (manual time), so benchmark's pause and resume cost no part of it.
+void BM_TreeApplyDelete(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  DeterministicRandom rnd(n);
+  ModulationTree tree(ModulationTree::Config{HashAlg::kSha1, true});
+  tree.build(
+      n, [&](NodeId) { return rnd.random_md(20); },
+      [&](NodeId v) {
+        return std::pair<Md, std::uint64_t>(rnd.random_md(20), v);
+      });
+  for (auto _ : state) {
+    const NodeId last = tree.last_leaf();
+    const NodeId d = static_cast<NodeId>(n - 1 + rnd.random_u64() % n);
+    core::DeleteCommit del;
+    del.leaf = d;
+    for (unsigned i = 0; i < core::depth_of(d); ++i) {
+      del.deltas.push_back(rnd.random_md(20));
+    }
+    del.has_balance = true;
+    del.promoted_leaf_mod = rnd.random_md(20);
+    del.has_step2 = d != last && d != last - 1;
+    del.t_new_link = rnd.random_md(20);
+    del.t_new_leaf_mod = rnd.random_md(20);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto outcome = tree.apply_delete(del);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(outcome);
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    core::InsertCommit ins;
+    ins.q = tree.insert_parent();
+    ins.left_link = rnd.random_md(20);
+    ins.right_link = rnd.random_md(20);
+    ins.moved_leaf_mod = rnd.random_md(20);
+    ins.new_leaf_mod = rnd.random_md(20);
+    benchmark::DoNotOptimize(tree.apply_insert(ins, 0));
+  }
+}
+BENCHMARK(BM_TreeApplyDelete)->Arg(1 << 12)->Arg(1 << 20)->UseManualTime();
+
+// A whole outsource of 2^14 items of 256 B through CloudServer::dispatch,
+// integrity and duplicate tracking on: request decode, tree decode and
+// duplicate table, ingest with integrity hashing, install. The file is
+// dropped, untimed, after each one.
+void BM_OutsourceDispatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  DeterministicRandom rnd(n);
+  const core::Outsourcer out(HashAlg::kSha1, /*track_duplicates=*/false);
+  const MasterKey master = MasterKey::generate(rnd, 20);
+  std::uint64_t counter = 0;
+  core::OutsourcedFile built = out.build(
+      master, n,
+      [](std::size_t i) { return Bytes(256, static_cast<std::uint8_t>(i)); },
+      counter, rnd);
+  proto::OutsourceReq req;
+  req.file_id = 1;
+  proto::Writer w;
+  built.tree.serialize(w);
+  req.tree_blob = std::move(w).take();
+  for (auto& it : built.items) {
+    req.items.push_back(proto::OutsourceReq::Item{
+        it.item_id, std::move(it.ciphertext), it.plain_size});
+  }
+  const Bytes frame = req.to_frame();
+  cloud::CloudServer server;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Bytes reply = server.dispatch(frame);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(reply);
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    if (!server.drop_file(1)) {
+      state.SkipWithError("outsource failed");
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_OutsourceDispatch)
+    ->Arg(1 << 14)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime();
 
 }  // namespace
 

@@ -275,8 +275,9 @@ struct LoadedCheckpoint {
   std::uint64_t base_epoch = 0;
 };
 
-Result<LoadedCheckpoint> load_checkpoint(const DurableServer::Options& opts,
-                                         std::uint64_t epoch) {
+Result<LoadedCheckpoint> load_checkpoint(
+    const DurableServer::Options& opts,
+    const std::shared_ptr<ThreadPool>& pool, std::uint64_t epoch) {
   auto top = read_checkpoint(checkpoint_file(opts.dir, epoch));
   if (!top) {
     return top.error();
@@ -295,7 +296,7 @@ Result<LoadedCheckpoint> load_checkpoint(const DurableServer::Options& opts,
     full = &base.value();
   }
   proto::Reader ir(full->image);
-  auto server = CloudServer::load(ir, opts.server);
+  auto server = CloudServer::load(ir, opts.server, pool);
   if (!server) {
     return server.error();
   }
@@ -649,11 +650,11 @@ void GroupCommitter::loop() {
 
 // ---- DurableServer ---------------------------------------------------------
 
-DurableServer::DurableServer(Options opts,
-                             std::unique_ptr<CloudServer> server,
+DurableServer::DurableServer(Options opts, std::shared_ptr<ThreadPool> pool,
                              RidDedup dedup)
     : opts_(std::move(opts)),
-      server_(std::move(server)),
+      pool_(std::move(pool)),
+      server_(std::make_unique<CloudServer>(opts_.server, pool_)),
       dedup_(std::move(dedup)) {}
 
 DurableServer::~DurableServer() {
@@ -691,9 +692,9 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   // complete (the guard clears on every exit path from open()).
   obs::Readiness::Block not_ready("recovery",
                                   "checkpoint load / WAL replay in progress");
-  auto ds = std::unique_ptr<DurableServer>(new DurableServer(
-      opts, std::make_unique<CloudServer>(opts.server),
-      RidDedup(opts.dedup_capacity)));
+  auto ds = std::unique_ptr<DurableServer>(
+      new DurableServer(opts, CloudServer::make_pool(opts.server),
+                        RidDedup(opts.dedup_capacity)));
 
   // 1. Newest valid checkpoint wins; older ones are the fallback when the
   //    newest is unreadable (disk rot — a crash cannot produce a torn
@@ -703,7 +704,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   std::vector<std::uint64_t> ckpts =
       list_numbered(opts.dir, "checkpoint-", ".ckpt");
   for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    auto loaded = load_checkpoint(opts, *it);
+    auto loaded = load_checkpoint(opts, ds->pool_, *it);
     if (!loaded) {
       ds->recovery_.checkpoint_fallback = true;
       continue;
@@ -901,6 +902,18 @@ void DurableServer::handle_async(Bytes request, Done done) {
     // group committer finds the stored trace when it splices in the
     // amortized fsync share (TraceStore::append_event).
     RequestScope scope(tag);
+    std::optional<CloudServer::BuiltFile> built;
+    if (*type == proto::MsgType::kOutsourceReq) {
+      // The file is built before mu_ from what outlives a snapshot
+      // install's server swap (opts_, pool_), so only its install waits
+      // for the other mutations. A resend that hits the dedup table below
+      // wastes this build.
+      obs::Span build_span("build");
+      obs::ScopedCost build_cost(obs::CostKind::kApply);
+      const BytesView frame = tag ? tag->inner : BytesView(request);
+      built = CloudServer::build_file(frame.subspan(2), opts_.server,
+                                      pool_.get());
+    }
     std::lock_guard<std::mutex> lock(mu_);
     repl = repl_;
     mode = repl_mode_;
@@ -943,7 +956,7 @@ void DurableServer::handle_async(Bytes request, Done done) {
       }
       {
         obs::ScopedCost apply_cost(obs::CostKind::kApply);
-        resp = apply_logged(lsn, tag, request, "apply");
+        resp = apply_logged(lsn, tag, request, "apply", std::move(built));
       }
       if (opts_.checkpoint_every_n > 0 &&
           mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
@@ -1001,12 +1014,13 @@ void DurableServer::handle_async(Bytes request, Done done) {
 
 Bytes DurableServer::apply_logged(std::uint64_t lsn,
                                   const std::optional<proto::TaggedInfo>& tag,
-                                  BytesView request, const char* span) {
+                                  BytesView request, const char* span,
+                                  std::optional<CloudServer::BuiltFile> built) {
   Bytes reply;
   {
     RequestScope scope(tag, term_, lsn);
     obs::Span apply_span(span);
-    reply = server_->dispatch(tag ? tag->inner : request);
+    reply = server_->dispatch(tag ? tag->inner : request, std::move(built));
   }
   if (tag) {
     dedup_.put(exactly_once_key(tag->request_id, tag->span_id), reply);

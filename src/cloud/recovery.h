@@ -11,6 +11,12 @@
 // delta against the newest durable full image, its base: the files and
 // ciphertexts that changed since the base was taken.
 //
+// Every mutation is applied under one dispatch mutex, in LSN order. An
+// outsource's apply grows with the file, so a primary builds the file
+// (CloudServer::build_file) before it takes the mutex; under it only the
+// dedup check, the WAL append, the replication stage and the install into
+// the file map remain. The backup stream and replay build inside the apply.
+//
 // Exactly-once: a mutating request that arrives in a tagged envelope is
 // deduplicated by its exactly-once key (the request id, mixed with the
 // span id when the request carries one). The dedup table — a bounded FIFO
@@ -245,7 +251,7 @@ class DurableServer {
   Bytes handle_repl(BytesView request);
 
  private:
-  DurableServer(Options opts, std::unique_ptr<CloudServer> server,
+  DurableServer(Options opts, std::shared_ptr<ThreadPool> pool,
                 RidDedup dedup);
 
   /// A checkpoint image taken under mu_ that is not yet durable.
@@ -285,12 +291,14 @@ class DurableServer {
 
   /// The one apply step of a logged mutation for the primary, the backup
   /// stream and replay (under mu_, or inside open()): opens the request's
-  /// scope at `lsn`, dispatches the inner frame under a `span` span, stores
-  /// the inner reply under the exactly-once key, and advances the LSN and
-  /// the checkpoint count. Returns the inner reply.
+  /// scope at `lsn`, dispatches the inner frame under a `span` span (an
+  /// outsource the primary built before mu_ is installed as `built`),
+  /// stores the inner reply under the exactly-once key, and advances the
+  /// LSN and the checkpoint count. Returns the inner reply.
   Bytes apply_logged(std::uint64_t lsn,
                      const std::optional<proto::TaggedInfo>& tag,
-                     BytesView request, const char* span);
+                     BytesView request, const char* span,
+                     std::optional<CloudServer::BuiltFile> built = {});
 
   Bytes handle_repl_append(const proto::ReplAppend& req);
   Bytes handle_repl_snapshot(const proto::ReplSnapshot& req);
@@ -305,6 +313,9 @@ class DurableServer {
   Result<proto::ReplSnapshot> snapshot_for_ship();
 
   Options opts_;
+  // Bulk work of every server image this node installs, and of the builds
+  // that run off mu_: it outlives the server_ a snapshot install swaps.
+  std::shared_ptr<ThreadPool> pool_;
   std::unique_ptr<CloudServer> server_;
 
   mutable std::mutex mu_;  // orders WAL appends with their application

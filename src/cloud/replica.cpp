@@ -661,7 +661,7 @@ Bytes DurableServer::handle_repl_snapshot(const proto::ReplSnapshot& req) {
     return *rejected;
   }
   proto::Reader ir(req.image);
-  auto server = CloudServer::load(ir, opts_.server);
+  auto server = CloudServer::load(ir, opts_.server, pool_);
   if (!server || !ir.finish()) {
     return error_frame(Errc::kDecodeError, "repl snapshot: bad image");
   }

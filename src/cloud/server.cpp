@@ -15,34 +15,95 @@ namespace fgad::cloud {
 namespace proto = fgad::proto;
 using proto::MsgType;
 
-CloudServer::CloudServer(Options opts) : opts_(opts) {
-  if (ThreadPool::resolve_threads(opts_.threads) > 1) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
+CloudServer::CloudServer(Options opts, std::shared_ptr<ThreadPool> pool)
+    : opts_(opts), pool_(std::move(pool)) {}
+
+std::shared_ptr<ThreadPool> CloudServer::make_pool(const Options& opts) {
+  if (ThreadPool::resolve_threads(opts.threads) > 1) {
+    return std::make_shared<ThreadPool>(opts.threads);
   }
+  return nullptr;
+}
+
+namespace {
+
+Status file_exists() {
+  return Status(Errc::kInvalidArgument, "server: file id already exists");
+}
+
+/// An OutsourceReq payload decoded, its tree included.
+struct DecodedOutsource {
+  std::uint64_t file_id = 0;
+  core::ModulationTree tree;
+  std::vector<FileStore::IngestItem> items;
+};
+
+Result<DecodedOutsource> decode_outsource(proto::Reader& r,
+                                          bool track_duplicates) {
+  auto req = proto::OutsourceReq::from(r);
+  if (!req) return req.error();
+  proto::Reader tr(req.value().tree_blob);
+  auto tree = core::ModulationTree::deserialize(
+      tr, core::ModulationTree::Config{crypto::HashAlg::kSha1,
+                                       track_duplicates});
+  if (!tree) return tree.error();
+  if (auto st = tr.finish(); !st) return st.error();
+  DecodedOutsource out{req.value().file_id, std::move(tree).value(), {}};
+  out.items.reserve(req.value().items.size());
+  for (auto& it : req.value().items) {
+    out.items.push_back(FileStore::IngestItem{
+        it.item_id, std::move(it.ciphertext), it.plain_size});
+  }
+  return out;
+}
+
+Result<FileStore> ingest_file(core::ModulationTree tree,
+                              std::vector<FileStore::IngestItem> items,
+                              const CloudServer::Options& opts,
+                              ThreadPool* pool) {
+  FileStore store(tree.alg(), opts.track_duplicates, opts.enable_integrity,
+                  pool);
+  if (auto st = store.ingest(std::move(tree), std::move(items)); !st) {
+    return st.error();
+  }
+  return store;
+}
+
+}  // namespace
+
+std::optional<CloudServer::BuiltFile> CloudServer::build_file(
+    BytesView payload, const Options& opts, ThreadPool* pool) {
+  proto::Reader r(payload);
+  auto req = decode_outsource(r, opts.track_duplicates);
+  if (!req) return std::nullopt;
+  const std::size_t n_items = req.value().items.size();
+  auto store = ingest_file(std::move(req.value().tree),
+                           std::move(req.value().items), opts, pool);
+  if (!store) return std::nullopt;
+  return BuiltFile{req.value().file_id, n_items, std::move(store).value()};
 }
 
 Status CloudServer::outsource(std::uint64_t file_id, core::ModulationTree tree,
                               std::vector<FileStore::IngestItem> items) {
-  const auto exists = [] {
-    return Status(Errc::kInvalidArgument, "server: file id already exists");
-  };
   {
     std::shared_lock<WriterPreferringMutex> map(files_mu_);
     if (files_.count(file_id) != 0) {
-      return exists();
+      return file_exists();
     }
   }
   // Ingest (hashing every item) runs before the map is locked, so reads of
   // other files keep going meanwhile.
-  FileStore store(tree.alg(), opts_.track_duplicates, opts_.enable_integrity,
-                  pool_.get());
-  if (auto st = store.ingest(std::move(tree), std::move(items)); !st) {
-    return st;
-  }
+  auto store = ingest_file(std::move(tree), std::move(items), opts_,
+                           pool_.get());
+  if (!store) return Status(store.error());
+  return install(file_id, std::move(store).value());
+}
+
+Status CloudServer::install(std::uint64_t file_id, FileStore store) {
   auto file = std::make_unique<StoredFile>(std::move(store));
   std::unique_lock<WriterPreferringMutex> map(files_mu_);
   if (!files_.emplace(file_id, std::move(file)).second) {
-    return exists();
+    return file_exists();
   }
   dropped_.erase(file_id);  // a delta carries the new file whole
   return Status::ok();
@@ -292,12 +353,12 @@ void CloudServer::save_tables(proto::Writer& w) const {
   }
 }
 
-Result<std::unique_ptr<CloudServer>> CloudServer::load(proto::Reader& r,
-                                                       Options opts) {
+Result<std::unique_ptr<CloudServer>> CloudServer::load(
+    proto::Reader& r, Options opts, std::shared_ptr<ThreadPool> pool) {
   if (r.u32() != kImageMagic || r.u16() != kImageVersion) {
     return Error(Errc::kDecodeError, "server image: bad magic/version");
   }
-  auto server_ptr = std::make_unique<CloudServer>(opts);
+  auto server_ptr = std::make_unique<CloudServer>(opts, std::move(pool));
   CloudServer& server = *server_ptr;
   const std::uint64_t n_files = r.u64();
   if (!r.ok() || n_files > (1ull << 32)) {
@@ -636,7 +697,7 @@ Bytes CloudServer::handle(BytesView request) {
   return seal_reply(*tag, reply);
 }
 
-Bytes CloudServer::dispatch(BytesView frame) {
+Bytes CloudServer::dispatch(BytesView frame, std::optional<BuiltFile> built) {
   static obs::Counter& rpcs =
       obs::Registry::instance().counter("fgad_server_rpcs_total");
   static obs::Counter& errors =
@@ -654,7 +715,7 @@ Bytes CloudServer::dispatch(BytesView frame) {
   Bytes resp;
   {
     obs::Span rpc_span(type ? proto::msg_type_name(*type) : "decode-error");
-    resp = execute(frame);
+    resp = execute(frame, built);
   }
   if (proto::peek_type(resp) == proto::MsgType::kError) {
     errors.inc();
@@ -668,7 +729,20 @@ Bytes CloudServer::dispatch(BytesView frame) {
   return resp;
 }
 
-Bytes CloudServer::execute(BytesView request) {
+Bytes CloudServer::execute(BytesView request,
+                           std::optional<BuiltFile>& built) {
+  // One audit line and one reply for every outsource, built here or before.
+  const auto outsourced = [](std::uint64_t file_id, std::size_t n_items,
+                             const Status& st) {
+    audit_rpc("outsource", file_id, n_items, 0, 0, st);
+    return status_frame(st, MsgType::kOutsourceResp);
+  };
+  if (built) {
+    // Its payload was decoded by the build; the frame is an OutsourceReq.
+    rpc_type_counter(MsgType::kOutsourceReq).inc();
+    return outsourced(built->file_id, built->n_items,
+                      install(built->file_id, std::move(built->store)));
+  }
   auto env = proto::open_message(request);
   if (!env) {
     static obs::Counter& decode_errors = obs::Registry::instance().counter(
@@ -681,27 +755,13 @@ Bytes CloudServer::execute(BytesView request) {
 
   switch (env.value().type) {
     case MsgType::kOutsourceReq: {
-      auto req = proto::OutsourceReq::from(r);
+      auto req = decode_outsource(r, opts_.track_duplicates);
       if (!req) return decode_error_frame(env.value().type, req.error());
-      proto::Reader tr(req.value().tree_blob);
-      auto tree = core::ModulationTree::deserialize(
-          tr, core::ModulationTree::Config{crypto::HashAlg::kSha1,
-                                           opts_.track_duplicates});
-      if (!tree) return decode_error_frame(env.value().type, tree.error());
-      if (auto st = tr.finish(); !st) {
-        return decode_error_frame(env.value().type, st.error());
-      }
-      std::vector<FileStore::IngestItem> items;
-      items.reserve(req.value().items.size());
-      for (auto& it : req.value().items) {
-        items.push_back(FileStore::IngestItem{
-            it.item_id, std::move(it.ciphertext), it.plain_size});
-      }
-      const std::size_t n_items = items.size();
-      Status st = outsource(req.value().file_id, std::move(tree).value(),
-                            std::move(items));
-      audit_rpc("outsource", req.value().file_id, n_items, 0, 0, st);
-      return status_frame(st, MsgType::kOutsourceResp);
+      DecodedOutsource& file = req.value();
+      const std::size_t n_items = file.items.size();
+      return outsourced(file.file_id, n_items,
+                        outsource(file.file_id, std::move(file.tree),
+                                  std::move(file.items)));
     }
 
     case MsgType::kAccessReq: {

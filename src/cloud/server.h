@@ -17,6 +17,12 @@
 // request takes it shared and then locks the one file it names, so requests
 // on different files run in parallel. The order is map lock, then file
 // lock; DurableServer's mutex, when there is one, comes before both.
+//
+// An outsource is two steps: a build (decode the request, ingest the tree
+// and items into a new FileStore, hashing every item) that reads no server
+// state and takes no lock, and an install that puts the store into the
+// map. DurableServer runs a primary's build before it takes its mutex, so
+// only the install is ordered with the other mutations.
 #pragma once
 
 #include <functional>
@@ -104,8 +110,33 @@ class CloudServer {
     std::size_t threads = 0;
   };
 
+  /// An outsourced file built but not installed: its id, its item count
+  /// and the ingested store.
+  struct BuiltFile {
+    std::uint64_t file_id = 0;
+    std::size_t n_items = 0;
+    FileStore store;
+  };
+
   CloudServer() : CloudServer(Options{}) {}
-  explicit CloudServer(Options opts);
+  explicit CloudServer(Options opts) : CloudServer(opts, make_pool(opts)) {}
+  /// A server whose bulk work runs on `pool` (null: on the calling
+  /// thread). DurableServer shares one pool among the images it installs.
+  CloudServer(Options opts, std::shared_ptr<ThreadPool> pool);
+
+  /// The pool a server with `opts` makes for itself: null when
+  /// opts.threads resolves to 1.
+  static std::shared_ptr<ThreadPool> make_pool(const Options& opts);
+
+  /// The build step of an outsource: decodes an OutsourceReq payload and
+  /// ingests its tree and items into a new FileStore, integrity hashes
+  /// included, with bulk work on `pool`. It reads no server state and
+  /// takes no lock. nullopt when the payload does not decode or the ingest
+  /// fails: dispatch() then serves the frame the whole way and produces
+  /// the error reply.
+  static std::optional<BuiltFile> build_file(BytesView payload,
+                                             const Options& opts,
+                                             ThreadPool* pool);
 
   // ---- native file API ---------------------------------------------------
   //
@@ -117,6 +148,9 @@ class CloudServer {
   /// Installs an outsourced file (tree + sealed items).
   Status outsource(std::uint64_t file_id, core::ModulationTree tree,
                    std::vector<FileStore::IngestItem> items);
+  /// The install step of an outsource: inserts a built store into the
+  /// file map, or fails with "file id already exists".
+  Status install(std::uint64_t file_id, FileStore store);
 
   Result<core::AccessInfo> access(std::uint64_t file_id,
                                   const proto::ItemRef& ref) const;
@@ -165,7 +199,12 @@ class CloudServer {
   void save(proto::Writer& w) const;
   /// Restores a server image produced by save().
   static Result<std::unique_ptr<CloudServer>> load(proto::Reader& r,
-                                                   Options opts);
+                                                   Options opts) {
+    return load(r, opts, make_pool(opts));
+  }
+  /// The same, for a server whose bulk work runs on `pool`.
+  static Result<std::unique_ptr<CloudServer>> load(
+      proto::Reader& r, Options opts, std::shared_ptr<ThreadPool> pool);
 
   // ---- delta images (DESIGN.md §13) ----------------------------------------
 
@@ -196,8 +235,11 @@ class CloudServer {
   /// its flight events and span, and produces the reply. The durability
   /// layer applies logged mutations through it. The apply's cost is
   /// charged by the edge that seals the reply, so a backup's apply or a
-  /// replay leaves no ledger row behind.
-  Bytes dispatch(BytesView frame);
+  /// replay leaves no ledger row behind. `built`, when set, is
+  /// build_file()'s result for this OutsourceReq frame: it is installed
+  /// instead of built again, with the same reply.
+  Bytes dispatch(BytesView frame,
+                 std::optional<BuiltFile> built = std::nullopt);
 
   // ---- adversarial hooks ---------------------------------------------------
 
@@ -234,12 +276,12 @@ class CloudServer {
 
   /// Locks `file_id` for one request; kNotFound when no such file exists.
   Result<LockedFile> lock_file(std::uint64_t file_id) const;
-  Bytes execute(BytesView request);
+  Bytes execute(BytesView request, std::optional<BuiltFile>& built);
   void save_tables(proto::Writer& w) const;
   Status load_tables(proto::Reader& r);
 
   Options opts_ = {};
-  std::unique_ptr<ThreadPool> pool_;  // null when opts_.threads resolves to 1
+  std::shared_ptr<ThreadPool> pool_;  // null: bulk work runs inline
 
   mutable WriterPreferringMutex files_mu_;  // guards the map, not the files
   std::unordered_map<std::uint64_t, std::unique_ptr<StoredFile>> files_;

@@ -12,7 +12,7 @@ namespace fgad::core {
 using crypto::Md;
 
 ModulationTree::ModulationTree(Config cfg)
-    : cfg_(cfg), width_(crypto::digest_size(cfg.alg)) {}
+    : cfg_(cfg), width_(crypto::digest_size(cfg.alg)), values_(width_) {}
 
 const Md& ModulationTree::link_mod(NodeId v) const {
   if (!valid_node(v) || is_root(v)) {
@@ -66,54 +66,98 @@ void ModulationTree::free_leaf_rec(std::uint32_t ref) {
 
 void ModulationTree::dup_add(const Md& m) {
   if (cfg_.track_duplicates) {
-    values_.insert(m);
+    values_.add(m);
   }
 }
 
 void ModulationTree::dup_remove(const Md& m) {
   if (cfg_.track_duplicates) {
-    values_.erase(m);
+    values_.remove(m);
   }
 }
 
 bool ModulationTree::dup_would_collide(const Md& m) const {
-  return cfg_.track_duplicates && values_.count(m) != 0;
+  return cfg_.track_duplicates && values_.contains(m);
 }
 
 bool ModulationTree::contains_value(const Md& m) const {
-  return values_.count(m) != 0;
+  return values_.contains(m);
 }
 
-void ModulationTree::xor_mod(Md& target, const Md& delta) {
-  dup_remove(target);
-  target ^= delta;
-  dup_add(target);
+void ModulationTree::adjust_cut(std::span<const NodeId> cut,
+                                const std::vector<Md>& deltas) {
+  struct Adjust {
+    Md* target;
+    const Md* delta;
+    std::uint32_t old_hash = 0;
+    std::uint32_t new_hash = 0;
+  };
+  std::vector<Adjust> adjust;
+  adjust.reserve(2 * cut.size());
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    const NodeId c = cut[i];
+    if (is_leaf(c)) {
+      adjust.push_back({&leaf_rec(c).leaf_mod, &deltas[i]});
+    } else {
+      adjust.push_back({&link_[left_child(c)], &deltas[i]});
+      adjust.push_back({&link_[right_child(c)], &deltas[i]});
+    }
+  }
+  if (!cfg_.track_duplicates) {
+    for (const Adjust& a : adjust) {
+      *a.target ^= *a.delta;
+    }
+    return;
+  }
+  // Every old and new value is hashed and its slot prefetched before the
+  // first change, so the duplicate table's loads overlap.
+  for (Adjust& a : adjust) {
+    a.old_hash = values_.hash(*a.target);
+    a.new_hash = values_.hash(*a.target ^ *a.delta);
+    values_.prefetch(a.old_hash);
+    values_.prefetch(a.new_hash);
+  }
+  for (const Adjust& a : adjust) {
+    values_.remove(*a.target, a.old_hash);
+    *a.target ^= *a.delta;
+    values_.add(*a.target, a.new_hash);
+  }
+}
+
+void ModulationTree::reshape(std::size_t nodes) {
+  link_.assign(nodes, Md{});
+  leaf_ref_.assign(nodes, kNoLeafRef);
+  leaves_.clear();
+  leaves_.reserve(leaf_count_of(nodes));
+  free_leaf_refs_.clear();
+}
+
+void ModulationTree::index_values() {
+  if (!cfg_.track_duplicates) {
+    return;
+  }
+  values_.reset(empty() ? 0 : node_count() - 1 + leaf_count());
+  for (NodeId v = 1; v < node_count(); ++v) {
+    values_.add(link_[v]);
+  }
+  for (const LeafRec& rec : leaves_) {
+    values_.add(rec.leaf_mod);
+  }
 }
 
 void ModulationTree::build(
     std::size_t n_leaves, const std::function<Md(NodeId)>& link_gen,
     const std::function<std::pair<Md, std::uint64_t>(NodeId)>& leaf_gen) {
-  link_.clear();
-  leaf_ref_.clear();
-  leaves_.clear();
-  free_leaf_refs_.clear();
-  values_.clear();
-  if (n_leaves == 0) {
-    return;
-  }
-  const std::size_t nodes = node_count_for(n_leaves);
-  link_.resize(nodes);
-  leaf_ref_.assign(nodes, kNoLeafRef);
-  leaves_.reserve(n_leaves);
+  const std::size_t nodes = n_leaves == 0 ? 0 : node_count_for(n_leaves);
+  reshape(nodes);
   for (NodeId v = 1; v < nodes; ++v) {
     link_[v] = link_gen(v);
-    dup_add(link_[v]);
   }
-  for (NodeId v = n_leaves - 1; v < nodes; ++v) {
+  for (NodeId v = n_leaves == 0 ? 0 : n_leaves - 1; v < nodes; ++v) {
     auto [mod, slot] = leaf_gen(v);
-    dup_add(mod);
     leaf_ref_[v] = alloc_leaf_rec(mod, slot);
   }
+  index_values();
 }
 
 PathView ModulationTree::path_to(NodeId v) const {
@@ -332,23 +376,15 @@ Result<ModulationTree::DeleteOutcome> ModulationTree::apply_delete(
     }
   }
 
-  // Step A: modulator adjustment on the cut (Eqs. 6 and 7).
+  // Step A: modulator adjustment on the cut (Eqs. 6 and 7), whose
+  // entries run top-down: the sibling of each path node below the root.
   {
-    std::vector<NodeId> below_root;
-    for (NodeId cur = d; !is_root(cur); cur = parent_of(cur)) {
-      below_root.push_back(cur);
+    std::vector<NodeId> cut(depth);
+    NodeId cur = d;
+    for (std::size_t i = depth; i > 0; --i, cur = parent_of(cur)) {
+      cut[i - 1] = sibling_of(cur);
     }
-    std::reverse(below_root.begin(), below_root.end());
-    for (std::size_t i = 0; i < below_root.size(); ++i) {
-      const NodeId c = sibling_of(below_root[i]);
-      const Md& delta = commit.deltas[i];
-      if (is_leaf(c)) {
-        xor_mod(leaf_rec(c).leaf_mod, delta);
-      } else {
-        xor_mod(link_[left_child(c)], delta);
-        xor_mod(link_[right_child(c)], delta);
-      }
-    }
+    adjust_cut(cut, commit.deltas);
   }
 
   DeleteOutcome outcome;
@@ -476,32 +512,24 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
         incoming.push_back(&rl.new_link);
       }
     }
-    std::unordered_set<Md, Md::Hasher> fresh;
-    fresh.reserve(incoming.size());
+    ValueTable fresh(width_);
+    fresh.reset(incoming.size());
     for (const Md* v : incoming) {
       if (dup_would_collide(*v)) {
         return Error(Errc::kDuplicateModulator,
                      "apply_delete_many: commit modulator duplicates tree value");
       }
-      if (!fresh.insert(*v).second) {
+      if (fresh.contains(*v)) {
         return Error(Errc::kDuplicateModulator,
                      "apply_delete_many: commit modulators not distinct");
       }
+      fresh.add(*v);
     }
   }
 
   // All checks passed; mutate. Step A: one delta per merged-cut node
   // (Eqs. 6-7 applied to the cut frontier).
-  for (std::size_t i = 0; i < cut.size(); ++i) {
-    const NodeId c = cut[i];
-    const Md& delta = commit.deltas[i];
-    if (is_leaf(c)) {
-      xor_mod(leaf_rec(c).leaf_mod, delta);
-    } else {
-      xor_mod(link_[left_child(c)], delta);
-      xor_mod(link_[right_child(c)], delta);
-    }
-  }
+  adjust_cut(cut, commit.deltas);
 
   // Step B: drop every deleted leaf's record.
   DeleteManyOutcome outcome;
@@ -515,8 +543,9 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
   deleted.inc(m);
 
   if (geo.new_node_count == 0) {
-    link_.clear();
-    leaf_ref_.clear();
+    // Every leaf left, and every link with them.
+    reshape(0);
+    index_values();
     return outcome;
   }
 
@@ -628,6 +657,9 @@ Result<ModulationTree::InsertOutcome> ModulationTree::apply_insert(
 }
 
 void ModulationTree::set_leaf_mod(NodeId v, Md m) {
+  if (m.size() != width_) {
+    throw std::invalid_argument("ModulationTree::set_leaf_mod: bad width");
+  }
   LeafRec& rec = leaf_rec(v);
   dup_remove(rec.leaf_mod);
   rec.leaf_mod = m;
@@ -637,6 +669,9 @@ void ModulationTree::set_leaf_mod(NodeId v, Md m) {
 void ModulationTree::set_link_mod(NodeId v, Md m) {
   if (!valid_node(v) || is_root(v)) {
     throw std::out_of_range("ModulationTree::set_link_mod: bad node");
+  }
+  if (m.size() != width_) {
+    throw std::invalid_argument("ModulationTree::set_link_mod: bad width");
   }
   dup_remove(link_[v]);
   link_[v] = m;
@@ -691,23 +726,16 @@ Result<ModulationTree> ModulationTree::deserialize(proto::Reader& r,
   if (r.remaining() < need) {
     return Error(Errc::kDecodeError, "tree: truncated");
   }
-  std::vector<Md> links(nodes);
+  tree.reshape(nodes);
   for (NodeId v = 1; v < nodes; ++v) {
-    const Bytes b = r.raw(width);
-    if (!r.ok()) return Error(Errc::kDecodeError, "tree: truncated links");
-    links[v] = Md(b);
+    tree.link_[v] = Md(r.raw_view(width));
   }
-  const std::size_t n = leaf_count_of(nodes);
-  std::vector<std::pair<Md, std::uint64_t>> leaves(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Bytes b = r.raw(width);
-    const std::uint64_t slot = r.u64();
-    if (!r.ok()) return Error(Errc::kDecodeError, "tree: truncated leaves");
-    leaves[i] = {Md(b), slot};
+  for (NodeId v = leaf_count_of(nodes) - 1; v < nodes; ++v) {
+    const Md mod(r.raw_view(width));
+    tree.leaf_ref_[v] = tree.alloc_leaf_rec(mod, r.u64());
   }
-  tree.build(
-      n, [&](NodeId v) { return links[v]; },
-      [&](NodeId v) { return leaves[v - (n - 1)]; });
+  if (!r.ok()) return Error(Errc::kDecodeError, "tree: truncated");
+  tree.index_values();
   return tree;
 }
 
@@ -720,14 +748,11 @@ std::size_t ModulationTree::serialized_size() const {
 }
 
 std::size_t ModulationTree::memory_bytes() const {
-  std::size_t total = link_.capacity() * sizeof(Md) +
-                      leaf_ref_.capacity() * sizeof(std::uint32_t) +
-                      leaves_.capacity() * sizeof(LeafRec) +
-                      free_leaf_refs_.capacity() * sizeof(std::uint32_t);
-  if (cfg_.track_duplicates) {
-    total += values_.size() * (sizeof(Md) + 2 * sizeof(void*));
-  }
-  return total;
+  return link_.capacity() * sizeof(Md) +
+         leaf_ref_.capacity() * sizeof(std::uint32_t) +
+         leaves_.capacity() * sizeof(LeafRec) +
+         free_leaf_refs_.capacity() * sizeof(std::uint32_t) +
+         values_.memory_bytes();
 }
 
 }  // namespace fgad::core

@@ -13,22 +13,27 @@
 // Both return the leaf moves the cloud layer needs to keep its
 // item -> leaf back-pointers consistent.
 //
-// Optional duplicate tracking maintains a hash set of every modulator value
-// in the tree so the server can implement the paper's "inform the client to
-// re-perform the operation with a different modulator" rule. It costs memory
-// proportional to the tree, so huge benchmark instances may disable it; the
-// *client-side* distinctness check on MT(k) — the one Theorem 2's proof
-// relies on — is always active regardless.
+// Storage is two flat arrays, link modulators by node id and leaf records
+// (leaf modulator, item slot) reached through a node -> record index.
+//
+// Optional duplicate tracking keeps every modulator value of the tree in a
+// counted, keyed table (value_table.h) so the server can implement the
+// paper's "inform the client to re-perform the operation with a different
+// modulator" rule. A value held twice stays reported until its last copy
+// leaves. The table costs memory proportional to the tree, so huge
+// benchmark instances may disable it; the *client-side* distinctness check
+// on MT(k) — the one Theorem 2's proof relies on — is always active
+// regardless.
 #pragma once
 
 #include <functional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/node_id.h"
+#include "core/value_table.h"
 #include "core/views.h"
 #include "crypto/digest.h"
 #include "proto/wire.h"
@@ -161,16 +166,17 @@ class ModulationTree {
     leaf_rec(v).item_slot = item_slot;
   }
 
-  /// Replaces the leaf modulator of a leaf (test/tamper hook).
+  /// Replaces the leaf modulator of a leaf (test/tamper hook). Throws
+  /// std::invalid_argument when `m` is not one digest wide.
   void set_leaf_mod(NodeId v, crypto::Md m);
-  /// Replaces a link modulator (test/tamper hook).
+  /// Replaces a link modulator (test/tamper hook); same width rule.
   void set_link_mod(NodeId v, crypto::Md m);
 
   // -- Duplicate bookkeeping ---------------------------------------------
 
   bool track_duplicates() const { return cfg_.track_duplicates; }
-  /// True iff `m` already appears somewhere in the tree (only meaningful
-  /// with tracking enabled).
+  /// True iff `m` appears somewhere in the tree (only meaningful with
+  /// tracking enabled).
   bool contains_value(const crypto::Md& m) const;
 
   // -- Persistence --------------------------------------------------------
@@ -190,7 +196,7 @@ class ModulationTree {
   /// communication cost of Table III).
   std::size_t serialized_size() const;
 
-  /// Estimated resident memory (diagnostics).
+  /// Bytes the tree's arrays and duplicate table have allocated.
   std::size_t memory_bytes() const;
 
  private:
@@ -205,14 +211,21 @@ class ModulationTree {
   LeafRec& leaf_rec(NodeId v);
   std::uint32_t alloc_leaf_rec(crypto::Md mod, std::uint64_t item_slot);
   void free_leaf_rec(std::uint32_t ref);
+  /// Empties the tree and shapes it for `nodes` nodes: links and leaf
+  /// references allocated, no leaf records yet.
+  void reshape(std::size_t nodes);
+  /// Fills the duplicate table with every value of the tree, sized once.
+  void index_values();
 
   // Duplicate-set maintenance (no-ops when tracking is off).
   void dup_add(const crypto::Md& m);
   void dup_remove(const crypto::Md& m);
   bool dup_would_collide(const crypto::Md& m) const;
 
-  // XORs delta into a tracked modulator in place.
-  void xor_mod(crypto::Md& target, const crypto::Md& delta);
+  /// Step A of a deletion (Eqs. 6-7): XORs deltas[i] into what hangs
+  /// below cut node cut[i], a leaf's modulator or both child links.
+  void adjust_cut(std::span<const NodeId> cut,
+                  const std::vector<crypto::Md>& deltas);
 
   Config cfg_;
   std::size_t width_;                    // modulator width in bytes
@@ -220,7 +233,7 @@ class ModulationTree {
   std::vector<std::uint32_t> leaf_ref_;  // node -> leaves_ index or kNoLeafRef
   std::vector<LeafRec> leaves_;
   std::vector<std::uint32_t> free_leaf_refs_;
-  std::unordered_set<crypto::Md, crypto::Md::Hasher> values_;
+  ValueTable values_;  // empty unless cfg_.track_duplicates
 };
 
 }  // namespace fgad::core

@@ -94,7 +94,10 @@ Bytes Reader::bytes() {
 }
 
 BytesView Reader::bytes_view() {
-  const std::uint32_t n = u32();
+  return raw_view(u32());
+}
+
+BytesView Reader::raw_view(std::size_t n) {
   if (!need(n)) return {};
   const BytesView out = data_.subspan(pos_, n);
   pos_ += n;

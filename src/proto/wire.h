@@ -64,6 +64,8 @@ class Reader {
   /// Like bytes(), but a view into the reader's buffer instead of a copy.
   BytesView bytes_view();
   Bytes raw(std::size_t n);
+  /// Like raw(), but a view into the reader's buffer instead of a copy.
+  BytesView raw_view(std::size_t n);
   crypto::Md md();
   std::string str();
 

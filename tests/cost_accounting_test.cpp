@@ -23,6 +23,7 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "proto/messages.h"
+#include "support/scoped_dir.h"
 
 namespace fgad {
 namespace {
@@ -30,14 +31,6 @@ namespace {
 using client::Client;
 using obs::CostKind;
 using obs::CostLedger;
-
-/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
-/// back one that an earlier process with a recycled pid left behind.
-std::string fresh_state_dir(const std::string& name) {
-  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
-  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
-  return d;
-}
 
 /// Captures a FILE* sink in memory (POSIX open_memstream).
 class MemSink {
@@ -151,8 +144,9 @@ TEST(CostAcct, CommitContextIsThreadLocal) {
 }
 
 TEST(CostAcct, DurableDeletesStampTermAndLsn) {
+  const test::ScopedDir opts_dir("costacct_audit");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_audit");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();
@@ -186,8 +180,9 @@ TEST(CostAcct, DurableDeletesStampTermAndLsn) {
 }
 
 TEST(CostAcct, ReplayedDeletesStampTermAndLsn) {
+  const test::ScopedDir opts_dir("costacct_replay_audit");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_replay_audit");
+  opts.dir = opts_dir.path();
   opts.checkpoint_every_n = 0;
   {
     auto opened = cloud::DurableServer::open(opts);
@@ -250,8 +245,9 @@ TEST(CostAcct, InMemoryDeletesOmitTermAndLsn) {
 
 TEST(CostAcct, V2ResponseCarriesServerTimingTrailer) {
   LedgerOn on;
+  const test::ScopedDir opts_dir("costacct_trailer");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_trailer");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();
@@ -312,8 +308,9 @@ Bytes v1_frame(std::uint64_t rid, BytesView inner) {
 
 TEST(CostAcct, V1AndUntaggedResponsesCarryNoTrailer) {
   LedgerOn on;
+  const test::ScopedDir opts_dir("costacct_v1");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_v1");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok());
   auto durable = std::move(opened).value();
@@ -352,8 +349,9 @@ TEST(CostAcct, V1AndUntaggedResponsesCarryNoTrailer) {
 
 TEST(CostAcct, UntracedTaggedMutationLeavesNoLedgerRow) {
   LedgerOn on;
+  const test::ScopedDir opts_dir("costacct_norow");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_norow");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();
@@ -389,8 +387,9 @@ TEST(CostAcct, UntracedTaggedMutationLeavesNoLedgerRow) {
 
 TEST(CostAcct, ResentTracedMutationCarriesOnlyItsOwnCosts) {
   LedgerOn on;
+  const test::ScopedDir opts_dir("costacct_resend");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_resend");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();
@@ -424,8 +423,9 @@ TEST(CostAcct, ResentTracedMutationCarriesOnlyItsOwnCosts) {
 
 TEST(CostAcct, GroupCommitPathAttributesSharesAndQueueWait) {
   LedgerOn on;
+  const test::ScopedDir opts_dir("costacct_async");
   cloud::DurableServer::Options opts;
-  opts.dir = fresh_state_dir("costacct_async");
+  opts.dir = opts_dir.path();
   auto opened = cloud::DurableServer::open(opts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   auto durable = std::move(opened).value();

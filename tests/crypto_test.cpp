@@ -8,6 +8,7 @@
 #include "crypto/prf.h"
 #include "crypto/random.h"
 #include "crypto/secure_buffer.h"
+#include "crypto/siphash.h"
 
 namespace fgad::crypto {
 namespace {
@@ -71,6 +72,17 @@ TEST(Md, HasherDistinguishes) {
   const Md b = rnd.random_md(20);
   EXPECT_NE(h(a), h(b));  // overwhelmingly likely
   EXPECT_EQ(h(a), h(a));
+}
+
+// SipHash-2-4 reference vectors (key 00..0f, input 00..n-1). The
+// duplicate table runs the same code with 1 and 3 rounds.
+TEST(SipHash, ReferenceVectors) {
+  std::uint8_t in[16];
+  for (int i = 0; i < 16; ++i) in[i] = static_cast<std::uint8_t>(i);
+  const std::uint64_t k0 = 0x0706050403020100ULL;
+  const std::uint64_t k1 = 0x0f0e0d0c0b0a0908ULL;
+  EXPECT_EQ((crypto::siphash<2, 4>(k0, k1, in, 0)), 0x726fdb47dd0e0e31ULL);
+  EXPECT_EQ((crypto::siphash<2, 4>(k0, k1, in, 15)), 0xa129ca6149be45e5ULL);
 }
 
 TEST(Md, CleanseZeroizes) {

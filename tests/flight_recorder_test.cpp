@@ -30,6 +30,7 @@
 #include "obs/http.h"
 #include "obs/metrics.h"
 #include "proto/messages.h"
+#include "support/scoped_dir.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -45,14 +46,6 @@ namespace {
 
 using obs::FlightRecorder;
 using obs::FrEvent;
-
-/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
-/// back one that an earlier process with a recycled pid left behind.
-std::string fresh_dir(const std::string& name) {
-  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
-  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
-  return d;
-}
 
 std::string rid_hex(std::uint64_t rid) {
   char buf[32];
@@ -185,7 +178,8 @@ TEST(FlightRecorder, DumpFileIsParseable) {
   fr.record(FrEvent::kWalAppend, 0xABCDEF0123456789ull, /*a=*/17, /*b=*/96);
   fr.record(FrEvent::kCheckpointCommit, 0, /*a=*/3, /*b=*/4096);
 
-  const std::string path = fresh_dir("fr_dump") + "/manual.dump";
+  const test::ScopedDir dir("fr_dump");
+  const std::string path = dir.file("manual.dump");
   ASSERT_TRUE(fr.dump_to_path(path.c_str(), "test"));
 
   std::string header;
@@ -295,11 +289,12 @@ TEST(FlightRecorder, CrashPointDumpTailMatchesInFlightMutation) {
   // append carrying this rid and its LSN, then the crash-point firing.
   auto& fr = FlightRecorder::instance();
   fr.configure(256);
-  const std::string dump_dir = fresh_dir("fr_crash_throw");
-  ASSERT_TRUE(fr.set_dump_dir(dump_dir));
+  const test::ScopedDir dump_dir("fr_crash_throw");
+  ASSERT_TRUE(fr.set_dump_dir(dump_dir.path()));
 
+  const test::ScopedDir state_dir("fr_crash_state");
   cloud::DurableServer::Options dopts;
-  dopts.dir = fresh_dir("fr_crash_state");
+  dopts.dir = state_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = cloud::DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
@@ -311,7 +306,8 @@ TEST(FlightRecorder, CrashPointDumpTailMatchesInFlightMutation) {
   const std::uint64_t lsn = opened.value()->last_lsn();
   ASSERT_GT(lsn, 0u);
 
-  const auto dumps = dir_matches(dump_dir, "flightrecorder-crashpoint-");
+  const auto dumps =
+      dir_matches(dump_dir.path(), "flightrecorder-crashpoint-");
   ASSERT_EQ(dumps.size(), 1u);
   const auto lines = parse_dump(slurp(dumps[0]));
   ASSERT_GE(lines.size(), 2u);
@@ -344,8 +340,8 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
 #else
   // The fgad_server FGAD_CRASH_AT flavor: the armed site _exit(42)s the
   // process. Run it in a forked child and assert the dump survives.
-  const std::string dump_dir = fresh_dir("fr_crash_exit");
-  const std::string state_dir = fresh_dir("fr_crash_exit_state");
+  const test::ScopedDir dump_dir("fr_crash_exit");
+  const test::ScopedDir state_dir("fr_crash_exit_state");
 
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
@@ -353,7 +349,7 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
     // Child: mirror fgad_server's startup, then crash mid-mutation.
     auto& fr = FlightRecorder::instance();
     fr.configure(256);
-    if (!fr.set_dump_dir(dump_dir)) {
+    if (!fr.set_dump_dir(dump_dir.path())) {
       ::_exit(3);
     }
     cloud::CrashPoint::instance().reset();
@@ -362,7 +358,7 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
       ::_exit(4);
     }
     cloud::DurableServer::Options dopts;
-    dopts.dir = state_dir;
+    dopts.dir = state_dir.path();
     dopts.checkpoint_every_n = 0;
     auto opened = cloud::DurableServer::open(dopts);
     if (!opened.is_ok()) {
@@ -382,7 +378,8 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 42);
 
-  const auto dumps = dir_matches(dump_dir, "flightrecorder-crashpoint-");
+  const auto dumps =
+      dir_matches(dump_dir.path(), "flightrecorder-crashpoint-");
   ASSERT_EQ(dumps.size(), 1u);
   const auto lines = parse_dump(slurp(dumps[0]));
   ASSERT_FALSE(lines.empty());
@@ -394,14 +391,14 @@ TEST(FlightRecorder, ProcessExitFlavorLeavesDumpBehind) {
 TEST(FlightRecorder, Sigusr2DumpsOnDemand) {
   auto& fr = FlightRecorder::instance();
   fr.configure(32);
-  const std::string dump_dir = fresh_dir("fr_sigusr2");
-  ASSERT_TRUE(fr.set_dump_dir(dump_dir));
+  const test::ScopedDir dump_dir("fr_sigusr2");
+  ASSERT_TRUE(fr.set_dump_dir(dump_dir.path()));
   fr.record(FrEvent::kMark, 0x51u, /*a=*/1);
 
   FlightRecorder::install_crash_handlers();
   ASSERT_EQ(::raise(SIGUSR2), 0);
 
-  const auto dumps = dir_matches(dump_dir, "flightrecorder-sigusr2-");
+  const auto dumps = dir_matches(dump_dir.path(), "flightrecorder-sigusr2-");
   ASSERT_EQ(dumps.size(), 1u);
   const auto lines = parse_dump(slurp(dumps[0]));
   ASSERT_FALSE(lines.empty());

@@ -30,6 +30,7 @@
 #include "obs/trace.h"
 #include "support/file_size_cap.h"
 #include "support/harness.h"
+#include "support/scoped_dir.h"
 
 namespace fgad::cloud {
 namespace {
@@ -221,14 +222,6 @@ TEST(Persistence, DeltaImageAppliesOntoBase) {
 
 // ---- durable server: crash matrix + recovery -------------------------------
 
-/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
-/// back one that an earlier process with a recycled pid left behind.
-std::string fresh_state_dir(const std::string& name) {
-  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
-  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
-  return d;
-}
-
 /// Drives a tagged client against a DurableServer through a crash-catching
 /// channel, recording every request frame so a never-crashed reference
 /// server can be fed the identical history.
@@ -315,8 +308,9 @@ const char* mut_op_name(MutOp op) {
 /// (b) resending the crashed frame converges to exactly-once.
 void run_crash_case(CrashSite site, MutOp op) {
   SCOPED_TRACE(std::string(crash_site_name(site)) + " x " + mut_op_name(op));
+  const test::ScopedDir dopts_dir("crash_matrix");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("crash_matrix");
+  dopts.dir = dopts_dir.path();
   dopts.wal_sync_ms = 0;
   // The checkpoint sites only fire inside a checkpoint, so those cells
   // checkpoint on every mutation; the WAL sites keep checkpoints out of
@@ -432,8 +426,9 @@ TEST(CrashMatrix, PostRename) {
 // The WAL becomes durable one way, through the group committer: a timed
 // sync window is refused, not silently ignored.
 TEST(DurableRecovery, OpenRejectsPositiveWalSyncMs) {
+  const test::ScopedDir dopts_dir("durable_sync_window");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_sync_window");
+  dopts.dir = dopts_dir.path();
   dopts.wal_sync_ms = 5;
   auto opened = DurableServer::open(dopts);
   ASSERT_FALSE(opened.is_ok());
@@ -441,8 +436,9 @@ TEST(DurableRecovery, OpenRejectsPositiveWalSyncMs) {
 }
 
 TEST(DurableRecovery, CleanRestartReplaysWal) {
+  const test::ScopedDir dopts_dir("durable_clean");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_clean");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;  // everything lives in the WAL
   DurableRig rig(dopts);
 
@@ -481,8 +477,9 @@ TEST(DurableRecovery, CleanRestartReplaysWal) {
 }
 
 TEST(DurableRecovery, CheckpointTruncatesLogAndPrunes) {
+  const test::ScopedDir dopts_dir("durable_ckpt");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_ckpt");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
 
@@ -517,8 +514,9 @@ TEST(DurableRecovery, CheckpointTruncatesLogAndPrunes) {
 }
 
 TEST(DurableRecovery, TornWalTailTruncatedOnRecovery) {
+  const test::ScopedDir dopts_dir("durable_torn");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_torn");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
 
@@ -562,8 +560,9 @@ TEST(DurableRecovery, TornWalTailTruncatedOnRecovery) {
 }
 
 TEST(DurableRecovery, BitflippedWalRecordDropsUnackedSuffix) {
+  const test::ScopedDir dopts_dir("durable_bitflip");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_bitflip");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
 
@@ -602,8 +601,9 @@ TEST(DurableRecovery, BitflippedWalRecordDropsUnackedSuffix) {
 }
 
 TEST(DurableRecovery, RidDedupSurvivesRestart) {
+  const test::ScopedDir dopts_dir("durable_dedup");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_dedup");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
 
@@ -670,8 +670,9 @@ class AckDropChannel final : public net::RpcChannel {
 };
 
 TEST(DurableRecovery, FailoverChannelConvergesExactlyOnce) {
+  const test::ScopedDir dopts_dir("durable_retry");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_retry");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok());
@@ -722,8 +723,9 @@ TEST(DurableRecovery, RecoveryMetricsPopulatedAfterRestart) {
   // kill-and-recover cycle the crash matrix exercises: after a restart
   // the recovery pass reports its duration and the registry counters
   // reflect the replayed WAL tail.
+  const test::ScopedDir dopts_dir("durable_metrics");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_metrics");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;  // keep every mutation in the WAL tail
   DurableRig rig(dopts);
 
@@ -768,8 +770,9 @@ Bytes tagged_kv_put(std::uint64_t rid, std::uint64_t key, BytesView value) {
 }
 
 TEST(GroupCommit, AsyncMutationsShareFsyncsAndSurviveRestart) {
+  const test::ScopedDir dopts_dir("group_commit");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_commit");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok());
@@ -830,8 +833,9 @@ TEST(GroupCommit, AsyncMutationsShareFsyncsAndSurviveRestart) {
 }
 
 TEST(GroupCommit, CrashBeforeFsyncLosesWholeBatchThenResendsExactlyOnce) {
+  const test::ScopedDir dopts_dir("group_atomic");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_atomic");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok());
@@ -864,8 +868,9 @@ TEST(GroupCommit, CrashBeforeFsyncLosesWholeBatchThenResendsExactlyOnce) {
   // "Power loss": rebuild the state directory from the durable prefix
   // alone — the staged-but-unsynced WAL tail vanishes with the page
   // cache, exactly what fsync-after-ACK would have risked.
+  const test::ScopedDir ropts_dir("group_atomic_recovered");
   DurableServer::Options ropts = dopts;
-  ropts.dir = fresh_state_dir("group_atomic_recovered");
+  ropts.dir = ropts_dir.path();
   ASSERT_TRUE(fsio::atomic_write_file(ropts.dir + "/wal-000000.log",
                                       durable_prefix.value()));
   CrashPoint::instance().reset();
@@ -903,8 +908,9 @@ TEST(GroupCommit, BulkDeleteCrashBeforeFsyncThenExactlyOnceResend) {
   // group fsync must lose it atomically (no torn half-applied batch),
   // and the client's resend of the identical tagged frame must apply it
   // exactly once via rid-dedup.
+  const test::ScopedDir dopts_dir("group_bulk_delete");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_bulk_delete");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok());
@@ -970,8 +976,9 @@ TEST(GroupCommit, BulkDeleteCrashBeforeFsyncThenExactlyOnceResend) {
   EXPECT_EQ(acked.load(), 0);
 
   // "Power loss": rebuild from the durable prefix alone.
+  const test::ScopedDir ropts_dir("group_bulk_delete_recovered");
   DurableServer::Options ropts = dopts;
-  ropts.dir = fresh_state_dir("group_bulk_delete_recovered");
+  ropts.dir = ropts_dir.path();
   ASSERT_TRUE(fsio::atomic_write_file(ropts.dir + "/wal-000000.log",
                                       durable_prefix.value()));
   CrashPoint::instance().reset();
@@ -1016,8 +1023,9 @@ TEST(GroupCommit, BulkDeleteCrashBeforeFsyncThenExactlyOnceResend) {
 // concurrent synchronous callers share flushes instead of each paying an
 // fsync alone.
 TEST(GroupCommit, SynchronousCallersShareFsyncs) {
+  const test::ScopedDir dopts_dir("group_sync_callers");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_sync_callers");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
@@ -1066,8 +1074,9 @@ TEST(GroupCommit, SynchronousCallersShareFsyncs) {
 // A throw-flavor crash before the group fsync drops the response on the
 // committer thread; handle() must raise it as CrashError, not wait forever.
 TEST(GroupCommit, CrashBeforeFsyncThrowsFromHandle) {
+  const test::ScopedDir dopts_dir("group_sync_crash");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_sync_crash");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
@@ -1105,8 +1114,9 @@ TEST(GroupCommit, CrashBeforeFsyncThrowsFromHandle) {
 TEST(GroupCommit, PipelinedClientBatchesOverReactorTcp) {
   // Full stack: batched Client API -> pipelined TcpChannel -> reactor
   // TcpServer -> DurableServer::handle_async -> group commit.
+  const test::ScopedDir dopts_dir("group_tcp");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("group_tcp");
+  dopts.dir = dopts_dir.path();
   auto opened = DurableServer::open(dopts);
   ASSERT_TRUE(opened.is_ok());
   DurableServer& ds = *opened.value();
@@ -1218,8 +1228,9 @@ void expect_resends_hit_dedup(const DurableRig& rig, DurableServer& ds) {
 }
 
 TEST(DurableRecovery, FallbackCheckpointReplaysItsLog) {
+  const test::ScopedDir dopts_dir("durable_fallback");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_fallback");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
 
@@ -1257,8 +1268,9 @@ TEST(DurableRecovery, FallbackCheckpointReplaysItsLog) {
 // while later mutations are ACKed into the new epoch's WAL. Kill that
 // thread at each write-out crash point and recover from disk alone.
 TEST(DurableRecovery, BackgroundWriteOutCrashKeepsAckedMutations) {
+  const test::ScopedDir dopts_dir("durable_bg_crash");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_bg_crash");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 3;
   DurableRig rig(dopts);
   std::vector<Bytes> items;
@@ -1323,8 +1335,9 @@ TEST(DurableRecovery, BackgroundWriteOutCrashKeepsAckedMutations) {
 }
 
 TEST(DurableRecovery, FailedWriteOutIsCountedAndLosesNothing) {
+  const test::ScopedDir dopts_dir("durable_ckpt_fail");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_ckpt_fail");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 2;
   // A directory where checkpoint 1 must land makes its rename fail.
   ASSERT_EQ(::mkdir((dopts.dir + "/checkpoint-000001.ckpt").c_str(), 0755), 0);
@@ -1360,8 +1373,9 @@ TEST(DurableRecovery, FailedWriteOutIsCountedAndLosesNothing) {
 TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
   for (const bool file_writer : {false, true}) {
     SCOPED_TRACE(file_writer ? "writer mutates file 2" : "writer puts blobs");
+    const test::ScopedDir dopts_dir("durable_ckpt_reads");
     DurableServer::Options dopts;
-    dopts.dir = fresh_state_dir("durable_ckpt_reads");
+    dopts.dir = dopts_dir.path();
     dopts.checkpoint_every_n = 4;
     DurableRig rig(dopts);
     std::vector<Bytes> items;
@@ -1448,10 +1462,9 @@ TEST(DurableRecovery, ConcurrentAccessDuringBackgroundCheckpoints) {
 
 // ---- delta checkpoints (DESIGN.md §13) -------------------------------------
 
-/// Copies every regular file of `dir` into a fresh directory, as a backup
-/// tool would: the copy must recover on its own.
-std::string copy_state_dir(const std::string& dir) {
-  const std::string out = fresh_state_dir("state_copy");
+/// Copies every regular file of `dir` into the empty directory `out`, as a
+/// backup tool would: the copy must recover on its own.
+void copy_state_dir(const std::string& dir, const std::string& out) {
   DIR* d = ::opendir(dir.c_str());
   EXPECT_NE(d, nullptr);
   while (dirent* e = ::readdir(d)) {
@@ -1466,20 +1479,6 @@ std::string copy_state_dir(const std::string& dir) {
     }
   }
   ::closedir(d);
-  return out;
-}
-
-void remove_state_dir(const std::string& dir) {
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (dirent* e = ::readdir(d)) {
-      const std::string name = e->d_name;
-      if (name != "." && name != "..") {
-        ::unlink((dir + "/" + name).c_str());
-      }
-    }
-    ::closedir(d);
-  }
-  ::rmdir(dir.c_str());
 }
 
 std::string ckpt_path(const std::string& dir, std::uint64_t epoch) {
@@ -1528,8 +1527,9 @@ LiveFile outsource_file(DurableRig& rig, std::uint64_t file_id,
 // exactly as of the checkpoint's LSN, passes fsck and answers every ACKed
 // request id from its dedup table.
 TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
+  const test::ScopedDir dopts_dir("durable_delta_seq");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_delta_seq");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 3;
   DurableRig rig(dopts, 4242);
   Xoshiro256 rng(4242);
@@ -1554,8 +1554,10 @@ TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
     const Bytes live = image_of(rig.ds->server());
     ASSERT_TRUE(wait_until(
         [&] { return fsio::exists(ckpt_path(dopts.dir, epoch)); }));
+    const test::ScopedDir copy_dir("state_copy");
     DurableServer::Options copy = dopts;
-    copy.dir = copy_state_dir(dopts.dir);
+    copy.dir = copy_dir.path();
+    copy_state_dir(dopts.dir, copy.dir);
     auto reopened = DurableServer::open(copy);
     ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
     const auto& info = reopened.value()->recovery_info();
@@ -1568,8 +1570,6 @@ TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
     EXPECT_EQ(image_of(reopened.value()->server()), live);
     EXPECT_TRUE(fsck(reopened.value()->server()));
     expect_resends_hit_dedup(rig, *reopened.value());
-    reopened.value().reset();
-    remove_state_dir(copy.dir);
   };
 
   std::vector<LiveFile> files;
@@ -1633,8 +1633,9 @@ TEST(DurableRecovery, DeltaCheckpointsReproduceLiveImage) {
 // its appends. Recovery reads them as the clean end of the log: every
 // ACKed mutation is back, and a mutation after recovery is kept too.
 TEST(DurableRecovery, ZeroTailLeftByCrashKeepsEveryAck) {
+  const test::ScopedDir dopts_dir("durable_zero_tail");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_zero_tail");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;  // everything lives in the WAL
   DurableRig rig(dopts);
   LiveFile f = outsource_file(rig, 1, 16);
@@ -1646,8 +1647,10 @@ TEST(DurableRecovery, ZeroTailLeftByCrashKeepsEveryAck) {
   const Bytes live = image_of(rig.ds->server());
 
   // The kill -9: a copy of the live server's state directory.
+  const test::ScopedDir copy_dir("state_copy");
   DurableServer::Options copy = dopts;
-  copy.dir = copy_state_dir(dopts.dir);
+  copy.dir = copy_dir.path();
+  copy_state_dir(dopts.dir, copy.dir);
   const Bytes log = fsio::read_file(copy.dir + "/wal-000000.log").value();
   ASSERT_GE(log.size(), 8u);
   ASSERT_EQ(Bytes(log.end() - 8, log.end()), Bytes(8, 0))
@@ -1670,8 +1673,6 @@ TEST(DurableRecovery, ZeroTailLeftByCrashKeepsEveryAck) {
   auto kept = again.value()->server().kv_get(1, 8);
   ASSERT_TRUE(kept.is_ok());
   EXPECT_EQ(kept.value(), payload_for(8));
-  again.value().reset();
-  remove_state_dir(copy.dir);
 }
 
 /// Builds a state directory whose newest checkpoint (4) is a delta on the
@@ -1698,8 +1699,9 @@ Bytes build_delta_chain(DurableRig& rig) {
 void expect_recovers_after_rot(const std::string& rotten_name,
                                std::uint64_t want_epoch) {
   SCOPED_TRACE(rotten_name);
+  const test::ScopedDir dopts_dir("durable_delta_rot");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_delta_rot");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
   const Bytes live = build_delta_chain(rig);
@@ -1741,8 +1743,9 @@ TEST(DurableRecovery, BitRotInDeltaBaseFallsBackToOlderFullImage) {
 // while later modifies are ACKed into the new log. Kill that thread at
 // each write-out crash point and recover from disk alone.
 TEST(DurableRecovery, BackgroundDeltaWriteOutCrashKeepsAckedMutations) {
+  const test::ScopedDir dopts_dir("durable_delta_crash");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_delta_crash");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 3;
   DurableRig rig(dopts);
   auto& deltas =
@@ -1839,8 +1842,9 @@ TEST(DurableRecovery, V1AndV2CheckpointsStillLoad) {
 
   for (std::uint16_t version : {1, 2}) {
     SCOPED_TRACE("v" + std::to_string(version));
+    const test::ScopedDir dopts_dir("durable_old_format");
     DurableServer::Options dopts;
-    dopts.dir = fresh_state_dir("durable_old_format");
+    dopts.dir = dopts_dir.path();
     proto::Writer w;
     w.u32(0x46474350);  // "FGCP"
     w.u16(version);
@@ -1884,8 +1888,9 @@ TEST(DurableRecovery, V1AndV2CheckpointsStillLoad) {
 // fgad_checkpoint_stall_ns covers the whole hold of the dispatch lock,
 // including the wait for the previous image's write-out.
 TEST(DurableRecovery, CheckpointStallCountsWaitForPreviousWriteOut) {
+  const test::ScopedDir dopts_dir("durable_stall_join");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_stall_join");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 1;
   DurableRig rig(dopts);
   auto& stalls =
@@ -1913,8 +1918,9 @@ TEST(DurableRecovery, CheckpointStallCountsWaitForPreviousWriteOut) {
 // ---- exactly-once keys (DESIGN.md §13) ------------------------------------
 
 TEST(DurableExactlyOnce, TwoMutationsUnderOneTraceEachApply) {
+  const test::ScopedDir dopts_dir("exactly_once_trace");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("exactly_once_trace");
+  dopts.dir = dopts_dir.path();
   DurableRig rig(dopts);
   std::vector<Bytes> items;
   for (int i = 0; i < 8; ++i) items.push_back(payload_for(i));
@@ -1945,8 +1951,9 @@ TEST(DurableExactlyOnce, TwoMutationsUnderOneTraceEachApply) {
 }
 
 TEST(DurableExactlyOnce, SectionVEraseUnderOneTraceKeepsEveryKey) {
+  const test::ScopedDir dopts_dir("exactly_once_fs");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("exactly_once_fs");
+  dopts.dir = dopts_dir.path();
   DurableRig rig(dopts);
   fskeys::FileSystemClient fs(*rig.client, 1000);
   ASSERT_TRUE(fs.init());
@@ -1975,8 +1982,9 @@ TEST(DurableExactlyOnce, SectionVEraseUnderOneTraceKeepsEveryKey) {
 }
 
 TEST(DurableExactlyOnce, ResentTracedFrameIsADedupHit) {
+  const test::ScopedDir dopts_dir("exactly_once_resend");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("exactly_once_resend");
+  dopts.dir = dopts_dir.path();
   DurableRig rig(dopts);
   auto& hits = obs::Registry::instance().counter("fgad_dedup_hits_total");
 
@@ -2021,8 +2029,9 @@ Bytes v1_frame(std::uint64_t rid, BytesView inner) {
 }
 
 TEST(DurableExactlyOnce, V1LoggedMutationReplaysAndRebuildsItsDedupEntry) {
+  const test::ScopedDir dopts_dir("exactly_once_v1");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("exactly_once_v1");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
   std::vector<Bytes> items;
@@ -2065,8 +2074,9 @@ std::uint64_t wal_valid_end(const std::string& path) {
 }
 
 TEST(DurableRecovery, FailedAppendRefusesLaterMutationsAndKeepsEveryAck) {
+  const test::ScopedDir dopts_dir("durable_append_fail");
   DurableServer::Options dopts;
-  dopts.dir = fresh_state_dir("durable_append_fail");
+  dopts.dir = dopts_dir.path();
   dopts.checkpoint_every_n = 0;
   DurableRig rig(dopts);
   const std::string wal = dopts.dir + "/wal-000000.log";

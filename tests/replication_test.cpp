@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -21,22 +22,16 @@
 #include "cloud/recovery.h"
 #include "cloud/replica.h"
 #include "cloud/server.h"
+#include "core/outsource.h"
 #include "net/transport.h"
 #include "support/harness.h"
+#include "support/scoped_dir.h"
 
 namespace fgad::cloud {
 namespace {
 
 using client::Client;
 using test::payload_for;
-
-/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
-/// back one that an earlier process with a recycled pid left behind.
-std::string fresh_state_dir(const std::string& name) {
-  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
-  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
-  return d;
-}
 
 /// Replication "wire": invokes the follower's handler in-process, but
 /// fails like a dead TCP link while `up` is false.
@@ -76,14 +71,14 @@ struct ReplPair {
                     Replicator::Options ropts = Replicator::Options{},
                     bool attach = true) {
     DurableServer::Options popts;
-    popts.dir = fresh_state_dir("repl_primary");
+    popts.dir = primary_dir.path();
     popts.role = ReplRole::kPrimary;
     auto p = DurableServer::open(popts);
     EXPECT_TRUE(p.is_ok()) << p.status().to_string();
     primary = std::move(p).value();
 
     DurableServer::Options bopts;
-    bopts.dir = fresh_state_dir("repl_backup");
+    bopts.dir = backup_dir.path();
     bopts.role = ReplRole::kBackup;
     auto b = DurableServer::open(bopts);
     EXPECT_TRUE(b.is_ok()) << b.status().to_string();
@@ -148,6 +143,10 @@ struct ReplPair {
     target = backup.get();
   }
 
+  // Declared before the servers, so they close before their directories
+  // are removed.
+  test::ScopedDir primary_dir{"repl_primary"};
+  test::ScopedDir backup_dir{"repl_backup"};
   std::unique_ptr<DurableServer> primary;
   std::unique_ptr<DurableServer> backup;
   std::shared_ptr<Replicator> repl;
@@ -164,8 +163,9 @@ struct ReplPair {
 // ---- role plumbing ---------------------------------------------------------
 
 TEST(Replication, BackupBouncesClientTraffic) {
+  const test::ScopedDir opts_dir("backup_bounce");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("backup_bounce");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kBackup;
   auto ds = DurableServer::open(opts);
   ASSERT_TRUE(ds.is_ok());
@@ -195,8 +195,9 @@ TEST(Replication, BackupBouncesClientTraffic) {
 }
 
 TEST(Replication, PrimaryBootstrapsFencingTermToOne) {
+  const test::ScopedDir opts_dir("term_bootstrap");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("term_bootstrap");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kPrimary;
   auto ds = DurableServer::open(opts);
   ASSERT_TRUE(ds.is_ok());
@@ -206,8 +207,9 @@ TEST(Replication, PrimaryBootstrapsFencingTermToOne) {
 }
 
 TEST(Replication, TermSurvivesRestart) {
+  const test::ScopedDir opts_dir("term_restart");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("term_restart");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kBackup;
   {
     auto ds = DurableServer::open(opts);
@@ -228,8 +230,9 @@ TEST(Replication, TermSurvivesRestart) {
 // ---- fencing ---------------------------------------------------------------
 
 TEST(Replication, StaleTermRejectedWithStaleTerm) {
+  const test::ScopedDir opts_dir("fence_direct");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("fence_direct");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kBackup;
   auto ds = DurableServer::open(opts);
   ASSERT_TRUE(ds.is_ok());
@@ -247,8 +250,9 @@ TEST(Replication, StaleTermRejectedWithStaleTerm) {
 }
 
 TEST(Replication, PrimaryHearingNewerTermStepsDown) {
+  const test::ScopedDir opts_dir("fence_stepdown");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("fence_stepdown");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kPrimary;
   auto ds = DurableServer::open(opts);
   ASSERT_TRUE(ds.is_ok());
@@ -264,8 +268,9 @@ TEST(Replication, PrimaryHearingNewerTermStepsDown) {
 }
 
 TEST(Replication, SplitBrainSameTermRefused) {
+  const test::ScopedDir opts_dir("fence_split");
   DurableServer::Options opts;
-  opts.dir = fresh_state_dir("fence_split");
+  opts.dir = opts_dir.path();
   opts.role = ReplRole::kPrimary;
   auto ds = DurableServer::open(opts);
   ASSERT_TRUE(ds.is_ok());  // term 1, primary
@@ -497,6 +502,115 @@ TEST(Replication, TaggedResendsConvergeOnThePromotedBackup) {
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(got.value(), payload_for(5));
   EXPECT_TRUE(fsck(pair.backup->server()));
+}
+
+// ---- outsources built before the dispatch lock -----------------------------
+
+/// A tagged OutsourceReq for `n` fresh items of file `file_id`.
+Bytes tagged_outsource(std::uint64_t file_id, std::size_t n,
+                       std::uint64_t rid) {
+  crypto::DeterministicRandom rnd(rid);
+  const core::Outsourcer out(crypto::HashAlg::kSha1,
+                             /*track_duplicates=*/false, /*threads=*/1);
+  const crypto::MasterKey key = crypto::MasterKey::generate(rnd, 20);
+  std::uint64_t counter = 0;
+  core::OutsourcedFile built = out.build(
+      key, n, [](std::size_t i) { return payload_for(i); }, counter, rnd);
+  proto::OutsourceReq req;
+  req.file_id = file_id;
+  proto::Writer w;
+  built.tree.serialize(w);
+  req.tree_blob = std::move(w).take();
+  for (auto& it : built.items) {
+    req.items.push_back(proto::OutsourceReq::Item{
+        it.item_id, std::move(it.ciphertext), it.plain_size});
+  }
+  return proto::seal_tagged_v2(rid, 0, 0, {}, req.to_frame());
+}
+
+/// The status an OutsourceResp reply carries.
+Status outsource_status(const Bytes& sealed) {
+  const auto tag = proto::open_tagged(sealed);
+  if (!tag) return Status(Errc::kDecodeError, "untagged reply");
+  auto env = proto::open_message(tag->inner);
+  if (!env) return Status(env.error());
+  auto payload = proto::response_payload(std::move(env).value(),
+                                         proto::MsgType::kOutsourceResp);
+  return payload ? Status::ok() : Status(payload.error());
+}
+
+Bytes image_of(const CloudServer& server) {
+  proto::Writer w;
+  server.save(w);
+  return std::move(w).take();
+}
+
+// A primary builds each outsourced file before its dispatch lock, so
+// concurrent outsources build at once and install in log order: two
+// requests for one file id end with exactly one file, and the backup, a
+// resend and a restart all see what the primary acknowledged.
+TEST(Replication, ConcurrentOutsourcesInstallInLogOrder) {
+  ReplPair pair(ReplAckMode::kSync);
+  constexpr std::size_t kFiles = 8;
+  std::vector<Bytes> frames;
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    // Files 1..7, and the last request names file 3 again.
+    const std::uint64_t file_id = i + 1 < kFiles ? i + 1 : 3;
+    frames.push_back(tagged_outsource(file_id, 2048, 9000 + i));
+  }
+  std::vector<std::promise<Bytes>> acked(kFiles);
+  std::vector<std::thread> senders;
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    senders.emplace_back([&, i] {
+      pair.primary->handle_async(frames[i], [&acked, i](Bytes reply) {
+        acked[i].set_value(std::move(reply));
+      });
+    });
+  }
+  for (std::thread& t : senders) {
+    t.join();
+  }
+  std::vector<Bytes> replies;
+  for (auto& p : acked) {
+    replies.push_back(p.get_future().get());
+  }
+
+  for (std::size_t i = 0; i + 1 < kFiles; ++i) {
+    if (i == 2) continue;  // file 3, checked below
+    EXPECT_TRUE(outsource_status(replies[i])) << "file " << i + 1;
+  }
+  const Status first = outsource_status(replies[2]);
+  const Status second = outsource_status(replies[kFiles - 1]);
+  ASSERT_NE(first.is_ok(), second.is_ok());
+  const Status& loser = first ? second : first;
+  EXPECT_EQ(loser.code(), Errc::kInvalidArgument);
+  EXPECT_EQ(loser.error().message, "server: file id already exists");
+
+  // A resend of an acknowledged frame gets the reply it first got.
+  const auto inner = [](const Bytes& sealed) {
+    const BytesView v = proto::open_tagged(sealed)->inner;
+    return Bytes(v.begin(), v.end());
+  };
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}, kFiles - 1}) {
+    EXPECT_EQ(inner(pair.primary->handle(frames[i])), inner(replies[i]))
+        << "resend " << i;
+  }
+
+  ASSERT_TRUE(wait_until(
+      [&] { return pair.repl->acked_lsn() == pair.primary->last_lsn(); }));
+  EXPECT_EQ(pair.primary->server().file_ids().size(), kFiles - 1);
+  EXPECT_TRUE(fsck(pair.primary->server()));
+  EXPECT_TRUE(fsck(pair.backup->server()));
+  const Bytes image = image_of(pair.primary->server());
+  EXPECT_EQ(image_of(pair.backup->server()), image);
+
+  pair.repl->stop();
+  pair.primary.reset();
+  DurableServer::Options popts;
+  popts.dir = pair.primary_dir.path();
+  auto reopened = DurableServer::open(popts);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ(image_of(reopened.value()->server()), image);
 }
 
 }  // namespace

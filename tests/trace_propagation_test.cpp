@@ -31,6 +31,7 @@
 #include "obs/stitch.h"
 #include "obs/trace.h"
 #include "proto/messages.h"
+#include "support/scoped_dir.h"
 
 namespace fgad {
 namespace {
@@ -264,29 +265,23 @@ TEST(TraceProp, EvictionRecordsSpanDroppedEvent) {
 
 // ---- system: client / primary / backup correlation -------------------------
 
-/// A new, empty directory: unlike a pid-based name, mkdtemp never hands
-/// back one that an earlier process with a recycled pid left behind.
-std::string fresh_state_dir(const std::string& name) {
-  std::string d = ::testing::TempDir() + "/" + name + ".XXXXXX";
-  EXPECT_NE(::mkdtemp(d.data()), nullptr) << d;
-  return d;
-}
-
 TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
   using cloud::DurableServer;
   using cloud::ReplAckMode;
   using cloud::Replicator;
   using cloud::ReplRole;
 
+  const test::ScopedDir popts_dir("traceprop_primary");
   DurableServer::Options popts;
-  popts.dir = fresh_state_dir("traceprop_primary");
+  popts.dir = popts_dir.path();
   popts.role = ReplRole::kPrimary;
   auto p = DurableServer::open(popts);
   ASSERT_TRUE(p.is_ok()) << p.status().to_string();
   auto primary = std::move(p).value();
 
+  const test::ScopedDir bopts_dir("traceprop_backup");
   DurableServer::Options bopts;
-  bopts.dir = fresh_state_dir("traceprop_backup");
+  bopts.dir = bopts_dir.path();
   bopts.role = ReplRole::kBackup;
   auto b = DurableServer::open(bopts);
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();

@@ -20,14 +20,10 @@
 #include "common/fsio.h"
 #include "proto/wire.h"
 #include "support/file_size_cap.h"
+#include "support/scoped_dir.h"
 
 namespace fgad::cloud {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name + "." +
-         std::to_string(::getpid());
-}
 
 Bytes file_bytes(const std::string& path) {
   auto data = fsio::read_file(path);
@@ -100,24 +96,24 @@ TEST(Fsio, Crc32SlicingMatchesBytewiseReference) {
 }
 
 TEST(Fsio, AtomicWriteRoundtripAndOverwrite) {
-  const std::string path = temp_path("fsio_atomic");
+  const test::ScopedDir dir("fsio_atomic");
+  const std::string path = dir.file("fsio_atomic");
   ASSERT_TRUE(fsio::atomic_write_file(path, to_bytes("first")));
   EXPECT_EQ(file_bytes(path), to_bytes("first"));
   // Overwrite replaces the content and leaves no temp file behind.
   ASSERT_TRUE(fsio::atomic_write_file(path, to_bytes("second, longer")));
   EXPECT_EQ(file_bytes(path), to_bytes("second, longer"));
   EXPECT_FALSE(fsio::exists(path + ".tmp"));
-  std::remove(path.c_str());
 }
 
 TEST(Fsio, AtomicWriteFailureLeavesOriginal) {
-  const std::string path = temp_path("fsio_orig");
+  const test::ScopedDir dir("fsio_orig");
+  const std::string path = dir.file("fsio_orig");
   ASSERT_TRUE(fsio::atomic_write_file(path, to_bytes("keep me")));
   // Writing into a nonexistent directory must fail without touching `path`.
   EXPECT_FALSE(
       fsio::atomic_write_file("/nonexistent-dir-fgad/x", to_bytes("y")));
   EXPECT_EQ(file_bytes(path), to_bytes("keep me"));
-  std::remove(path.c_str());
 }
 
 // ---- WAL framing ------------------------------------------------------------
@@ -130,7 +126,8 @@ Bytes request_frame(std::uint64_t i) {
 }
 
 TEST(Wal, AppendScanRoundtrip) {
-  const std::string path = temp_path("wal_roundtrip");
+  const test::ScopedDir dir("wal_roundtrip");
+  const std::string path = dir.file("wal_roundtrip");
   {
     auto wal = Wal::create(path, /*epoch=*/7, Wal::Options{0});
     ASSERT_TRUE(wal.is_ok());
@@ -153,7 +150,8 @@ TEST(Wal, AppendScanRoundtrip) {
 }
 
 TEST(Wal, TornTailAtEveryTruncationPoint) {
-  const std::string path = temp_path("wal_torn");
+  const test::ScopedDir dir("wal_torn");
+  const std::string path = dir.file("wal_torn");
   {
     auto wal = Wal::create(path, 1, Wal::Options{0});
     ASSERT_TRUE(wal.is_ok());
@@ -191,11 +189,11 @@ TEST(Wal, TornTailAtEveryTruncationPoint) {
     EXPECT_TRUE(s.value().torn_tail) << keep;
     EXPECT_EQ(s.value().valid_end, end_of_two) << keep;
   }
-  std::remove(path.c_str());
 }
 
 TEST(Wal, BitflippedRecordEndsScan) {
-  const std::string path = temp_path("wal_bitflip");
+  const test::ScopedDir dir("wal_bitflip");
+  const std::string path = dir.file("wal_bitflip");
   {
     auto wal = Wal::create(path, 1, Wal::Options{0});
     ASSERT_TRUE(wal.is_ok());
@@ -216,11 +214,11 @@ TEST(Wal, BitflippedRecordEndsScan) {
     EXPECT_LE(n, 2u) << back;
     EXPECT_TRUE(s.value().torn_tail) << back;
   }
-  std::remove(path.c_str());
 }
 
 TEST(Wal, CorruptHeaderRejected) {
-  const std::string path = temp_path("wal_badheader");
+  const test::ScopedDir dir("wal_badheader");
+  const std::string path = dir.file("wal_badheader");
   {
     auto wal = Wal::create(path, 1, Wal::Options{0});
     ASSERT_TRUE(wal.is_ok());
@@ -234,11 +232,11 @@ TEST(Wal, CorruptHeaderRejected) {
   // Missing file is an I/O error, not a decode error.
   EXPECT_EQ(Wal::scan(path + ".nope", [](const Wal::Record&) {}).code(),
             Errc::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(Wal, ReopenTruncatesTornTailAndContinues) {
-  const std::string path = temp_path("wal_reopen");
+  const test::ScopedDir dir("wal_reopen");
+  const std::string path = dir.file("wal_reopen");
   {
     auto wal = Wal::create(path, 1, Wal::Options{0});
     ASSERT_TRUE(wal.is_ok());
@@ -269,11 +267,11 @@ TEST(Wal, ReopenTruncatesTornTailAndContinues) {
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[2].request, request_frame(100));
   EXPECT_EQ(got[3].lsn, 4u);
-  std::remove(path.c_str());
 }
 
 TEST(Wal, NeverSyncModeStillScans) {
-  const std::string path = temp_path("wal_nosync");
+  const test::ScopedDir dir("wal_nosync");
+  const std::string path = dir.file("wal_nosync");
   {
     auto wal = Wal::create(path, 1, Wal::Options{/*sync_ms=*/-1});
     ASSERT_TRUE(wal.is_ok());
@@ -286,13 +284,13 @@ TEST(Wal, NeverSyncModeStillScans) {
   std::size_t n = 0;
   ASSERT_TRUE(Wal::scan(path, [&](const Wal::Record&) { ++n; }).is_ok());
   EXPECT_EQ(n, 1u);
-  std::remove(path.c_str());
 }
 
 // The fsync runs outside the log's mutex, so appends and syncs from many
 // threads interleave with flushes in flight (a TSan target).
 TEST(Wal, ConcurrentAppendAndSyncKeepTicketsDurable) {
-  const std::string path = temp_path("wal_concurrent");
+  const test::ScopedDir dir("wal_concurrent");
+  const std::string path = dir.file("wal_concurrent");
   auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
   ASSERT_TRUE(created.is_ok());
   Wal& wal = *created.value();
@@ -363,7 +361,6 @@ TEST(Wal, ConcurrentAppendAndSyncKeepTicketsDurable) {
   EXPECT_FALSE(scan.value().torn_tail);
   EXPECT_EQ(n, kThreads * kPerThread);
   created.value().reset();
-  std::remove(path.c_str());
 }
 
 // ---- the zeros an open log keeps ahead of its appends -----------------------
@@ -380,7 +377,8 @@ Bytes sized_request(std::uint64_t lsn, std::size_t size) {
 // What a crash leaves behind: a copy taken while the log is open ends in
 // zeros, and the scan reads them as the clean end of the log.
 TEST(Wal, ZeroTailIsCleanEnd) {
-  const std::string path = temp_path("wal_zero_tail");
+  const test::ScopedDir dir("wal_zero_tail");
+  const std::string path = dir.file("wal_zero_tail");
   const std::string copy = path + ".copy";
   std::vector<std::uint64_t> tickets;
   Bytes live;
@@ -422,15 +420,14 @@ TEST(Wal, ZeroTailIsCleanEnd) {
     EXPECT_EQ(got[i - 1].lsn, i);
     EXPECT_EQ(got[i - 1].request, request_frame(i));
   }
-  std::remove(copy.c_str());
-  std::remove(path.c_str());
 }
 
 // Closing trims the zeros: the file is byte-identical to a log that never
 // flushed (and so never wrote zeros).
 TEST(Wal, CleanCloseTrimsZeroTail) {
-  const std::string path = temp_path("wal_trim");
-  const std::string plain = temp_path("wal_trim_plain");
+  const test::ScopedDir dir("wal_trim");
+  const std::string path = dir.file("wal_trim");
+  const std::string plain = dir.file("wal_trim_plain");
   std::uint64_t appended = 0;
   {
     auto wal = Wal::create(path, 2, Wal::Options{0});
@@ -448,15 +445,14 @@ TEST(Wal, CleanCloseTrimsZeroTail) {
   const Bytes closed = file_bytes(path);
   EXPECT_EQ(closed.size(), appended);
   EXPECT_EQ(closed, file_bytes(plain));
-  std::remove(plain.c_str());
-  std::remove(path.c_str());
 }
 
 // Appends from four threads cross several zero chunks, and one record is
 // larger than a chunk, while a fifth thread flushes in a loop: each zero
 // fill lands past every staged record, never over one (a TSan target).
 TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
-  const std::string path = temp_path("wal_zero_chunks");
+  const test::ScopedDir dir("wal_zero_chunks");
+  const std::string path = dir.file("wal_zero_chunks");
   auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
   ASSERT_TRUE(created.is_ok());
   Wal& wal = *created.value();
@@ -505,7 +501,6 @@ TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
     }
   }
   created.value().reset();
-  std::remove(path.c_str());
 }
 
 // A write cut short leaves part of a frame at the end of the log, where a
@@ -513,7 +508,8 @@ TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
 // partial frame would be flushed and acknowledged, and recovery would drop
 // it.
 TEST(Wal, FailedAppendLatchesAndKeepsFlushedRecords) {
-  const std::string path = temp_path("wal_failed_append");
+  const test::ScopedDir dir("wal_failed_append");
+  const std::string path = dir.file("wal_failed_append");
   {
     auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
     ASSERT_TRUE(created.is_ok());
@@ -541,7 +537,6 @@ TEST(Wal, FailedAppendLatchesAndKeepsFlushedRecords) {
   });
   ASSERT_TRUE(scan.is_ok());
   EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2, 3}));
-  std::remove(path.c_str());
 }
 
 // ---- CrashPoint -------------------------------------------------------------
