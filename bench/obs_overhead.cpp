@@ -15,7 +15,6 @@
 #include "obs/cost.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "support/bench_util.h"
@@ -195,40 +194,8 @@ int main() {
       .set("ticker", "stopped")
       .set("ns_per_op", tick_off_ns);
 
-  // Sampling profiler (DESIGN.md §17): SIGPROF at the default 997 µs fires
-  // ~1 kHz of signal + backtrace() work across the whole process. Same
-  // interleaved derive loop, profiler armed vs disarmed.
-  std::vector<double> prof_on;
-  std::vector<double> prof_off;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const bool on = (r % 2) == 0;
-    if (on) {
-      fgad::obs::Profiler::instance().start({});
-    }
-    const double ns = run_round();
-    if (on) {
-      fgad::obs::Profiler::instance().stop();
-    }
-    (on ? prof_on : prof_off).push_back(ns);
-  }
-  const double prof_on_ns = median(prof_on);
-  const double prof_off_ns = median(prof_off);
-  const double profiler_pct = 100.0 * (prof_on_ns - prof_off_ns) / prof_off_ns;
-  std::printf("  profiler @997us:         %.1f ns/derive vs %.1f stopped "
-              "(%+.2f%%, target < 3%%)\n",
-              prof_on_ns, prof_off_ns, profiler_pct);
-  json.row()
-      .set("op", "profiled_derive")
-      .set("profiler", "on")
-      .set("ns_per_op", prof_on_ns);
-  json.row()
-      .set("op", "profiled_derive")
-      .set("profiler", "off")
-      .set("ns_per_op", prof_off_ns);
-
   json.meta()
       .set("windowed_overhead_pct", windowed_pct)
-      .set("profiler_overhead_pct", profiler_pct)
       .set("enabled_target_pct", 3.0);
 
   // Request tracing (DESIGN.md §19): tracing is opt-in per request

@@ -889,7 +889,6 @@ void DurableServer::handle_async(Bytes request, Done done) {
 
   std::shared_ptr<Wal> wal;
   std::shared_ptr<Replicator> repl;
-  ReplAckMode mode = ReplAckMode::kOff;
   std::uint64_t ticket = 0;
   std::uint64_t lsn = 0;
   Bytes resp;
@@ -916,7 +915,6 @@ void DurableServer::handle_async(Bytes request, Done done) {
     }
     std::lock_guard<std::mutex> lock(mu_);
     repl = repl_;
-    mode = repl_mode_;
     if (const Bytes* cached = key != 0 ? dedup_.find(key) : nullptr) {
       // Exactly-once: the mutation already applied (possibly replayed
       // from the WAL after a crash); hand back the original reply instead
@@ -926,9 +924,9 @@ void DurableServer::handle_async(Bytes request, Done done) {
       resp = *cached;
       durable_already = true;
       dedup_hit = true;
-      // The cached reply was first acked under the sync contract, but a
-      // resend after failover-and-failback could race a still-catching-up
-      // backup, so sync ack mode gates it on everything logged so far.
+      // A resend after failover-and-failback could race a still-catching-
+      // up backup, so the cached reply waits for the follower to hold
+      // everything logged so far, like any other ACK.
       lsn = next_lsn_ - 1;
     } else {
       CrashPoint::instance().fire(CrashSite::kBeforeWalAppend);
@@ -969,8 +967,8 @@ void DurableServer::handle_async(Bytes request, Done done) {
       }
     }
   }
-  const bool sync_repl = repl && mode == ReplAckMode::kSync && lsn > 0;
-  if ((wal == nullptr || durable_already) && !sync_repl) {
+  const bool gated = repl && lsn > 0;
+  if ((wal == nullptr || durable_already) && !gated) {
     obs::RequestScope rid_scope(rid);
     if (!dedup_hit) {
       CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
@@ -980,8 +978,8 @@ void DurableServer::handle_async(Bytes request, Done done) {
   }
   if (wal == nullptr || durable_already) {
     // Locally durable (dedup hit or checkpoint covered the record) but
-    // the sync gate still applies: park on the committer with no log to
-    // flush so the reactor thread never blocks on the network.
+    // the replication gate still applies: park on the committer with no
+    // log to flush so the reactor thread never blocks on the network.
     wal = nullptr;
     ticket = 0;
   }

@@ -127,10 +127,10 @@ class GroupCommitter {
                std::uint64_t lsn, Release release, std::uint64_t rid = 0);
 
   /// Post-fsync gate, invoked once per flushed batch with the batch's
-  /// highest LSN. Sync-mode replication parks here (Replicator::
-  /// wait_acked) so the follower's network ack overlaps the local fsync
-  /// instead of serializing after it. A gate failure fails the whole
-  /// batch's releases.
+  /// highest LSN. Replication parks here (Replicator::wait_acked) so the
+  /// follower's network ack overlaps the local fsync instead of
+  /// serializing after it. A gate failure fails the whole batch's
+  /// releases.
   using Gate = std::function<Status(std::uint64_t max_lsn)>;
   void set_gate(Gate gate);
 
@@ -230,9 +230,11 @@ class DurableServer {
   // ---- replication (DESIGN.md §18) ----------------------------------------
 
   /// Wires a primary-side replicator: snapshot source and demote hook
-  /// are connected, the committer's sync gate installed when `mode` is
-  /// kSync, and the ship thread started. Call once, after open().
-  void attach_replicator(std::shared_ptr<Replicator> repl, ReplAckMode mode);
+  /// are connected, the committer's gate installed (no client ACK before
+  /// the follower's durable ack), and the ship thread started. Call once,
+  /// after open(). `mode` selects nothing; perfbench passes it.
+  void attach_replicator(std::shared_ptr<Replicator> repl,
+                         ReplAckMode mode = ReplAckMode::kSync);
 
   /// Promotes a backup to primary: bumps the fencing term, persists it
   /// in an immediate checkpoint, and starts accepting client traffic.
@@ -334,7 +336,6 @@ class DurableServer {
   std::atomic<ReplRole> role_{ReplRole::kPrimary};
   std::uint64_t term_ = 0;  // fencing term, persisted in checkpoints
   std::shared_ptr<Replicator> repl_;  // primary side only
-  ReplAckMode repl_mode_ = ReplAckMode::kOff;
   // Delta bookkeeping (DESIGN.md §13). base_epoch_ is the newest durable
   // full image, prev_base_epoch_ the durable full image before it (0 =
   // none); deltas are taken against base_epoch_ only while delta_ok_, i.e.

@@ -52,18 +52,6 @@ const char* repl_role_name(ReplRole r) {
   return r == ReplRole::kPrimary ? "primary" : "backup";
 }
 
-const char* repl_ack_mode_name(ReplAckMode m) {
-  switch (m) {
-    case ReplAckMode::kOff:
-      return "off";
-    case ReplAckMode::kAsync:
-      return "async";
-    case ReplAckMode::kSync:
-      return "sync";
-  }
-  return "unknown";
-}
-
 obs::Gauge& repl_role_gauge() {
   static obs::Gauge& g = obs::Registry::instance().gauge("fgad_repl_role");
   return g;
@@ -124,10 +112,6 @@ void Replicator::stop() {
   if (thread_.joinable()) {
     thread_.join();
   }
-  // A donating waiter may still be mid-round-trip on channel_; it clears
-  // shipping_ (and notifies) as soon as the trip returns.
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !shipping_; });
   channel_.reset();
 }
 
@@ -164,11 +148,6 @@ Status Replicator::wait_acked(std::uint64_t lsn) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.sync_timeout_ms);
-  // One failed donation disables further attempts until the follower
-  // makes progress again — a dead link gets the ship loop's exponential
-  // backoff, not a redial per waiter wake-up.
-  bool donate = true;
-  std::uint64_t progress_mark = acked_lsn_;
   while (acked_lsn_ < lsn) {
     if (demoted_) {
       return Status(Errc::kStaleTerm, "replication: fenced by the follower");
@@ -176,29 +155,12 @@ Status Replicator::wait_acked(std::uint64_t lsn) {
     if (stop_) {
       return Status(Errc::kIoError, "replication: replicator stopped");
     }
-    if (donate && !shipping_ && !need_snapshot_ && !queue_.empty()) {
-      // Donate this blocked thread as the shipper (see the header): ship
-      // the batch ourselves instead of paying two context switches for
-      // the ship loop to wake up and do it.
-      shipping_ = true;
-      lock.unlock();
-      const bool ok = ship_batch();
-      lock.lock();
-      shipping_ = false;
-      cv_.notify_all();  // ship loop (or stop()) may be parked on us
-      donate = ok;
-      continue;
-    }
     if (acked_cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
         acked_lsn_ < lsn) {
       return Status(Errc::kTimeout,
                     "replication: follower ack timed out at lsn " +
                         std::to_string(acked_lsn_) + " < " +
                         std::to_string(lsn));
-    }
-    if (acked_lsn_ > progress_mark) {
-      progress_mark = acked_lsn_;
-      donate = true;
     }
   }
   return Status::ok();
@@ -394,21 +356,10 @@ void Replicator::loop() {
     const auto heartbeat_due =
         last_contact + std::chrono::milliseconds(opts_.heartbeat_ms);
     cv_.wait_until(lock, heartbeat_due, [&] {
-      return stop_ ||
-             (!shipping_ && !demoted_ && (!queue_.empty() || need_snapshot_));
+      return stop_ || (!demoted_ && (!queue_.empty() || need_snapshot_));
     });
     if (stop_) {
       break;
-    }
-    if (shipping_) {
-      // A sync-mode waiter is mid-donation and owns channel_; park until
-      // it finishes. Its round trip counts as follower contact.
-      cv_.wait(lock, [&] { return stop_ || !shipping_; });
-      if (stop_) {
-        break;
-      }
-      last_contact = std::chrono::steady_clock::now();
-      continue;
     }
     if (demoted_) {
       // Fenced: nothing to ship ever again; park until stop().
@@ -422,7 +373,6 @@ void Replicator::loop() {
         std::chrono::steady_clock::now() >= heartbeat_due;
     std::uint64_t hb_term = term_;
     std::uint64_t hb_lsn = staged_lsn_;
-    shipping_ = true;  // claim channel_ until we relock below
     lock.unlock();
 
     bool ok = true;
@@ -452,7 +402,6 @@ void Replicator::loop() {
       last_contact = std::chrono::steady_clock::now();
     }
     lock.lock();
-    shipping_ = false;
   }
 }
 
@@ -463,19 +412,16 @@ void Replicator::loop() {
 // follower-side apply path — reads as one unit.
 
 void DurableServer::attach_replicator(std::shared_ptr<Replicator> repl,
-                                      ReplAckMode mode) {
+                                      ReplAckMode /*mode*/) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     repl_ = repl;
-    repl_mode_ = mode;
     repl->set_term(term_);
   }
   repl->set_snapshot_source([this] { return snapshot_for_ship(); });
   repl->set_demote_hook([this](std::uint64_t observed) { demote(observed); });
-  if (mode == ReplAckMode::kSync) {
-    committer_.set_gate(
-        [repl](std::uint64_t max_lsn) { return repl->wait_acked(max_lsn); });
-  }
+  committer_.set_gate(
+      [repl](std::uint64_t max_lsn) { return repl->wait_acked(max_lsn); });
   repl->start();
 }
 

@@ -7,8 +7,13 @@
 // replication stream sees the exact LSN order of the log — and a
 // dedicated ship thread batches whatever accumulated, mirroring the
 // GroupCommitter's natural batching: the network round trip to the
-// follower runs in parallel with the local fsync, and in `sync` ack mode
-// the group-commit flush gates client ACKs on the follower's durable ack.
+// follower runs in parallel with the local fsync.
+//
+// One contract: a mutation is ACKed only once it is durable on the
+// primary's disk and on the follower's. The group-commit flush gates every
+// client ACK on the follower's durable ack (wait_acked); while the
+// follower is unreachable, commits answer kTimeout and a key-rotating
+// commit leaves the client's handle for Client::resync to settle.
 //
 // Split-brain fencing: every replication message carries a monotonic
 // term, persisted in checkpoints. A promoted backup bumps its term (and
@@ -40,10 +45,10 @@
 namespace fgad::cloud {
 
 enum class ReplRole : std::uint8_t { kBackup = 0, kPrimary = 1 };
-enum class ReplAckMode : std::uint8_t { kOff = 0, kAsync = 1, kSync = 2 };
+/// Selects nothing (every ACK waits for the follower); perfbench names it.
+enum class ReplAckMode : std::uint8_t { kSync };
 
 const char* repl_role_name(ReplRole r);
-const char* repl_ack_mode_name(ReplAckMode m);
 
 // Shared gauges: set by DurableServer (role/term) and the Replicator
 // (lag); read by /readyz and fgad_mon.
@@ -70,9 +75,10 @@ class Replicator {
   using DemoteHook = std::function<void(std::uint64_t observed_term)>;
 
   struct Options {
-    ReplAckMode mode = ReplAckMode::kAsync;
+    // Selects nothing (see ReplAckMode); perfbench sets it.
+    ReplAckMode mode = ReplAckMode::kSync;
     int heartbeat_ms = 500;       // idle heartbeat cadence
-    int sync_timeout_ms = 5000;   // wait_acked() bound (sync ack mode)
+    int sync_timeout_ms = 5000;   // wait_acked() bound
     int redial_backoff_ms = 50;   // doubles up to max_backoff_ms
     int max_backoff_ms = 1000;
     std::size_t max_batch_records = 256;
@@ -98,17 +104,9 @@ class Replicator {
   /// DurableServer dispatch lock, so LSNs arrive strictly increasing.
   void stage(std::uint64_t term, std::uint64_t lsn, BytesView request);
 
-  /// Blocks until the follower has durably acknowledged `lsn` (the sync
-  /// ack-mode gate). Fails with kTimeout after sync_timeout_ms, with
+  /// Blocks until the follower has durably acknowledged `lsn` (the
+  /// committer's gate). Fails with kTimeout after sync_timeout_ms, with
   /// kStaleTerm once fenced, and with kIoError after stop().
-  ///
-  /// Flat-combining fast path: a waiter that would otherwise park
-  /// donates itself as the shipper when nobody else is mid-ship,
-  /// performing the follower round trip on its own thread. This saves
-  /// two context switches per synchronous commit (committer -> ship
-  /// thread -> committer), which on few-core hosts is the difference
-  /// between the round trip overlapping the local fsync and serializing
-  /// behind a scheduler ping-pong.
   Status wait_acked(std::uint64_t lsn);
 
   std::uint64_t acked_lsn() const;
@@ -138,8 +136,7 @@ class Replicator {
   SnapshotSource snapshot_source_;
   DemoteHook demote_hook_;
 
-  // Owned by whichever thread holds shipping_ (the ship loop, or a
-  // sync-mode waiter donating its blocked time to perform the ship).
+  // Touched only by the ship thread (and by stop() once it has joined).
   std::unique_ptr<net::RpcChannel> channel_;
 
   mutable std::mutex mu_;
@@ -152,7 +149,6 @@ class Replicator {
   std::uint64_t queue_bytes_ = 0;  // payload bytes currently queued
   bool need_snapshot_ = false;
   bool demoted_ = false;
-  bool shipping_ = false;  // some thread is mid-round-trip on channel_
   bool stop_ = false;
   std::thread thread_;
 };

@@ -18,7 +18,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/slo.h"
 #include "obs/stitch.h"
 #include "obs/timeseries.h"
@@ -391,26 +390,6 @@ void MetricsHttpServer::serve_one(int fd) {
                ? http_response(200, "OK", "application/json", body)
                : http_response(503, "Service Unavailable", "application/json",
                                body);
-  } else if (path == "/profile") {
-    // Blocking capture: this server handles one connection at a time,
-    // so a capture parks the scrape endpoint for `seconds`. Cap it.
-    double seconds = 1.0;
-    const std::string v = query_param(query, "seconds");
-    if (!v.empty()) {
-      seconds = std::strtod(v.c_str(), nullptr);
-    }
-    if (seconds <= 0) {
-      seconds = 1.0;
-    }
-    if (seconds > 30) {
-      seconds = 30;
-    }
-    Profiler::Options popts;
-    popts.wall = query_param(query, "mode") == "wall";
-    const std::string body = Profiler::capture_folded(seconds, popts);
-    resp = body.compare(0, 8, "# error:") == 0
-               ? http_response(503, "Service Unavailable", "text/plain", body)
-               : http_response(200, "OK", "text/plain", body);
   } else {
     resp = http_response(404, "Not Found", "text/plain", "not found\n");
   }

@@ -7,8 +7,6 @@
 //   GET /healthz       -> liveness: always "ok\n" while the process runs
 //   GET /readyz        -> readiness: 503 + JSON reasons during recovery
 //                         replay, shutdown checkpoint, or SLO overload
-//   GET /profile       -> ?seconds=N[&mode=wall]: blocks, samples, and
-//                         returns collapsed/folded stacks (flamegraph-ready)
 //   GET /clock         -> {"now_ns":N} on this process's steady clock —
 //                         the peer-offset sampling target (DESIGN.md §19)
 //   GET /trace.json    -> ?rid=<hex>[&local=1]: the rid's captured span

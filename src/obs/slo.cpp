@@ -384,8 +384,8 @@ std::vector<SloTracker::Objective> SloTracker::default_server_objectives() {
   {
     // Replication lag: staged-but-unacked bytes on the primary. Sitting
     // above 16 MiB for a sustained window means the follower is not
-    // keeping up — in async ack mode that is exactly the volume a
-    // failover would lose, so it burns toward the overload signal. The
+    // keeping up — every commit in that backlog is still waiting for its
+    // ACK, or timing out — so it burns toward the overload signal. The
     // gauge reads 0 on non-replicated deployments (objective is inert).
     Objective o;
     o.name = "repl_lag";

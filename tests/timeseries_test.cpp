@@ -1,5 +1,4 @@
-// Windowed time-series layer, SLO burn-rate tracking, and the sampling
-// profiler (DESIGN.md §17).
+// Windowed time-series layer and SLO burn-rate tracking (DESIGN.md §17).
 //
 // The rotation tick is driven by hand everywhere (never start()), so
 // slot boundaries land exactly where each fixture says they do and the
@@ -7,11 +6,9 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +18,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 
@@ -565,58 +561,6 @@ TEST(VarsEndpoint, VarsJsonAndReadyzServed) {
   }
   EXPECT_NE(http_get_raw(port, "/readyz").find("200 OK"), std::string::npos);
   server.value()->stop();
-}
-
-// ---- profiler --------------------------------------------------------------
-
-// Forked so the SIGPROF timer, handler, and sample ring cannot leak into
-// other tests (flight_recorder_test uses the same idiom for its signal
-// paths). The child busy-loops one thread, captures 300ms of CPU
-// profile, and exits 0 only if the folded output has a counted stack.
-TEST(ProfilerSmoke, ForkedCaptureYieldsFoldedStacks) {
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    std::atomic<bool> stop{false};
-    std::thread burner([&] {
-      volatile std::uint64_t x = 1;
-      while (!stop.load(std::memory_order_relaxed)) {
-        x = x * 2862933555777941757ull + 3037000493ull;
-      }
-    });
-    obs::Profiler::Options opts;
-    opts.interval_us = 997;
-    const std::string folded = obs::Profiler::capture_folded(0.3, opts);
-    stop.store(true);
-    burner.join();
-
-    // "frame;frame count\n" — at least one line ending in a space-count,
-    // and not the error/no-samples comment.
-    bool ok = !folded.empty() && folded[0] != '#';
-    if (ok) {
-      const std::size_t nl = folded.find('\n');
-      const std::string line = folded.substr(0, nl);
-      const std::size_t sp = line.rfind(' ');
-      ok = sp != std::string::npos && sp + 1 < line.size() &&
-           std::strtoull(line.c_str() + sp + 1, nullptr, 10) > 0;
-    }
-    _exit(ok ? 0 : 1);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "child saw no folded stacks";
-}
-
-TEST(ProfilerSmoke, StartTwiceRejectedAndStopIdempotent) {
-  obs::Profiler& p = obs::Profiler::instance();
-  obs::Profiler::Options opts;
-  opts.interval_us = 10'000;
-  ASSERT_TRUE(p.start(opts).is_ok());
-  EXPECT_FALSE(p.start(opts).is_ok());
-  p.stop();
-  p.stop();
-  EXPECT_FALSE(p.running());
 }
 
 }  // namespace

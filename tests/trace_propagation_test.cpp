@@ -267,7 +267,6 @@ TEST(TraceProp, EvictionRecordsSpanDroppedEvent) {
 
 TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
   using cloud::DurableServer;
-  using cloud::ReplAckMode;
   using cloud::Replicator;
   using cloud::ReplRole;
 
@@ -287,10 +286,9 @@ TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
   auto backup = std::move(b).value();
 
-  // Async ship mode: records reach the backup on the replicator's ship
-  // thread.
+  // Records reach the backup on the replicator's ship thread, and every
+  // ACK waits for the backup's.
   Replicator::Options ropts;
-  ropts.mode = ReplAckMode::kAsync;
   ropts.heartbeat_ms = 50;
   auto repl = std::make_shared<Replicator>(
       [&backup]() -> Result<std::unique_ptr<net::RpcChannel>> {
@@ -298,7 +296,7 @@ TEST(TraceProp, TrioCorrelatesOneRidAcrossAllParties) {
             [&backup](BytesView req) { return backup->handle(req); }));
       },
       ropts);
-  primary->attach_replicator(repl, ropts.mode);
+  primary->attach_replicator(repl);
 
   // The backup applies shipped records on the replicator's ship thread,
   // where no client trace is active — exactly like a separate process —

@@ -5,7 +5,8 @@
 // Orchestrates the full DESIGN.md §18 failure drill against two real
 // fgad_server processes on loopback:
 //
-//   1. start a backup, then a primary replicating to it in SYNC ack mode;
+//   1. start a backup, then a primary replicating to it (no client ACK
+//      until the backup's WAL holds the mutation);
 //   2. outsource a file and assuredly delete items one at a time through
 //      a net::FailoverChannel pointed at both endpoints;
 //   3. kill -9 the primary mid-load and SIGHUP the backup to promote it;
@@ -191,16 +192,15 @@ int main(int argc, char** argv) {
               dir_a.c_str(), port_b, dir_b.c_str());
 
   // 1. Backup first (the primary's replicator redials until it appears,
-  // but starting in order keeps the log readable), then the primary in
-  // sync ack mode: no client ACK until the backup's WAL has the record.
+  // but starting in order keeps the log readable), then the primary: no
+  // client ACK until the backup's WAL has the record.
   Proc backup = spawn({server, "--state-dir", dir_b, "--role", "backup",
                        "--port", std::to_string(port_b), "--log-level",
                        "warn"});
   Proc primary = spawn({server, "--state-dir", dir_a, "--role", "primary",
                         "--port", std::to_string(port_a), "--replicate-to",
-                        "127.0.0.1:" + std::to_string(port_b), "--repl-ack",
-                        "sync", "--repl-heartbeat-ms", "100", "--log-level",
-                        "warn"});
+                        "127.0.0.1:" + std::to_string(port_b),
+                        "--repl-heartbeat-ms", "100", "--log-level", "warn"});
   check(wait_for_listen(port_b, 10000), "backup accepting connections");
   check(wait_for_listen(port_a, 10000), "primary accepting connections");
   if (g_failures != 0) {
@@ -282,9 +282,8 @@ int main(int argc, char** argv) {
   // which it demotes and refuses clients with NOT_PRIMARY.
   Proc zombie = spawn({server, "--state-dir", dir_a, "--role", "primary",
                        "--port", std::to_string(port_a), "--replicate-to",
-                       "127.0.0.1:" + std::to_string(port_b), "--repl-ack",
-                       "sync", "--repl-heartbeat-ms", "100", "--log-level",
-                       "warn"});
+                       "127.0.0.1:" + std::to_string(port_b),
+                       "--repl-heartbeat-ms", "100", "--log-level", "warn"});
   check(wait_for_listen(port_a, 10000), "old primary restarted");
   bool fenced = false;
   for (int waited = 0; waited < 10000 && !fenced; waited += 200) {

@@ -32,10 +32,8 @@
 //                           NOT_PRIMARY and applies its primary's stream
 //   --replicate-to H:P      primary only: ship every WAL record to the
 //                           backup's RPC port at H:P (the host is
-//                           re-resolved on every redial)
-//   --repl-ack MODE         sync (client ACK waits for the backup's
-//                           durable ack) | async (default; ship in the
-//                           background) | off
+//                           re-resolved on every redial); no client ACK
+//                           until the backup's WAL holds the mutation
 //   --repl-heartbeat-ms N   idle heartbeat cadence (default 500)
 //   SIGHUP                  promote a backup to primary: bumps the
 //                           fencing term, checkpoints it durably, starts
@@ -53,7 +51,7 @@
 //
 // Observability (DESIGN.md §12, §17):
 //   --metrics-port N   serve GET /metrics, /metrics.json, /vars.json,
-//                      /healthz, /readyz and /profile on 127.0.0.1:N
+//                      /healthz and /readyz on 127.0.0.1:N
 //                      (0 = ephemeral, printed on startup)
 //   --vars-interval-ms N  time-series rotation interval for /vars.json
 //                      windows and SLO burn rates (default 1000; 0
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> slo_specs;
   std::string peer_metrics;  // "host:port" of the peer's metrics endpoint
   std::string replicate_to;  // "host:port" of the backup's RPC listener
-  std::string repl_ack = "async";
   int repl_heartbeat_ms = 500;
   cloud::CloudServer::Options opts;
   cloud::DurableServer::Options dur_opts;
@@ -202,12 +199,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--replicate-to" && i + 1 < argc) {
       replicate_to = argv[++i];
-    } else if (arg == "--repl-ack" && i + 1 < argc) {
-      repl_ack = argv[++i];
-      if (repl_ack != "sync" && repl_ack != "async" && repl_ack != "off") {
-        std::fprintf(stderr, "--repl-ack must be sync|async|off\n");
-        return 2;
-      }
     } else if (arg == "--repl-heartbeat-ms" && i + 1 < argc) {
       repl_heartbeat_ms = std::atoi(argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
@@ -223,8 +214,7 @@ int main(int argc, char** argv) {
           "                   [--vars-interval-ms N] [--slo SPEC]... "
           "[--no-default-slos] [--peer-metrics H:P]\n"
           "                   [--role primary|backup] [--replicate-to H:P] "
-          "[--repl-ack sync|async|off]\n"
-          "                   [--repl-heartbeat-ms N]\n");
+          "[--repl-heartbeat-ms N]\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -334,18 +324,14 @@ int main(int argc, char** argv) {
                            static_cast<std::uint16_t>(std::atoi(
                                replicate_to.c_str() + colon + 1))};
       cloud::Replicator::Options ropts;
-      ropts.mode = repl_ack == "sync"    ? cloud::ReplAckMode::kSync
-                   : repl_ack == "async" ? cloud::ReplAckMode::kAsync
-                                         : cloud::ReplAckMode::kOff;
       ropts.heartbeat_ms = repl_heartbeat_ms;
       // The dial re-resolves backup.host every time (net::failover.h) —
       // repointing the backup's DNS record works without a restart.
       auto dial = net::tcp_endpoint_dial();
       auto repl = std::make_shared<cloud::Replicator>(
           [dial, backup] { return dial(backup); }, ropts);
-      durable->attach_replicator(repl, ropts.mode);
-      std::printf("replicating to %s (%s ack mode, term %llu)\n",
-                  replicate_to.c_str(), repl_ack.c_str(),
+      durable->attach_replicator(repl);
+      std::printf("replicating to %s (term %llu)\n", replicate_to.c_str(),
                   static_cast<unsigned long long>(durable->term()));
     }
     std::printf("replication role: %s (term %llu)\n",

@@ -10,9 +10,6 @@ function(fgad_tool target source output)
 endfunction()
 
 fgad_tool(fgad_server_tool fgad_server.cpp fgad_server)
-# Export symbols so the sampling profiler's dladdr() pass (DESIGN.md §17)
-# can name frames in /profile output instead of printing raw addresses.
-target_link_options(fgad_server_tool PRIVATE -rdynamic)
 fgad_tool(fgad_cli fgad_cli.cpp fgad)
 fgad_tool(bench_compare bench_compare.cpp bench_compare)
 fgad_tool(fgad_mon fgad_mon.cpp fgad_mon)
