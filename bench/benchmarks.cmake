@@ -23,7 +23,5 @@ fgad_bench(ablation_two_level)
 fgad_bench(micro_core)
 target_link_libraries(micro_core PRIVATE benchmark::benchmark)
 fgad_bench(ablation_integrity)
-fgad_bench(obs_overhead)
 fgad_bench(wal_overhead)
-fgad_bench(net_concurrency)
 fgad_bench(replication_overhead)

@@ -8,13 +8,15 @@
 //
 // The backup is a real second DurableServer behind a TCP loopback server,
 // so the replicated row pays genuine wire framing + a second fsync on the
-// follower. The headline number is repl_over_single_p95: the ship round
-// trip overlaps the local fsync (the GroupCommitter gate runs after the
-// flush), so the target on loopback is <= 2x the single-node p95. That
-// overlap needs a second core — on a single-CPU host the primary's and
-// follower's apply+fsync serialize through the scheduler and ~2x plus
-// context-switch overhead is the physical floor (meta records cores so
-// readers can tell which regime a snapshot was taken in).
+// follower. Both nodes run fgad_server's defaults: duplicate tracking and
+// integrity on, a checkpoint every 1024 mutations. The headline number is
+// repl_over_single_p95: the ship round trip overlaps the local fsync (the
+// GroupCommitter gate runs after the flush), so the target on loopback is
+// <= 2x the single-node p95. That overlap needs a second core — on a
+// single-CPU host the primary's and follower's apply+fsync serialize
+// through the scheduler and ~2x plus context-switch overhead is the
+// physical floor (meta records cores so readers can tell which regime a
+// snapshot was taken in).
 //
 // As with wal_overhead, TMPDIR is often tmpfs in CI: absolute latencies
 // are a lower bound for real disks, the mode *ratios* are the portable
@@ -23,13 +25,12 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cloud/recovery.h"
 #include "cloud/replica.h"
-#include "core/outsource.h"
 #include "net/tcp.h"
 #include "support/bench_util.h"
 
@@ -58,26 +59,11 @@ std::string fresh_dir(const char* mode, const char* side) {
   return d;
 }
 
-void remove_dir(const std::string& dir) {
-  for (int epoch = 0; epoch < 8; ++epoch) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "checkpoint-%06d.ckpt", epoch);
-    ::unlink((dir + "/" + name).c_str());
-    std::snprintf(name, sizeof(name), "wal-%06d.log", epoch);
-    ::unlink((dir + "/" + name).c_str());
-  }
-  ::rmdir(dir.c_str());
-}
-
 Result<std::unique_ptr<cloud::DurableServer>> open_node(
     const std::string& dir, cloud::ReplRole role) {
   cloud::DurableServer::Options dopts;
   dopts.dir = dir;
-  dopts.wal_sync_ms = 0;         // fsync before every ACK
-  dopts.checkpoint_every_n = 0;  // measure the log + ship, not checkpoints
   dopts.role = role;
-  dopts.server = cloud::CloudServer::Options{/*track_duplicates=*/false,
-                                             /*enable_integrity=*/false};
   return cloud::DurableServer::open(dopts);
 }
 
@@ -161,45 +147,11 @@ void run() {
     copts.tag_mutations = true;  // production durable-mode configuration
     client::Client client(channel, rnd, copts);
 
-    // Build the base file natively (setup is not the measured operation).
-    client::Client::FileHandle fh;
-    {
-      core::Outsourcer out(copts.alg, /*track_duplicates=*/false);
-      fh.id = 1;
-      fh.key = crypto::MasterKey::generate(rnd, client.math().width());
-      std::uint64_t counter = 0;
-      auto built = out.build(fh.key, n, small_item, counter, rnd);
-      client.set_counter(counter);
-      std::vector<cloud::FileStore::IngestItem> items;
-      items.reserve(built.items.size());
-      for (auto& it : built.items) {
-        items.push_back(cloud::FileStore::IngestItem{
-            it.item_id, std::move(it.ciphertext), it.plain_size});
-      }
-      auto st = primary->server().outsource(fh.id, std::move(built.tree),
-                                            std::move(items));
-      if (!st) {
-        std::fprintf(stderr, "bench setup failed: %s\n",
-                     st.to_string().c_str());
-        std::abort();
-      }
-    }
-    // The natively-built file bypassed the WAL, so the backup could never
-    // catch up by log shipping alone; one checkpoint makes the primary's
-    // position durable and the first ship falls back to a snapshot.
-    if (auto st = primary->checkpoint(); !st) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", st.to_string().c_str());
+    auto fh = client.outsource(1, n, small_item);
+    if (!fh) {
+      std::fprintf(stderr, "bench setup failed: %s\n",
+                   fh.status().to_string().c_str());
       std::abort();
-    }
-
-    // Warmup: the natively-built file forces the first post-checkpoint
-    // ship down the snapshot path — do one unmeasured pair so that
-    // one-time image transfer never lands inside a sample.
-    {
-      auto r = client.insert(fh, small_item(n));
-      if (r) {
-        (void)client.erase_item(fh, proto::ItemRef::id(r.value()));
-      }
     }
 
     // Measured loop: insert one item, then delete it — file size stays n.
@@ -210,7 +162,7 @@ void run() {
       std::uint64_t id = 0;
       {
         LatencyRecorder::Timed t(ins_lat);
-        auto r = client.insert(fh, small_item(n + i));
+        auto r = client.insert(fh.value(), small_item(n + i));
         if (!r) {
           std::fprintf(stderr, "insert failed: %s\n",
                        r.status().to_string().c_str());
@@ -220,7 +172,7 @@ void run() {
       }
       {
         LatencyRecorder::Timed t(del_lat);
-        auto st = client.erase_item(fh, proto::ItemRef::id(id));
+        auto st = client.erase_item(fh.value(), proto::ItemRef::id(id));
         if (!st) {
           std::fprintf(stderr, "delete failed: %s\n", st.to_string().c_str());
           std::abort();
@@ -261,8 +213,8 @@ void run() {
     primary.reset();
     backup_srv.reset();
     backup.reset();
-    remove_dir(pdir);
-    remove_dir(bdir);
+    std::filesystem::remove_all(pdir);
+    std::filesystem::remove_all(bdir);
   }
 
   // The headline ratio the CI perf gate watches: replicated deletion p95

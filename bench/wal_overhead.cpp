@@ -1,26 +1,25 @@
-// Durability tax of the WAL (DESIGN.md §13): per-mutation latency of the
-// paper's delete / insert operations against a DurableServer with and
-// without its log —
+// Durability tax (DESIGN.md §13): per-mutation latency of the paper's
+// delete / insert operations on the two servers fgad_server runs —
 //
-//   off      enable_wal = false   checkpoint-only durability (no log)
-//   fsync    enable_wal = true    group-committed flush (fdatasync) before
-//                                 every ACK; the mode keeps its row key
+//   memory    a CloudServer, as without --state-dir: state in memory only
+//   durable   a DurableServer, as with --state-dir: each mutation's log
+//             record is flushed (group commit, fdatasync) before its ACK,
+//             with a checkpoint every 1024 mutations
 //
+// Both run fgad_server's defaults: duplicate tracking and integrity on.
 // Reported per mode: p50/p95/p99 latency for erase_item and insert through
 // the real wire protocol, plus mean throughput. One client drives it, so
 // every mutation's group commit flushes alone. The state directory lives
 // in $TMPDIR, so on a tmpfs the flush numbers are a lower bound for real
-// disks — the *relative* cost of the modes is the portable result. The
-// meta block records the cores, the filesystem and the kernel.
-#include <sys/stat.h>
-#include <unistd.h>
+// disks. The meta block records the cores, the filesystem and the kernel.
+#include <stdlib.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "cloud/recovery.h"
-#include "core/outsource.h"
 #include "obs/metrics.h"
 #include "support/bench_util.h"
 
@@ -29,12 +28,12 @@ namespace {
 
 struct Mode {
   const char* name;
-  bool enable_wal;
+  bool durable;
 };
 
 constexpr Mode kModes[] = {
-    {"off", false},
-    {"fsync", true},
+    {"memory", false},
+    {"durable", true},
 };
 
 std::string state_base() {
@@ -42,20 +41,25 @@ std::string state_base() {
   return (base != nullptr && *base != '\0') ? base : "/tmp";
 }
 
-std::string fresh_dir(const char* mode) {
-  std::string d = state_base() + "/fgad_wal_bench_" + std::string(mode) +
-                  "." + std::to_string(::getpid());
-  ::mkdir(d.c_str(), 0755);
+std::string fresh_dir() {
+  std::string d = state_base() + "/fgad_wal_bench.XXXXXX";
+  if (::mkdtemp(d.data()) == nullptr) {
+    std::perror("mkdtemp");
+    std::abort();
+  }
   return d;
 }
 
-void remove_dir(const std::string& dir) {
-  for (const char* f : {"checkpoint-000000.ckpt", "checkpoint-000001.ckpt",
-                        "checkpoint-000002.ckpt", "wal-000000.log",
-                        "wal-000001.log", "wal-000002.log"}) {
-    ::unlink((dir + "/" + f).c_str());
+std::unique_ptr<cloud::DurableServer> open_durable(const std::string& dir) {
+  cloud::DurableServer::Options dopts;
+  dopts.dir = dir;
+  auto opened = cloud::DurableServer::open(dopts);
+  if (!opened) {
+    std::fprintf(stderr, "cannot open state dir %s: %s\n", dir.c_str(),
+                 opened.status().to_string().c_str());
+    std::abort();
   }
-  ::rmdir(dir.c_str());
+  return std::move(opened).value();
 }
 
 void run() {
@@ -73,54 +77,28 @@ void run() {
               "ins p99");
 
   for (const Mode& mode : kModes) {
-    const std::string dir = fresh_dir(mode.name);
-    cloud::DurableServer::Options dopts;
-    dopts.dir = dir;
-    dopts.enable_wal = mode.enable_wal;
-    dopts.checkpoint_every_n = 0;  // measure the log, not checkpoints
-    dopts.server = cloud::CloudServer::Options{/*track_duplicates=*/false,
-                                               /*enable_integrity=*/false};
-    auto opened = cloud::DurableServer::open(dopts);
-    if (!opened) {
-      std::fprintf(stderr, "cannot open state dir %s: %s\n", dir.c_str(),
-                   opened.status().to_string().c_str());
-      std::abort();
+    std::string dir;
+    std::unique_ptr<cloud::CloudServer> memory;
+    std::unique_ptr<cloud::DurableServer> durable;
+    if (mode.durable) {
+      dir = fresh_dir();
+      durable = open_durable(dir);
+    } else {
+      memory = std::make_unique<cloud::CloudServer>();
     }
-    cloud::DurableServer& ds = *opened.value();
-
-    net::DirectChannel channel([&ds](BytesView req) { return ds.handle(req); });
+    net::DirectChannel channel([&](BytesView req) {
+      return durable ? durable->handle(req) : memory->handle(req);
+    });
     crypto::DeterministicRandom rnd(7);
     client::Client::Options copts;
     copts.alg = crypto::HashAlg::kSha1;
     copts.tag_mutations = true;  // production durable-mode configuration
     client::Client client(channel, rnd, copts);
 
-    // Build the base file natively (setup is not the measured operation),
-    // then checkpoint so the measured mutations start from durable state.
-    client::Client::FileHandle fh;
-    {
-      core::Outsourcer out(copts.alg, /*track_duplicates=*/false);
-      fh.id = 1;
-      fh.key = crypto::MasterKey::generate(rnd, client.math().width());
-      std::uint64_t counter = 0;
-      auto built = out.build(fh.key, n, small_item, counter, rnd);
-      client.set_counter(counter);
-      std::vector<cloud::FileStore::IngestItem> items;
-      items.reserve(built.items.size());
-      for (auto& it : built.items) {
-        items.push_back(cloud::FileStore::IngestItem{
-            it.item_id, std::move(it.ciphertext), it.plain_size});
-      }
-      auto st = ds.server().outsource(fh.id, std::move(built.tree),
-                                      std::move(items));
-      if (!st) {
-        std::fprintf(stderr, "bench setup failed: %s\n",
-                     st.to_string().c_str());
-        std::abort();
-      }
-    }
-    if (auto st = ds.checkpoint(); !st) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", st.to_string().c_str());
+    auto fh = client.outsource(1, n, small_item);
+    if (!fh) {
+      std::fprintf(stderr, "bench setup failed: %s\n",
+                   fh.status().to_string().c_str());
       std::abort();
     }
 
@@ -133,7 +111,7 @@ void run() {
       std::uint64_t id = 0;
       {
         LatencyRecorder::Timed t(ins_lat);
-        auto r = client.insert(fh, small_item(n + i));
+        auto r = client.insert(fh.value(), small_item(n + i));
         if (!r) {
           std::fprintf(stderr, "insert failed: %s\n",
                        r.status().to_string().c_str());
@@ -143,7 +121,7 @@ void run() {
       }
       {
         LatencyRecorder::Timed t(del_lat);
-        auto st = client.erase_item(fh, proto::ItemRef::id(id));
+        auto st = client.erase_item(fh.value(), proto::ItemRef::id(id));
         if (!st) {
           std::fprintf(stderr, "delete failed: %s\n",
                        st.to_string().c_str());
@@ -161,8 +139,6 @@ void run() {
 
     auto& row = json.row();
     row.set("mode", mode.name)
-        .set("wal", mode.enable_wal ? 1 : 0)
-        .set("sync_ms", 0)  // row key of the recorded snapshot
         .set("n", n)
         .set("pairs", samples)
         .set("mutations_per_s",
@@ -170,8 +146,10 @@ void run() {
     del_lat.emit(row, "delete");
     ins_lat.emit(row, "insert");
 
-    opened.value().reset();
-    remove_dir(dir);
+    if (durable) {
+      durable.reset();
+      std::filesystem::remove_all(dir);
+    }
   }
 
   // The durability instrumentation (DESIGN.md §14) watched the same run

@@ -312,9 +312,8 @@ Result<LoadedCheckpoint> load_checkpoint(
       return st.error();
     }
   }
-  LoadedCheckpoint out{std::move(server).value(),
-                       RidDedup(opts.dedup_capacity), c.last_lsn, c.term,
-                       c.base_epoch};
+  LoadedCheckpoint out{std::move(server).value(), RidDedup(), c.last_lsn,
+                       c.term, c.base_epoch};
   proto::Reader dd(c.dedup);
   if (auto st = out.dedup.deserialize(dd); !st) {
     return st.error();
@@ -650,12 +649,10 @@ void GroupCommitter::loop() {
 
 // ---- DurableServer ---------------------------------------------------------
 
-DurableServer::DurableServer(Options opts, std::shared_ptr<ThreadPool> pool,
-                             RidDedup dedup)
+DurableServer::DurableServer(Options opts, std::shared_ptr<ThreadPool> pool)
     : opts_(std::move(opts)),
       pool_(std::move(pool)),
-      server_(std::make_unique<CloudServer>(opts_.server, pool_)),
-      dedup_(std::move(dedup)) {}
+      server_(std::make_unique<CloudServer>(opts_.server, pool_)) {}
 
 DurableServer::~DurableServer() {
   if (ckpt_writer_.joinable()) {
@@ -682,10 +679,9 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   if (opts.dir.empty()) {
     return Error(Errc::kInvalidArgument, "recovery: empty state dir");
   }
-  if (opts.wal_sync_ms > 0) {
+  if (opts.wal_sync_ms != 0) {
     return Error(Errc::kInvalidArgument,
-                 "recovery: wal_sync_ms must be 0 (fsync before the ACK) or "
-                 "negative (never fsync)");
+                 "recovery: wal_sync_ms must be 0 (flush before the ACK)");
   }
   const std::uint64_t recover_t0 = obs::now_ns();
   // /readyz reports 503 until checkpoint load + WAL replay + fsck all
@@ -693,8 +689,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
   obs::Readiness::Block not_ready("recovery",
                                   "checkpoint load / WAL replay in progress");
   auto ds = std::unique_ptr<DurableServer>(
-      new DurableServer(opts, CloudServer::make_pool(opts.server),
-                        RidDedup(opts.dedup_capacity)));
+      new DurableServer(opts, CloudServer::make_pool(opts.server)));
 
   // 1. Newest valid checkpoint wins; older ones are the fallback when the
   //    newest is unreadable (disk rot — a crash cannot produce a torn
@@ -797,22 +792,19 @@ Result<std::unique_ptr<DurableServer>> DurableServer::open(Options opts) {
 
   // 4. Open the log for appending: continue the newest WAL file (its torn
   //    tail, if any, is truncated away) or start the epoch's first one.
-  if (opts.enable_wal) {
-    Wal::Options wopts{opts.wal_sync_ms};
-    if (have_wal_file && last_wal_epoch >= ds->epoch_) {
-      auto w = Wal::reopen(ds->wal_path(last_wal_epoch), last_scan, wopts);
-      if (!w) {
-        return w.error();
-      }
-      ds->wal_ = std::move(w).value();
-      ds->wal_bytes_.erase(last_wal_epoch);  // the live log counts itself
-    } else {
-      auto w = Wal::create(ds->wal_path(ds->epoch_), ds->epoch_, wopts);
-      if (!w) {
-        return w.error();
-      }
-      ds->wal_ = std::move(w).value();
+  if (have_wal_file && last_wal_epoch >= ds->epoch_) {
+    auto w = Wal::reopen(ds->wal_path(last_wal_epoch), last_scan);
+    if (!w) {
+      return w.error();
     }
+    ds->wal_ = std::move(w).value();
+    ds->wal_bytes_.erase(last_wal_epoch);  // the live log counts itself
+  } else {
+    auto w = Wal::create(ds->wal_path(ds->epoch_), ds->epoch_);
+    if (!w) {
+      return w.error();
+    }
+    ds->wal_ = std::move(w).value();
   }
 
   // 5. Replication role, under the term settled before replay.
@@ -930,7 +922,7 @@ void DurableServer::handle_async(Bytes request, Done done) {
       lsn = next_lsn_ - 1;
     } else {
       CrashPoint::instance().fire(CrashSite::kBeforeWalAppend);
-      if (wal_) {
+      {
         obs::Span wal_span("wal_append");
         obs::ScopedCost wal_cost(obs::CostKind::kWalAppend);
         lsn = next_lsn_;
@@ -968,7 +960,7 @@ void DurableServer::handle_async(Bytes request, Done done) {
     }
   }
   const bool gated = repl && lsn > 0;
-  if ((wal == nullptr || durable_already) && !gated) {
+  if (durable_already && !gated) {
     obs::RequestScope rid_scope(rid);
     if (!dedup_hit) {
       CrashPoint::instance().fire(CrashSite::kAfterWalPreAck);
@@ -976,7 +968,7 @@ void DurableServer::handle_async(Bytes request, Done done) {
     done(seal_mutation_reply(tag, total_t0, std::move(resp)));
     return;
   }
-  if (wal == nullptr || durable_already) {
+  if (durable_already) {
     // Locally durable (dedup hit or checkpoint covered the record) but
     // the replication gate still applies: park on the committer with no
     // log to flush so the reactor thread never blocks on the network.
@@ -1086,7 +1078,7 @@ void DurableServer::join_write_out_locked() {
 }
 
 std::uint64_t DurableServer::wal_bytes_from(std::uint64_t epoch) const {
-  std::uint64_t n = wal_ ? wal_->appended_bytes() : 0;
+  std::uint64_t n = wal_->appended_bytes();
   for (auto it = wal_bytes_.lower_bound(epoch); it != wal_bytes_.end(); ++it) {
     n += it->second;
   }
@@ -1107,17 +1099,12 @@ Status DurableServer::snapshot_locked() {
   // supersedes it claims to cover it. Records appended from here on go to
   // the new epoch's log, which is created up front so that a failed
   // rotation leaves nothing to undo.
-  std::shared_ptr<Wal> next_wal;
-  if (wal_) {
-    if (auto st = wal_->sync_now(); !st) {
-      return st;
-    }
-    auto w = Wal::create(wal_path(new_epoch), new_epoch,
-                         Wal::Options{opts_.wal_sync_ms});
-    if (!w) {
-      return w.status();
-    }
-    next_wal = std::move(w).value();
+  if (auto st = wal_->sync_now(); !st) {
+    return st;
+  }
+  auto next_wal = Wal::create(wal_path(new_epoch), new_epoch);
+  if (!next_wal) {
+    return next_wal.status();
   }
 
   // A delta needs a durable base whose snapshot started change tracking.
@@ -1168,10 +1155,8 @@ Status DurableServer::snapshot_locked() {
     delta_.clear();
   }
 
-  if (next_wal) {
-    wal_bytes_[wal_->epoch()] = wal_->appended_bytes();
-    wal_ = std::move(next_wal);
-  }
+  wal_bytes_[wal_->epoch()] = wal_->appended_bytes();
+  wal_ = std::move(next_wal).value();
   epoch_ = new_epoch;
   mutations_since_checkpoint_ = 0;
   checkpoints_counter().inc();

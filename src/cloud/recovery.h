@@ -69,6 +69,7 @@ std::uint64_t exactly_once_key(std::uint64_t rid, std::uint64_t span_id);
 /// byte-identical on the primary, the backup and replay.
 class RidDedup {
  public:
+  /// Every server keeps 4096 entries; tests size it smaller.
   explicit RidDedup(std::size_t capacity = 4096) : capacity_(capacity) {}
 
   /// The cached reply for `key`, or nullptr.
@@ -164,12 +165,9 @@ class DurableServer {
  public:
   struct Options {
     std::string dir;                        // state directory (must exist)
-    // 0: fsync before the ACK; <0: never fsync (bench-only). open()
-    // rejects > 0.
+    // Selects nothing (open() refuses nonzero); kept because perfbench sets it.
     int wal_sync_ms = 0;
     std::uint64_t checkpoint_every_n = 1024;  // mutations per checkpoint
-    std::size_t dedup_capacity = 4096;
-    bool enable_wal = true;                 // false: checkpoints only
     CloudServer::Options server;
     /// Replication role. A backup answers every client request with
     /// kNotPrimary and applies only Repl* traffic from its primary; the
@@ -191,7 +189,8 @@ class DurableServer {
   };
 
   /// Recovers (or bootstraps) server state from opts.dir, verifies it with
-  /// fsck, and opens the WAL for appending.
+  /// fsck, and opens the WAL for appending. kInvalidArgument for a nonzero
+  /// wal_sync_ms.
   static Result<std::unique_ptr<DurableServer>> open(Options opts);
 
   ~DurableServer();
@@ -253,8 +252,7 @@ class DurableServer {
   Bytes handle_repl(BytesView request);
 
  private:
-  DurableServer(Options opts, std::shared_ptr<ThreadPool> pool,
-                RidDedup dedup);
+  DurableServer(Options opts, std::shared_ptr<ThreadPool> pool);
 
   /// A checkpoint image taken under mu_ that is not yet durable.
   struct CheckpointImage {
@@ -321,8 +319,8 @@ class DurableServer {
   std::unique_ptr<CloudServer> server_;
 
   mutable std::mutex mu_;  // orders WAL appends with their application
-  // shared_ptr: the group committer may still have to flush a log a
-  // concurrent checkpoint just rotated away.
+  // Never null once open() returns. shared_ptr: the group committer may
+  // still have to flush a log a concurrent checkpoint just rotated away.
   std::shared_ptr<Wal> wal_;
   RidDedup dedup_;
   // Epoch of the newest snapshot, i.e. of the current WAL; its checkpoint

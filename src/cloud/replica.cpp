@@ -42,6 +42,10 @@ obs::Gauge& acked_lsn_gauge() {
   return g;
 }
 
+// Records per ReplAppend: bounds one ship's frame and the backup's time
+// under its dispatch lock.
+constexpr std::size_t kMaxBatchRecords = 256;
+
 Bytes error_frame(Errc code, std::string msg) {
   return proto::error_frame(Error(code, std::move(msg)));
 }
@@ -204,13 +208,21 @@ void Replicator::fence(std::uint64_t observed_term) {
   }
 }
 
+Status Replicator::connect() {
+  if (channel_) {
+    return Status::ok();
+  }
+  auto dialed = dialer_();
+  if (!dialed) {
+    return dialed.status();
+  }
+  channel_ = std::move(dialed).value();
+  return Status::ok();
+}
+
 Result<proto::ReplAck> Replicator::roundtrip(const Bytes& frame) {
-  if (!channel_) {
-    auto dialed = dialer_();
-    if (!dialed) {
-      return dialed.error();
-    }
-    channel_ = std::move(dialed).value();
+  if (auto st = connect(); !st) {
+    return st.error();
   }
   auto resp = channel_->roundtrip(frame);
   if (!resp) {
@@ -275,7 +287,7 @@ bool Replicator::ship_batch() {
     }
     req.term = term_;
     req.prev_lsn = queue_.front().lsn - 1;
-    const std::size_t n = std::min(queue_.size(), opts_.max_batch_records);
+    const std::size_t n = std::min(queue_.size(), kMaxBatchRecords);
     req.records.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       req.records.push_back(
@@ -312,6 +324,13 @@ bool Replicator::ship_batch() {
 bool Replicator::ship_snapshot() {
   if (!snapshot_source_) {
     return true;
+  }
+  // Dial first: the image serializes the whole server under its dispatch
+  // lock, and while the link is down every retry would build one for
+  // nothing.
+  if (auto st = connect(); !st) {
+    ship_errors_counter().inc();
+    return false;
   }
   auto snap = snapshot_source_();
   if (!snap) {
@@ -567,14 +586,11 @@ Bytes DurableServer::handle_repl_append(const proto::ReplAppend& req) {
       ack.code = proto::ReplAck::Code::kNeedSnapshot;
       return ack.to_frame();
     }
-    if (wal_) {
-      // A failed append latches the log (Wal::append), so this record and
-      // everything after it stays unapplied and unacked.
-      auto t = wal_->append(rec.lsn, rec.request);
-      if (!t) {
-        return error_frame(Errc::kIoError,
-                           "repl wal append: " + t.error().message);
-      }
+    // A failed append latches the log (Wal::append), so this record and
+    // everything after it stays unapplied and unacked.
+    if (auto t = wal_->append(rec.lsn, rec.request); !t) {
+      return error_frame(Errc::kIoError,
+                         "repl wal append: " + t.error().message);
     }
     // The backup's apply becomes its own trace segment under the client's
     // rid, parented on the wire-carried span id, so the primary's
@@ -585,10 +601,8 @@ Bytes DurableServer::handle_repl_append(const proto::ReplAppend& req) {
   }
   // One fsync covers the whole shipped batch — the follower mirrors the
   // primary's group-commit discipline.
-  if (wal_) {
-    if (auto st = wal_->sync_now(); !st) {
-      return error_frame(Errc::kIoError, "repl wal sync: " + st.to_string());
-    }
+  if (auto st = wal_->sync_now(); !st) {
+    return error_frame(Errc::kIoError, "repl wal sync: " + st.to_string());
   }
   if (opts_.checkpoint_every_n > 0 &&
       mutations_since_checkpoint_ >= opts_.checkpoint_every_n) {
@@ -611,7 +625,7 @@ Bytes DurableServer::handle_repl_snapshot(const proto::ReplSnapshot& req) {
   if (!server || !ir.finish()) {
     return error_frame(Errc::kDecodeError, "repl snapshot: bad image");
   }
-  RidDedup dedup(opts_.dedup_capacity);
+  RidDedup dedup;
   proto::Reader dr(req.dedup);
   if (auto st = dedup.deserialize(dr); !st) {
     return error_frame(Errc::kDecodeError, "repl snapshot: bad dedup table");

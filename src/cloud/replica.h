@@ -81,7 +81,6 @@ class Replicator {
     int sync_timeout_ms = 5000;   // wait_acked() bound
     int redial_backoff_ms = 50;   // doubles up to max_backoff_ms
     int max_backoff_ms = 1000;
-    std::size_t max_batch_records = 256;
     // Staged-but-unshipped bytes past this drop the queue and force a
     // snapshot ship instead (bounds memory while the link is down).
     std::size_t max_queue_bytes = 64ull * 1024 * 1024;
@@ -123,6 +122,8 @@ class Replicator {
   };
 
   void loop();
+  /// Dials the follower unless a channel is already up.
+  Status connect();
   /// One connected round trip; resets the channel on transport failure
   /// and flips demoted_ on a kStaleTerm rejection.
   Result<proto::ReplAck> roundtrip(const Bytes& frame);

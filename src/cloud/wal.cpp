@@ -177,11 +177,9 @@ Status CrashPoint::arm_process_exit(const std::string& spec) {
 
 // ---- Wal -------------------------------------------------------------------
 
-Wal::Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size,
-         Options opts)
+Wal::Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size)
     : path_(std::move(path)),
       epoch_(epoch),
-      opts_(opts),
       fd_(fd),
       written_(size),
       durable_(size),
@@ -200,7 +198,7 @@ Wal::~Wal() {
 }
 
 Result<std::unique_ptr<Wal>> Wal::create(const std::string& path,
-                                         std::uint64_t epoch, Options opts) {
+                                         std::uint64_t epoch) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
@@ -223,8 +221,7 @@ Result<std::unique_ptr<Wal>> Wal::create(const std::string& path,
     ::close(fd);
     return ds.error();
   }
-  return std::unique_ptr<Wal>(
-      new Wal(path, fd, epoch, kHeaderSize, opts));
+  return std::unique_ptr<Wal>(new Wal(path, fd, epoch, kHeaderSize));
 }
 
 Result<Wal::ScanResult> Wal::scan(
@@ -287,8 +284,7 @@ Result<Wal::ScanResult> Wal::scan(
 }
 
 Result<std::unique_ptr<Wal>> Wal::reopen(const std::string& path,
-                                         const ScanResult& scan,
-                                         Options opts) {
+                                         const ScanResult& scan) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) {
     return Error(Errc::kIoError,
@@ -302,8 +298,7 @@ Result<std::unique_ptr<Wal>> Wal::reopen(const std::string& path,
     ::close(fd);
     return st.error();
   }
-  return std::unique_ptr<Wal>(
-      new Wal(path, fd, scan.epoch, scan.valid_end, opts));
+  return std::unique_ptr<Wal>(new Wal(path, fd, scan.epoch, scan.valid_end));
 }
 
 Result<std::uint64_t> Wal::append(std::uint64_t lsn, BytesView request) {
@@ -352,8 +347,8 @@ Status Wal::sync_upto(std::unique_lock<std::mutex>& lock, std::uint64_t upto) {
   if (!error_.is_ok()) {
     return error_;  // sticky: a failed flush may have dropped pages
   }
-  if (opts_.sync_ms < 0 || durable_ >= upto) {
-    return Status::ok();  // sync_ms < 0: durability disabled (bench-only)
+  if (durable_ >= upto) {
+    return Status::ok();
   }
   // Keep zeros ahead of the appends. Appends write(2) at the file offset,
   // over the zeros, and mu_ keeps them from interleaving with this pwrite.

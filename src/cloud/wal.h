@@ -108,11 +108,6 @@ class CrashPoint {
 
 class Wal {
  public:
-  struct Options {
-    // 0: sync_to()/sync_now() flush; <0: they never do (bench-only).
-    int sync_ms = 0;
-  };
-
   /// One decoded record, handed to the replay callback.
   struct Record {
     std::uint64_t lsn = 0;
@@ -131,8 +126,7 @@ class Wal {
   /// Creates a fresh log at `path` (truncating any existing file), writes
   /// the header durably, and fsyncs the parent directory.
   static Result<std::unique_ptr<Wal>> create(const std::string& path,
-                                             std::uint64_t epoch,
-                                             Options opts);
+                                             std::uint64_t epoch);
 
   /// Reads every valid record of `path` in order, invoking `fn` for each;
   /// tolerates a torn/truncated tail and stops cleanly at a zero frame
@@ -145,8 +139,7 @@ class Wal {
   /// `scan.valid_end` (discarding any torn tail or zeros a crash left
   /// behind) and positions at the end.
   static Result<std::unique_ptr<Wal>> reopen(const std::string& path,
-                                             const ScanResult& scan,
-                                             Options opts);
+                                             const ScanResult& scan);
 
   /// Trims the zeros kept ahead of the appends, then closes the file.
   ~Wal();
@@ -160,9 +153,9 @@ class Wal {
   /// sync_to and sync_now return it.
   Result<std::uint64_t> append(std::uint64_t lsn, BytesView request);
 
-  /// Flushes through `ticket` on the caller's thread (no-op when sync_ms <
-  /// 0 or already durable). One call covers every record staged at or
-  /// below the ticket: this is the group-commit flush primitive.
+  /// Flushes through `ticket` on the caller's thread (no-op when already
+  /// durable). One call covers every record staged at or below the
+  /// ticket: this is the group-commit flush primitive.
   Status sync_to(std::uint64_t ticket);
 
   /// Flushes everything appended so far.
@@ -175,8 +168,7 @@ class Wal {
   std::uint64_t durable_bytes() const;
 
  private:
-  Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size,
-      Options opts);
+  Wal(std::string path, int fd, std::uint64_t epoch, std::uint64_t size);
 
   /// Makes every byte up to `upto` durable. `lock` holds mu_ on entry and
   /// exit but not during the fdatasync itself.
@@ -184,7 +176,6 @@ class Wal {
 
   const std::string path_;
   const std::uint64_t epoch_;
-  const Options opts_;
   int fd_ = -1;
 
   mutable std::mutex mu_;

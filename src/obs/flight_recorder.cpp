@@ -196,9 +196,6 @@ Status FlightRecorder::set_dump_dir(const std::string& dir) {
 
 void FlightRecorder::record(FrEvent type, std::uint64_t rid, std::uint64_t a,
                             std::uint64_t b) {
-  if (!enabled()) {
-    return;
-  }
   Ring* ring = ring_.load(std::memory_order_acquire);
   if (ring == nullptr) {
     return;

@@ -17,8 +17,6 @@
 //      open(2), clock_gettime) and format numbers by hand — no malloc,
 //      no stdio, no locks. That is what lets the SIGSEGV/SIGABRT/SIGBUS
 //      handlers produce evidence on the way down.
-//   3. Everything respects the obs::Metrics kill switch, so the recorder
-//      adds nothing to a metrics-disabled run beyond one relaxed load.
 //
 // Dump format (text, one event per line, oldest first, parseable as
 // key=value fields):
@@ -101,8 +99,7 @@ class FlightRecorder {
     return dump_dir_len_.load(std::memory_order_acquire) > 0;
   }
 
-  /// The hot path: claims a slot and publishes one event. Near-free when
-  /// obs metrics are disabled.
+  /// The hot path: claims a slot and publishes one event.
   void record(FrEvent type, std::uint64_t rid, std::uint64_t a = 0,
               std::uint64_t b = 0);
 

@@ -177,20 +177,14 @@ void Histogram::Snapshot::recompute_quantiles() {
   p99 = quantile(0.99);
 }
 
-ScopedTimer::ScopedTimer(Histogram& h) : h_(enabled() ? &h : nullptr) {
-  if (h_ != nullptr) {
-    start_ns_ = now_ns();
-  }
-}
+ScopedTimer::ScopedTimer(Histogram& h) : h_(h), start_ns_(now_ns()) {}
 
 ScopedTimer::~ScopedTimer() {
-  if (h_ != nullptr) {
-    h_->observe(now_ns() - start_ns_);
-  }
+  h_.observe(now_ns() - start_ns_);
 }
 
 std::uint64_t ScopedTimer::elapsed_ns() const {
-  return h_ == nullptr ? 0 : now_ns() - start_ns_;
+  return now_ns() - start_ns_;
 }
 
 Registry& Registry::instance() {

@@ -4,11 +4,9 @@
 // Design constraints, in order:
 //   1. The hot path must be one relaxed fetch-add — no locks, no
 //      allocation, no syscalls. Counters shard across cache lines so
-//      concurrent writers do not bounce one line.
-//   2. Everything is compiled in but near-free when disabled:
-//      `Metrics::disable()` turns every inc/observe into a single relaxed
-//      atomic load and a branch.
-//   3. Instruments have stable addresses for the life of the process, so
+//      concurrent writers do not bounce one line. There is no off switch:
+//      every deployed binary records.
+//   2. Instruments have stable addresses for the life of the process, so
 //      call sites cache `Counter&` in a function-local static and skip the
 //      registry lookup forever after.
 //
@@ -29,25 +27,6 @@
 
 namespace fgad::obs {
 
-namespace detail {
-inline std::atomic<bool> g_enabled{true};
-}  // namespace detail
-
-/// Global kill switch. Relaxed: a stale read just drops or records one
-/// extra sample around the toggle, which is fine for telemetry.
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-struct Metrics {
-  static void enable() {
-    detail::g_enabled.store(true, std::memory_order_relaxed);
-  }
-  static void disable() {
-    detail::g_enabled.store(false, std::memory_order_relaxed);
-  }
-};
-
 /// Monotonic counter, sharded so concurrent increments from different
 /// threads land on different cache lines.
 class Counter {
@@ -55,9 +34,6 @@ class Counter {
   static constexpr std::size_t kShards = 8;
 
   void inc(std::uint64_t n = 1) {
-    if (!enabled()) {
-      return;
-    }
     shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -95,18 +71,8 @@ class Counter {
 /// A point-in-time value (worker occupancy, queue depth, ...).
 class Gauge {
  public:
-  void set(std::int64_t v) {
-    if (!enabled()) {
-      return;
-    }
-    v_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t d) {
-    if (!enabled()) {
-      return;
-    }
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -126,9 +92,6 @@ class Histogram {
   static constexpr std::size_t kBucketCount = 16 + 16 * 60;
 
   void observe(std::uint64_t v) {
-    if (!enabled()) {
-      return;
-    }
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
@@ -190,8 +153,7 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// RAII timer feeding a histogram in nanoseconds. The clock is only read
-/// when metrics are enabled at construction time.
+/// RAII timer feeding a histogram in nanoseconds.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& h);
@@ -199,12 +161,12 @@ class ScopedTimer {
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  /// Nanoseconds elapsed so far (0 when metrics were disabled at start).
+  /// Nanoseconds elapsed so far.
   std::uint64_t elapsed_ns() const;
 
  private:
-  Histogram* h_;
-  std::uint64_t start_ns_ = 0;
+  Histogram& h_;
+  const std::uint64_t start_ns_;
 };
 
 /// Monotonic wall clock in nanoseconds (steady_clock).

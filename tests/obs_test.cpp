@@ -29,7 +29,6 @@ namespace {
 using obs::Counter;
 using obs::Gauge;
 using obs::Histogram;
-using obs::Metrics;
 using obs::Registry;
 
 /// Captures a FILE* sink in memory (POSIX open_memstream).
@@ -67,26 +66,6 @@ TEST(ObsMetrics, GaugeSetAddValue) {
   g.set(7);
   g.add(-10);
   EXPECT_EQ(g.value(), -3);
-}
-
-TEST(ObsMetrics, DisableMakesInstrumentsNoops) {
-  Counter c;
-  Gauge g;
-  Histogram h;
-  Metrics::disable();
-  c.inc(5);
-  g.set(5);
-  h.observe(5);
-  {
-    obs::ScopedTimer t(h);
-    EXPECT_EQ(t.elapsed_ns(), 0u);  // clock not even read
-  }
-  Metrics::enable();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  c.inc();
-  EXPECT_EQ(c.value(), 1u);
 }
 
 TEST(ObsHistogram, BucketLayoutIsMonotoneAndConsistent) {

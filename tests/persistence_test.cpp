@@ -423,16 +423,19 @@ TEST(CrashMatrix, PostRename) {
   }
 }
 
-// The WAL becomes durable one way, through the group committer: a timed
-// sync window is refused, not silently ignored.
+// The WAL becomes durable one way, through the group committer's flush
+// before the ACK: a timed sync window and a never-flush setting are both
+// refused, not silently ignored.
 TEST(DurableRecovery, OpenRejectsPositiveWalSyncMs) {
   const test::ScopedDir dopts_dir("durable_sync_window");
-  DurableServer::Options dopts;
-  dopts.dir = dopts_dir.path();
-  dopts.wal_sync_ms = 5;
-  auto opened = DurableServer::open(dopts);
-  ASSERT_FALSE(opened.is_ok());
-  EXPECT_EQ(opened.status().code(), Errc::kInvalidArgument);
+  for (const int sync_ms : {5, -1}) {
+    DurableServer::Options dopts;
+    dopts.dir = dopts_dir.path();
+    dopts.wal_sync_ms = sync_ms;
+    auto opened = DurableServer::open(dopts);
+    ASSERT_FALSE(opened.is_ok()) << sync_ms;
+    EXPECT_EQ(opened.status().code(), Errc::kInvalidArgument) << sync_ms;
+  }
 }
 
 TEST(DurableRecovery, CleanRestartReplaysWal) {

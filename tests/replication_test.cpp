@@ -508,6 +508,61 @@ TEST(Replication, QueueOverflowWhileLinkDownForcesSnapshot) {
   EXPECT_TRUE(fsck(pair.backup->server()));
 }
 
+// The catch-up image serializes the whole server under its dispatch lock,
+// so the shipper dials first and builds an image only over a live link: a
+// down link costs failed dials, not images.
+TEST(Replication, SnapshotShipDialsBeforeBuildingTheImage) {
+  const test::ScopedDir backup_dir("repl_ship_backup");
+  DurableServer::Options bopts;
+  bopts.dir = backup_dir.path();
+  bopts.role = ReplRole::kBackup;
+  auto backup = DurableServer::open(bopts);
+  ASSERT_TRUE(backup.is_ok()) << backup.status().to_string();
+
+  std::atomic<bool> link_up{false};
+  std::atomic<int> dials{0};
+  std::atomic<int> images{0};
+  Replicator::Options ropts;
+  ropts.redial_backoff_ms = 1;
+  ropts.max_backoff_ms = 2;
+  ropts.max_queue_bytes = 8;  // the first staged record owes a snapshot
+  Replicator repl(
+      [&]() -> Result<std::unique_ptr<net::RpcChannel>> {
+        ++dials;
+        if (!link_up.load()) {
+          return Error(Errc::kConnReset, "test link down");
+        }
+        return std::unique_ptr<net::RpcChannel>(new LinkChannel(
+            [&](BytesView req) -> Result<Bytes> {
+              return backup.value()->handle(req);
+            },
+            link_up));
+      },
+      ropts);
+  repl.set_snapshot_source([&]() -> Result<proto::ReplSnapshot> {
+    ++images;
+    proto::ReplSnapshot snap;
+    snap.term = 1;
+    snap.last_lsn = 1;
+    proto::Writer image;
+    CloudServer().save(image);
+    snap.image = std::move(image).take();
+    proto::Writer dedup;
+    RidDedup().serialize(dedup);
+    snap.dedup = std::move(dedup).take();
+    return snap;
+  });
+  repl.set_term(1);
+  repl.start();
+  repl.stage(1, 1, Bytes(64, 0));
+
+  ASSERT_TRUE(wait_until([&] { return dials.load() >= 5; }));
+  EXPECT_EQ(images.load(), 0);
+  link_up.store(true);
+  ASSERT_TRUE(wait_until([&] { return repl.acked_lsn() == 1; }));
+  EXPECT_EQ(images.load(), 1);
+}
+
 // ---- exactly-once across failover ------------------------------------------
 
 TEST(Replication, TaggedResendsConvergeOnThePromotedBackup) {

@@ -129,7 +129,7 @@ TEST(Wal, AppendScanRoundtrip) {
   const test::ScopedDir dir("wal_roundtrip");
   const std::string path = dir.file("wal_roundtrip");
   {
-    auto wal = Wal::create(path, /*epoch=*/7, Wal::Options{0});
+    auto wal = Wal::create(path, /*epoch=*/7);
     ASSERT_TRUE(wal.is_ok());
     for (std::uint64_t i = 1; i <= 20; ++i) {
       ASSERT_TRUE(wal.value()->append(i, request_frame(i)).is_ok());
@@ -153,7 +153,7 @@ TEST(Wal, TornTailAtEveryTruncationPoint) {
   const test::ScopedDir dir("wal_torn");
   const std::string path = dir.file("wal_torn");
   {
-    auto wal = Wal::create(path, 1, Wal::Options{0});
+    auto wal = Wal::create(path, 1);
     ASSERT_TRUE(wal.is_ok());
     for (std::uint64_t i = 1; i <= 3; ++i) {
       ASSERT_TRUE(wal.value()->append(i, request_frame(i)).is_ok());
@@ -195,7 +195,7 @@ TEST(Wal, BitflippedRecordEndsScan) {
   const test::ScopedDir dir("wal_bitflip");
   const std::string path = dir.file("wal_bitflip");
   {
-    auto wal = Wal::create(path, 1, Wal::Options{0});
+    auto wal = Wal::create(path, 1);
     ASSERT_TRUE(wal.is_ok());
     for (std::uint64_t i = 1; i <= 3; ++i) {
       ASSERT_TRUE(wal.value()->append(i, request_frame(i)).is_ok());
@@ -220,7 +220,7 @@ TEST(Wal, CorruptHeaderRejected) {
   const test::ScopedDir dir("wal_badheader");
   const std::string path = dir.file("wal_badheader");
   {
-    auto wal = Wal::create(path, 1, Wal::Options{0});
+    auto wal = Wal::create(path, 1);
     ASSERT_TRUE(wal.is_ok());
   }
   Bytes hdr = file_bytes(path);
@@ -238,7 +238,7 @@ TEST(Wal, ReopenTruncatesTornTailAndContinues) {
   const test::ScopedDir dir("wal_reopen");
   const std::string path = dir.file("wal_reopen");
   {
-    auto wal = Wal::create(path, 1, Wal::Options{0});
+    auto wal = Wal::create(path, 1);
     ASSERT_TRUE(wal.is_ok());
     for (std::uint64_t i = 1; i <= 3; ++i) {
       ASSERT_TRUE(wal.value()->append(i, request_frame(i)).is_ok());
@@ -253,7 +253,7 @@ TEST(Wal, ReopenTruncatesTornTailAndContinues) {
   ASSERT_TRUE(scan1.value().torn_tail);
   ASSERT_EQ(scan1.value().records, 2u);
   {
-    auto wal = Wal::reopen(path, scan1.value(), Wal::Options{0});
+    auto wal = Wal::reopen(path, scan1.value());
     ASSERT_TRUE(wal.is_ok());
     EXPECT_EQ(wal.value()->epoch(), 1u);
     // Appends continue from the truncated boundary with fresh LSNs.
@@ -269,29 +269,12 @@ TEST(Wal, ReopenTruncatesTornTailAndContinues) {
   EXPECT_EQ(got[3].lsn, 4u);
 }
 
-TEST(Wal, NeverSyncModeStillScans) {
-  const test::ScopedDir dir("wal_nosync");
-  const std::string path = dir.file("wal_nosync");
-  {
-    auto wal = Wal::create(path, 1, Wal::Options{/*sync_ms=*/-1});
-    ASSERT_TRUE(wal.is_ok());
-    auto t = wal.value()->append(1, request_frame(1));
-    ASSERT_TRUE(t.is_ok());
-    ASSERT_TRUE(wal.value()->sync_to(t.value()));  // no-op
-    ASSERT_TRUE(wal.value()->sync_now());          // no-op
-    EXPECT_LT(wal.value()->durable_bytes(), t.value());
-  }
-  std::size_t n = 0;
-  ASSERT_TRUE(Wal::scan(path, [&](const Wal::Record&) { ++n; }).is_ok());
-  EXPECT_EQ(n, 1u);
-}
-
 // The fsync runs outside the log's mutex, so appends and syncs from many
 // threads interleave with flushes in flight (a TSan target).
 TEST(Wal, ConcurrentAppendAndSyncKeepTicketsDurable) {
   const test::ScopedDir dir("wal_concurrent");
   const std::string path = dir.file("wal_concurrent");
-  auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
+  auto created = Wal::create(path, 1);
   ASSERT_TRUE(created.is_ok());
   Wal& wal = *created.value();
   constexpr int kThreads = 4;
@@ -384,7 +367,7 @@ TEST(Wal, ZeroTailIsCleanEnd) {
   Bytes live;
   std::uint64_t appended = 0;
   {
-    auto wal = Wal::create(path, 3, Wal::Options{0});
+    auto wal = Wal::create(path, 3);
     ASSERT_TRUE(wal.is_ok());
     for (std::uint64_t i = 1; i <= 10; ++i) {
       auto t = wal.value()->append(i, request_frame(i));
@@ -423,15 +406,15 @@ TEST(Wal, ZeroTailIsCleanEnd) {
 }
 
 // Closing trims the zeros: the file is byte-identical to a log that never
-// flushed (and so never wrote zeros).
+// called sync (and so never wrote zeros).
 TEST(Wal, CleanCloseTrimsZeroTail) {
   const test::ScopedDir dir("wal_trim");
   const std::string path = dir.file("wal_trim");
   const std::string plain = dir.file("wal_trim_plain");
   std::uint64_t appended = 0;
   {
-    auto wal = Wal::create(path, 2, Wal::Options{0});
-    auto never = Wal::create(plain, 2, Wal::Options{/*sync_ms=*/-1});
+    auto wal = Wal::create(path, 2);
+    auto never = Wal::create(plain, 2);
     ASSERT_TRUE(wal.is_ok());
     ASSERT_TRUE(never.is_ok());
     for (std::uint64_t i = 1; i <= 6; ++i) {
@@ -453,7 +436,7 @@ TEST(Wal, CleanCloseTrimsZeroTail) {
 TEST(Wal, ConcurrentAppendsAcrossZeroChunks) {
   const test::ScopedDir dir("wal_zero_chunks");
   const std::string path = dir.file("wal_zero_chunks");
-  auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
+  auto created = Wal::create(path, 1);
   ASSERT_TRUE(created.is_ok());
   Wal& wal = *created.value();
   constexpr int kThreads = 4;
@@ -511,7 +494,7 @@ TEST(Wal, FailedAppendLatchesAndKeepsFlushedRecords) {
   const test::ScopedDir dir("wal_failed_append");
   const std::string path = dir.file("wal_failed_append");
   {
-    auto created = Wal::create(path, 1, Wal::Options{/*sync_ms=*/0});
+    auto created = Wal::create(path, 1);
     ASSERT_TRUE(created.is_ok());
     Wal& wal = *created.value();
     for (std::uint64_t i = 1; i <= 3; ++i) {

@@ -226,10 +226,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "replication requires --state-dir\n");
     return 2;
   }
-  if (!replicate_to.empty() && !dur_opts.enable_wal) {
-    std::fprintf(stderr, "replication requires the WAL\n");
-    return 2;
-  }
   if (!replicate_to.empty() && dur_opts.role == cloud::ReplRole::kBackup) {
     std::fprintf(stderr, "--replicate-to is a primary-side flag\n");
     return 2;
